@@ -17,6 +17,15 @@ class ShapeError(ReproError):
     """Raised when layer/blob shapes are inconsistent."""
 
 
+class FillerError(ReproError, ValueError):
+    """Raised when a layer names a weight filler that does not exist.
+
+    Checked when the layer is constructed, before any weight fill is
+    queued. Subclasses :class:`ValueError`, which the unchecked filler
+    used to raise from deep inside ``reshape``.
+    """
+
+
 class CommunicatorError(ReproError):
     """Raised on invalid simulated-MPI usage (bad rank, mismatched buffers)."""
 

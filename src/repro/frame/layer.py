@@ -14,10 +14,29 @@ import abc
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import FillerError, ShapeError
 from repro.frame.blob import Blob
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.kernels.plan import PlanCost
+from repro.utils.rng import Draw, FillLedger
+
+#: Weight fillers by name: the variance gain over fan-in of a zero-mean
+#: Gaussian (MSRA/He initialisation doubles Xavier's).
+FILLER_GAINS = {"msra": 2.0, "xavier": 1.0}
+
+
+def check_filler(layer: str, filler: str) -> str:
+    """Return ``filler`` if it names a known weight filler, else raise."""
+    if filler not in FILLER_GAINS:
+        raise FillerError(
+            f"{layer}: unknown weight filler {filler!r}; known: {sorted(FILLER_GAINS)}"
+        )
+    return filler
+
+
+def filler_std(filler: str, fan_in: int) -> float:
+    """Standard deviation of a ``filler`` weight with ``fan_in`` inputs."""
+    return float(np.sqrt(FILLER_GAINS[filler] / fan_in))
 
 
 class LayerCost:
@@ -123,6 +142,20 @@ class Layer(abc.ABC):
         blob.data = array
         blob.lr_mult = lr_mult
         blob.decay_mult = decay_mult
+        self.params.append(blob)
+        return blob
+
+    def add_weight(
+        self, name: str, shape: tuple[int, ...], ledger: FillLedger, draw: Draw
+    ) -> Blob:
+        """Register a float32 weight blob whose value is ``draw(generator)``.
+
+        The fill is queued on ``ledger``, which draws it at once or, if it
+        owns its generator, when the weights are first needed (see
+        :mod:`repro.frame.blob`).
+        """
+        blob = Blob(f"{self.name}/{name}", shape, dtype=np.float32)
+        blob.fill_from(ledger, draw)
         self.params.append(blob)
         return blob
 

@@ -7,12 +7,12 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.conv_ops import conv_backward, conv_forward
-from repro.frame.layer import Layer
+from repro.frame.layer import Layer, check_filler, filler_std
 from repro.hw.spec import SW26010Params
 from repro.kernels.autotune import ConvConfig, PlanAutotuner
 from repro.kernels.im2col import conv_out_dim
 from repro.kernels.plan import PlanCost
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import FillLedger, fill_ledger
 
 
 class ConvolutionLayer(Layer):
@@ -35,7 +35,7 @@ class ConvolutionLayer(Layer):
         bias: bool = True,
         groups: int = 1,
         weight_filler: str = "msra",
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | FillLedger | None = None,
         params: SW26010Params | None = None,
     ) -> None:
         super().__init__(name, params)
@@ -51,8 +51,8 @@ class ConvolutionLayer(Layer):
         self.stride = int(stride)
         self.pad = int(pad)
         self.use_bias = bool(bias)
-        self.weight_filler = weight_filler
-        self._rng = rng or seeded_rng()
+        self.weight_filler = check_filler(name, weight_filler)
+        self._fills = fill_ledger(rng)
         self._autotuner = PlanAutotuner(params)
         self._x_cache: np.ndarray | None = None
         self.weight: Blob | None = None
@@ -67,17 +67,12 @@ class ConvolutionLayer(Layer):
     def _init_weights(self, ni: int) -> None:
         k = self.kernel_size
         ni = ni // self.groups
-        fan_in = ni * k * k
-        if self.weight_filler == "msra":
-            std = float(np.sqrt(2.0 / fan_in))
-        elif self.weight_filler == "xavier":
-            std = float(np.sqrt(1.0 / fan_in))
-        else:
-            raise ValueError(f"unknown weight filler {self.weight_filler!r}")
-        w = std * self._rng.standard_normal(
-            size=(self.num_output, ni, k, k), dtype=np.float32
+        std = filler_std(self.weight_filler, ni * k * k)
+        shape = (self.num_output, ni, k, k)
+        self.weight = self.add_weight(
+            "weight", shape, self._fills,
+            lambda rng: std * rng.standard_normal(size=shape, dtype=np.float32),
         )
-        self.weight = self.add_param("weight", w)
         if self.use_bias:
             b = np.zeros(self.num_output, dtype=np.float32)
             self.bias = self.add_param("bias", b, lr_mult=2.0, decay_mult=0.0)

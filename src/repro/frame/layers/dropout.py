@@ -9,7 +9,7 @@ from repro.frame.blob import Blob
 from repro.frame.layer import Layer
 from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import FillLedger, fill_ledger
 
 
 class DropoutLayer(Layer):
@@ -21,14 +21,15 @@ class DropoutLayer(Layer):
         self,
         name: str,
         ratio: float = 0.5,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | FillLedger | None = None,
         params=None,
     ) -> None:
         super().__init__(name, params)
         if not 0.0 <= ratio < 1.0:
             raise ShapeError(f"{name}: dropout ratio must be in [0, 1), got {ratio}")
         self.ratio = float(ratio)
-        self._rng = rng or seeded_rng()
+        #: Masks draw after every weight fill queued on the same ledger.
+        self._fills = fill_ledger(rng)
         self._mask: np.ndarray | None = None
 
     def check_bottom(self, bottom: list[Blob]) -> None:
@@ -42,7 +43,7 @@ class DropoutLayer(Layer):
         x = bottom[0].data
         if self.phase == "train" and self.ratio > 0:
             keep = 1.0 - self.ratio
-            self._mask = (self._rng.random(x.shape) < keep) / keep
+            self._mask = (self._fills.generator().random(x.shape) < keep) / keep
             top[0].data = (x * self._mask).astype(x.dtype)
         else:
             self._mask = None

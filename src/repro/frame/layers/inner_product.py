@@ -6,11 +6,11 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
-from repro.frame.layer import Layer
+from repro.frame.layer import Layer, check_filler, filler_std
 from repro.hw.spec import SW26010Params
 from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.plan import PlanCost, combine_sequential
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import FillLedger, fill_ledger
 
 
 class InnerProductLayer(Layer):
@@ -24,7 +24,7 @@ class InnerProductLayer(Layer):
         num_output: int,
         bias: bool = True,
         weight_filler: str = "xavier",
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | FillLedger | None = None,
         params: SW26010Params | None = None,
     ) -> None:
         super().__init__(name, params)
@@ -32,8 +32,8 @@ class InnerProductLayer(Layer):
             raise ShapeError(f"{name}: num_output must be positive")
         self.num_output = int(num_output)
         self.use_bias = bool(bias)
-        self.weight_filler = weight_filler
-        self._rng = rng or seeded_rng()
+        self.weight_filler = check_filler(name, weight_filler)
+        self._fills = fill_ledger(rng)
         self.weight: Blob | None = None
         self.bias: Blob | None = None
         self._x_cache: np.ndarray | None = None
@@ -51,14 +51,12 @@ class InnerProductLayer(Layer):
         b = bottom[0].shape[0]
         d = self._flat_dim(bottom[0].shape)
         if self.weight is None:
-            if self.weight_filler == "xavier":
-                std = float(np.sqrt(1.0 / d))
-            elif self.weight_filler == "msra":
-                std = float(np.sqrt(2.0 / d))
-            else:
-                raise ValueError(f"unknown weight filler {self.weight_filler!r}")
-            w = std * self._rng.standard_normal(size=(self.num_output, d), dtype=np.float32)
-            self.weight = self.add_param("weight", w)
+            std = filler_std(self.weight_filler, d)
+            shape = (self.num_output, d)
+            self.weight = self.add_weight(
+                "weight", shape, self._fills,
+                lambda rng: std * rng.standard_normal(size=shape, dtype=np.float32),
+            )
             if self.use_bias:
                 self.bias = self.add_param(
                     "bias", np.zeros(self.num_output, dtype=np.float32),

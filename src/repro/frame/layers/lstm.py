@@ -17,7 +17,7 @@ from repro.frame.layer import Layer
 from repro.hw.spec import SW26010Params
 from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.plan import PlanCost, combine_sequential
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import FillLedger, fill_ledger
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -37,14 +37,14 @@ class LSTMLayer(Layer):
         self,
         name: str,
         num_output: int,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | FillLedger | None = None,
         params: SW26010Params | None = None,
     ) -> None:
         super().__init__(name, params)
         if num_output <= 0:
             raise ShapeError(f"{name}: num_output must be positive")
         self.hidden = int(num_output)
-        self._rng = rng or seeded_rng()
+        self._fills = fill_ledger(rng)
         self.wx: Blob | None = None
         self.wh: Blob | None = None
         self.bias: Blob | None = None
@@ -61,11 +61,13 @@ class LSTMLayer(Layer):
         if self.wx is None:
             sx = float(np.sqrt(1.0 / d))
             sh = float(np.sqrt(1.0 / h))
-            self.wx = self.add_param(
-                "wx", self._rng.normal(0, sx, size=(4 * h, d)).astype(np.float32)
+            self.wx = self.add_weight(
+                "wx", (4 * h, d), self._fills,
+                lambda rng: rng.normal(0, sx, size=(4 * h, d)).astype(np.float32),
             )
-            self.wh = self.add_param(
-                "wh", self._rng.normal(0, sh, size=(4 * h, h)).astype(np.float32)
+            self.wh = self.add_weight(
+                "wh", (4 * h, h), self._fills,
+                lambda rng: rng.normal(0, sh, size=(4 * h, h)).astype(np.float32),
             )
             bias = np.zeros(4 * h, dtype=np.float32)
             bias[h : 2 * h] = 1.0  # forget gate

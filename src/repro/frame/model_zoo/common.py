@@ -17,7 +17,7 @@ from repro.frame.layers import (
 )
 from repro.frame.net import Net
 from repro.io.dataset import SyntheticImageNet
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import fill_ledger
 
 
 def default_source(
@@ -42,7 +42,8 @@ class NetBuilder:
         rng: np.random.Generator | None = None,
     ) -> None:
         self.net = Net(name)
-        self.rng = rng or seeded_rng()
+        #: One ledger for every weight fill and dropout mask of the net.
+        self.fills = fill_ledger(rng)
         src = source or default_source(num_classes, sample_shape)
         self.net.add(
             DataLayer("data", src, batch_size), bottoms=[], tops=["data", "label"]
@@ -59,7 +60,7 @@ class NetBuilder:
         self.net.add(
             ConvolutionLayer(
                 name, num_output, k, stride, pad, bias=bias, groups=groups,
-                rng=self.rng,
+                rng=self.fills,
             ),
             bottoms=[src],
             tops=[name],
@@ -95,7 +96,7 @@ class NetBuilder:
     def fc(self, name: str, num_output: int, bottom: str | None = None) -> str:
         src = bottom or self.cur
         self.net.add(
-            InnerProductLayer(name, num_output, rng=self.rng),
+            InnerProductLayer(name, num_output, rng=self.fills),
             bottoms=[src],
             tops=[name],
         )
@@ -104,7 +105,7 @@ class NetBuilder:
 
     def dropout(self, name: str, ratio: float = 0.5, bottom: str | None = None) -> str:
         src = bottom or self.cur
-        self.net.add(DropoutLayer(name, ratio, rng=self.rng), bottoms=[src], tops=[name])
+        self.net.add(DropoutLayer(name, ratio, rng=self.fills), bottoms=[src], tops=[name])
         self.cur = name
         return name
 

@@ -52,7 +52,7 @@ from repro.frame.layers import (
     TensorTransformLayer,
 )
 from repro.frame.net import Net
-from repro.utils.rng import seeded_rng
+from repro.utils.rng import fill_ledger
 
 #: Registered layer constructors: type name -> factory(name, params, ctx).
 LAYER_REGISTRY: dict[str, Callable[..., Any]] = {}
@@ -274,11 +274,12 @@ def build_from_spec(
     source:
         Batch source for Data layers.
     rng:
-        Weight-init generator (defaults to the package seed).
+        Weight-init generator. ``None`` uses a private generator on the
+        package seed, whose weight fills wait until first needed.
     """
     if "layers" not in spec or not isinstance(spec["layers"], list):
         raise ShapeError("spec must contain a 'layers' list")
-    ctx = {"source": source, "rng": rng or seeded_rng()}
+    ctx = {"source": source, "rng": fill_ledger(rng)}
     net = Net(spec.get("name", "net"))
     for entry in spec["layers"]:
         type_name = entry.get("type")

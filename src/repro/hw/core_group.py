@@ -11,6 +11,7 @@ time is the max of the two (plus serialized RLC when it cannot be hidden).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hw.clock import SimClock
 from repro.hw.cpe import CPE
@@ -45,7 +46,15 @@ class CoreGroup:
         self.mpe = MPE(params=self.params, clock=self.clock)
         self.dma = DMAEngine(params=self.params, clock=self.clock)
         self.rlc = RegisterComm(params=self.params, clock=self.clock)
-        self.cpes = [
+
+    @cached_property
+    def cpes(self) -> list[CPE]:
+        """The CPE mesh in row-major order, built on first access.
+
+        Pricing reads only the DMA/RLC engines and the peak rate, so a
+        plan that is only priced never builds its 64 CPEs and their LDMs.
+        """
+        return [
             CPE(row=r, col=c, params=self.params, clock=self.clock)
             for r in range(self.params.cpe_rows)
             for c in range(self.params.cpe_cols)
@@ -54,7 +63,7 @@ class CoreGroup:
     @property
     def n_cpes(self) -> int:
         """Number of CPEs in the mesh (64)."""
-        return len(self.cpes)
+        return self.params.n_cpes_per_cg
 
     @property
     def peak_flops(self) -> float:

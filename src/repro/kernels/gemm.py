@@ -89,12 +89,27 @@ class GemmBlocking:
         return 2.0 * self.mb * self.nb * self.kb / traffic
 
 
-#: Memoized blocking choices. Scoring candidates with the full cost model
-#: makes one choice ~700 cost evaluations; layer shapes repeat heavily
-#: (every conv in a net maps to a handful of GEMM shapes), so the search
-#: runs once per distinct (params, m, n, k, dtype) tuple per process.
+#: Memoized blocking choices. One search scores up to 729 candidate
+#: blockings (the paper nets average ~280 LDM-feasible ones) with the full
+#: cost model; layer shapes repeat heavily (every conv in a net maps to a
+#: handful of GEMM shapes), so the search runs once per distinct
+#: (params, m, n, k, dtype) tuple per process.
 _BLOCKING_CACHE: dict[tuple, GemmBlocking] = {}
 _BLOCKING_CACHE_MAX = 65536
+
+
+# Pipeline/SIMD fill per dimension, from the per-CPE tile extent
+# (see SWGemmPlan._compute_efficiency for the calibration).
+def _row_fill(mt: float) -> float:
+    return min(1.0, (mt / 32.0) ** 1.6)
+
+
+def _col_fill(nt: float) -> float:
+    return nt / (nt + 2.0)
+
+
+def _depth_fill(kt: float) -> float:
+    return kt * kt / (kt * kt + 37.0)
 
 
 class SWGemmPlan(KernelPlan):
@@ -164,37 +179,81 @@ class SWGemmPlan(KernelPlan):
         smaller block that divides the problem evenly. Ties break toward
         higher intensity, keeping the historical choice for shapes the
         model prices identically.
+
+        The score is ``_cost_for(blk).total_s`` evaluated inline with the
+        same operands in the same order, so every score is bit-identical;
+        terms that depend on one or two block dims are computed once per
+        candidate size, and a block is only built when its score ties or
+        beats the best so far.
         """
         key = (self.params, self.m, self.n, self.k, self.dtype_bytes)
         cached = _BLOCKING_CACHE.get(key)
         if cached is not None:
             return cached
+        m, n, k, dtype_bytes = self.m, self.n, self.k, self.dtype_bytes
         mesh = self.params.cpe_rows
         candidates = [mesh * x for x in (1, 2, 4, 8, 16, 24, 32, 48, 64)]
 
-        def clamp(dim: int) -> list[int]:
+        def clamp(dim: int, fill) -> list[tuple[int, int, float, float]]:
+            """(block, block count, fringe utilisation, pipeline fill) per
+            candidate block size of one dimension."""
             # Blocks stay within one mesh row of the dim: the library does
             # not pad a dim far beyond its extent, and the calibrated
             # small-shape collapse (Table II / Fig. 8) depends on that.
-            opts = [c for c in candidates if c < dim + mesh]
-            return opts or [mesh]
+            out = []
+            for b in [c for c in candidates if c < dim + mesh] or [mesh]:
+                blocks = math.ceil(dim / b)
+                out.append((b, blocks, dim / (blocks * b), fill(max(1.0, b / mesh))))
+            return out
 
-        best: tuple[float, float, GemmBlocking] | None = None
-        for mb in clamp(self.m):
-            for nb in clamp(self.n):
-                for kb in clamp(self.k):
+        flops = 2.0 * m * n * k
+        peak = self._cg.peak_flops
+        base = self.base_efficiency
+        # Multiplying by 1.0 is exact, so doubles take the same path.
+        precision = 1.0 - self.single_precision_tax if dtype_bytes < 8 else 1.0
+        latency_s = self.params.dma_latency_s
+        bulk_time = self._cg.dma.bulk_time
+        broadcast_time = self._cg.rlc.broadcast_time
+        dma_memo: dict[tuple[int, int, int], float] = {}
+        depth = clamp(k, _depth_fill)
+        best: GemmBlocking | None = None
+        best_s = best_fpb = 0.0
+        for mb, m_blocks, util_m, fill_m in clamp(m, _row_fill):
+            for nb, n_blocks, util_n, fill_n in clamp(n, _col_fill):
+                fill_mn = fill_m * fill_n
+                util_mn = util_m * util_n
+                mn_blocks = m_blocks * n_blocks
+                dma_bytes = float(
+                    n_blocks * m * k * dtype_bytes
+                    + m_blocks * k * n * dtype_bytes
+                    + 2 * m * n * dtype_bytes
+                )
+                for kb, k_blocks, util_k, fill_k in depth:
                     if not self._ldm_fit(mb, nb, kb):
-                        continue
-                    blk = GemmBlocking(mb, nb, kb)
-                    score = (self._cost_for(blk).total_s, -blk.flop_per_byte)
-                    if best is None or score < best[:2]:
-                        best = (*score, blk)
+                        break  # LDM use only grows with kb
+                    eff = base * (fill_mn * fill_k) * (util_mn * util_k) * precision
+                    compute_s = flops / (peak * max(eff, 1e-3))
+                    row_bytes = min(kb, nb) * dtype_bytes
+                    dma_s = dma_memo.get((mb, nb, row_bytes))
+                    if dma_s is None:
+                        dma_s = bulk_time(dma_bytes, block_bytes=row_bytes)
+                        dma_memo[mb, nb, row_bytes] = dma_s
+                    n_outer = mn_blocks * k_blocks
+                    rlc_s = broadcast_time(n_outer * (8.0 * (mb * kb + kb * nb)))
+                    total_s = max(compute_s, dma_s, rlc_s) + n_outer * latency_s
+                    if best is None or total_s < best_s:
+                        best = GemmBlocking(mb, nb, kb)
+                        best_s, best_fpb = total_s, best.flop_per_byte
+                    elif total_s == best_s:
+                        blk = GemmBlocking(mb, nb, kb)
+                        if blk.flop_per_byte > best_fpb:
+                            best, best_fpb = blk, blk.flop_per_byte
         if best is None:
             raise PlanError("no LDM-feasible GEMM blocking found")
         if len(_BLOCKING_CACHE) >= _BLOCKING_CACHE_MAX:
             _BLOCKING_CACHE.clear()
-        _BLOCKING_CACHE[key] = best[2]
-        return best[2]
+        _BLOCKING_CACHE[key] = best
+        return best
 
     # ------------------------------------------------------------------ #
     # cost model
@@ -223,13 +282,11 @@ class SWGemmPlan(KernelPlan):
         """
         mesh = self.params.cpe_rows
         blk = blk or self.blocking
-        mt = max(1.0, blk.mb / mesh)
-        nt = max(1.0, blk.nb / mesh)
-        kt = max(1.0, blk.kb / mesh)
-        f_m = min(1.0, (mt / 32.0) ** 1.6)
-        f_n = nt / (nt + 2.0)
-        f_k = kt * kt / (kt * kt + 37.0)
-        fill = f_m * f_n * f_k
+        fill = (
+            _row_fill(max(1.0, blk.mb / mesh))
+            * _col_fill(max(1.0, blk.nb / mesh))
+            * _depth_fill(max(1.0, blk.kb / mesh))
+        )
         # Fringe blocks: the last block in each dim is partially full.
         util = (
             (self.m / (math.ceil(self.m / blk.mb) * blk.mb))

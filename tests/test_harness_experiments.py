@@ -6,6 +6,8 @@ Fig. 8/9 per-layer structure, and the Fig. 10/11 scaling behaviour. Module-
 scoped fixtures keep the expensive net builds to one per module.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (
@@ -128,6 +130,21 @@ class TestTable3:
 
     def test_render(self, table3_rows):
         assert "img/sec" in table3_throughput.render(table3_rows)
+
+    def test_experiments_md_quotes_the_harness(self, table3_rows):
+        """EXPERIMENTS.md's "meas" cells are the harness's rows, rounded."""
+        text = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text(
+            encoding="utf-8"
+        )
+        section = text.split("## Table III", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip("|\n ").split("|")]
+            if line.startswith("|") and cells[0].endswith(")"):
+                rows[cells[0]] = cells[2:11:2]
+        for r in table3_rows:
+            want = (r.cpu_img_s, r.gpu_img_s, r.sw_img_s, r.sw_over_gpu, r.sw_over_cpu)
+            assert rows[f"{r.network} ({r.batch})"] == [f"{v:.2f}" for v in want]
 
 
 class TestFig8:
