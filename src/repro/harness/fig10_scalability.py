@@ -114,6 +114,7 @@ def whatif_tracer(
     therefore attributes *exactly* the schedule's exposed collective
     time. Returns ``(tracer, schedule)``.
     """
+    from repro.hw.clock import SerialResource
     from repro.trace.tracer import Tracer
 
     model = _iteration_model(label)
@@ -127,25 +128,15 @@ def whatif_tracer(
         "forward+backward", "cpe_compute", track="node/cpe",
         start=0.0, dur=compute, args={"config": label, "nodes": n_nodes},
     )
-    prev = None
-    for idx in range(sched.n_launches):
-        start, comm = sched.start_s[idx], sched.comm_s[idx]
-        # Same per-launch clamp as OverlapSchedule.hidden_s, so the
-        # trace's exposed_s args sum to the schedule's exposed_s exactly.
-        hidden = max(0.0, min(start + comm, sched.barrier_s) - start)
-        span = tracer.emit(
-            f"allreduce launch{idx}", "collective_service",
-            track="comm/fabric", start=start, dur=comm,
-            args={
-                "ready_s": sched.ready_s[idx],
-                "merged": sched.merged[idx],
-                "hidden_s": hidden,
-                "exposed_s": comm - hidden,
-            },
+    # The schedule already booked the windows; this resource only chains
+    # their spans.
+    fabric = SerialResource()
+    for idx, (launch, merged) in enumerate(zip(sched.launches, sched.merged)):
+        fabric.emit(
+            tracer, launch, f"allreduce launch{idx}", "collective_service",
+            track="comm/fabric", args={"merged": merged},
+            barrier_s=sched.barrier_s,
         )
-        if prev is not None:
-            tracer.edge(prev, span)
-        prev = span
     return tracer, sched
 
 

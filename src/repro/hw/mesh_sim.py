@@ -18,9 +18,11 @@ Used two ways:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.faults.injector import active as _faults
+from repro.hw.clock import SerialResource
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
@@ -102,7 +104,7 @@ class MeshSimulator:
     def run(self, ops: list[MeshOp]) -> MeshTrace:
         """Simulate a schedule; ops are considered in list order."""
         mesh = self.params.cpe_rows
-        bus_free: dict[str, float] = {}
+        buses: dict[str, SerialResource] = defaultdict(SerialResource)
         bus_busy: dict[str, float] = {}
         bus_wait: dict[str, float] = {}
         cpe_ready = [[0.0] * mesh for _ in range(mesh)]
@@ -143,10 +145,9 @@ class MeshSimulator:
                 # CPE's own earlier-step work, but NOT for unrelated
                 # incoming data (cpe_ready).
                 ready = dep_time(op.src, op.step)
-                start = max(bus_free.get(bus, 0.0), ready)
                 dur = self._startup + op.nbytes / rate * degrade
-                finish = start + dur
-                bus_free[bus] = finish
+                w = buses[bus].reserve(ready, dur)
+                start, finish = w.start_s, w.end_s
                 bus_busy[bus] = bus_busy.get(bus, 0.0) + dur
                 # Contention stall: the op was ready but its bus was not.
                 bus_wait[bus] = bus_wait.get(bus, 0.0) + (start - ready)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.hw.clock import Reservation, SerialResource
 from repro.io.prefetch import PrefetchPipeline
 from repro.parallel.comm_cost import allreduce_cost
 from repro.parallel.threads import MultiCGRunner
@@ -30,27 +31,26 @@ class OverlapSchedule:
     """Bucketed allreduces scheduled against the backward window.
 
     Buckets become ready one after another as backward finishes their
-    layers; a serial fabric serves them in order (``start = max(ready,
-    previous end)``). Buckets that become ready while the fabric is
-    still busy coalesce into a single launch (Horovod-style tensor
-    fusion), so the per-collective startup overhead is paid once per
-    launch, not once per bucket. Service before ``barrier_s`` — the end
-    of local compute — is *hidden* behind backward; only what spills
+    layers; the fabric is a :class:`~repro.hw.clock.SerialResource`
+    serving launches in order. Buckets that become ready while the
+    fabric is still busy coalesce into a single launch (Horovod-style
+    tensor fusion), so the per-collective startup overhead is paid once
+    per launch, not once per bucket. Service before ``barrier_s`` — the
+    end of local compute — is *hidden* behind backward; only what spills
     past the barrier lands on the iteration's critical path. With a
     single bucket (the fused path) ``ready == barrier`` and everything
     is exposed, which is exactly the non-overlapped model.
     """
 
-    ready_s: tuple[float, ...]
-    start_s: tuple[float, ...]
-    comm_s: tuple[float, ...]
+    #: One fabric window per launch, in launch order.
+    launches: tuple[Reservation, ...]
     #: How many gradient buckets each launch coalesced.
     merged: tuple[int, ...]
     barrier_s: float
 
     @property
     def n_launches(self) -> int:
-        return len(self.comm_s)
+        return len(self.launches)
 
     @property
     def n_buckets(self) -> int:
@@ -59,17 +59,14 @@ class OverlapSchedule:
     @property
     def total_comm_s(self) -> float:
         """Total network occupancy across every bucket."""
-        return sum(self.comm_s)
+        return sum(w.dur_s for w in self.launches)
 
     @property
     def hidden_s(self) -> float:
         """Comm time hidden behind the remaining backward compute: per
         launch, the slice of service before the barrier (the same rule
         the trainer's nonblocking queue uses)."""
-        return sum(
-            max(0.0, min(s + c, self.barrier_s) - s)
-            for s, c in zip(self.start_s, self.comm_s)
-        )
+        return sum(w.hidden_before(self.barrier_s) for w in self.launches)
 
     @property
     def exposed_s(self) -> float:
@@ -206,30 +203,21 @@ class SSGDIterationModel:
         window = compute_s - backward_start
         k = len(sizes)
         bucket_ready = [backward_start + window * (i + 1) / k for i in range(k)]
-        ready: list[float] = []
-        start: list[float] = []
-        comm: list[float] = []
+        fabric = SerialResource()
+        launches: list[Reservation] = []
         merged: list[int] = []
-        free = 0.0
         i = 0
         while i < k:
-            s = max(bucket_ready[i], free)
+            # Every bucket already ready when this launch starts rides in it.
             j = i + 1
-            while j < k and bucket_ready[j] <= s:
+            while j < k and bucket_ready[j] <= max(bucket_ready[i], fabric.free_s):
                 j += 1
             c = self._single_allreduce_time(sum(sizes[i:j]), n_nodes)
-            ready.append(bucket_ready[i])
-            start.append(s)
-            comm.append(c)
+            launches.append(fabric.reserve(bucket_ready[i], c))
             merged.append(j - i)
-            free = s + c
             i = j
         return OverlapSchedule(
-            ready_s=tuple(ready),
-            start_s=tuple(start),
-            comm_s=tuple(comm),
-            merged=tuple(merged),
-            barrier_s=compute_s,
+            launches=tuple(launches), merged=tuple(merged), barrier_s=compute_s
         )
 
     def update_time(self) -> float:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.hw.clock import SerialResource
 from repro.parallel.comm_cost import allreduce_cost, ptp_cost
 from repro.parallel.threads import MultiCGRunner
 from repro.pipeline.partition import StagePlan
@@ -204,9 +205,9 @@ class PipelineIterationModel:
 
         Stage ``s``'s group allreduce buckets become ready across its
         backward window (gradients accumulate microbatch by microbatch;
-        the last bucket needs the last backward op) and are served
-        serially on the group's fabric, ``start = max(ready, free)`` —
-        the DP model's overlap discipline within each stage group.
+        the last bucket needs the last backward op) and are served on the
+        group's fabric, one :class:`~repro.hw.clock.SerialResource` per
+        stage group — the DP model's overlap discipline.
         Service before the makespan is hidden behind the still-running
         stages; only the spill extends the iteration. Returns
         ``(max spill across groups, total hidden seconds)``.
@@ -238,15 +239,11 @@ class PipelineIterationModel:
                 reduce_engine=self.reduce_engine,
                 placement=self.placement,
             )
-            free = 0.0
+            fabric = SerialResource()
             for i in range(k):
                 ready = ends[0] + window * (i + 1) / k
-                start = max(ready, free)
-                free = start + per_bucket
-                hidden += min(
-                    per_bucket, max(0.0, min(free, makespan) - start)
-                )
-            spill = max(spill, max(0.0, free - makespan))
+                hidden += fabric.reserve(ready, per_bucket).hidden_before(makespan)
+            spill = max(spill, max(0.0, fabric.free_s - makespan))
         return spill, hidden
 
     def breakdown(self) -> PipelineBreakdown:

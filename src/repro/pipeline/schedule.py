@@ -6,12 +6,13 @@ them. Each *schedule* fixes a per-stage op order; the simulator then
 walks the ops deterministically:
 
 * a stage executes its ops strictly in schedule order, one at a time
-  (``start = max(stage free, dependencies done)``);
+  (a :class:`~repro.hw.clock.SerialResource` whose windows are ready
+  when their dependencies are done);
 * ``F(s, m)`` needs the forward boundary transfer of microbatch ``m``
   from stage ``s - 1``; ``B(s, m)`` needs the backward transfer from
   stage ``s + 1`` (and, on the last stage, its own ``F(s, m)``);
-* each boundary link is full-duplex but serial per direction: a transfer
-  starts at ``max(link free, producer end)``.
+* each boundary link is full-duplex but serial per direction (one
+  resource per direction, a transfer ready at its producer's end).
 
 That walk *is* the schedule — no numerical fitting, no averaging — so
 emitting its ops as spans with dep edges mirroring exactly the three
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.hw.clock import SerialResource
 from repro.metrics.registry import active as _metrics
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Tracer
@@ -195,12 +197,13 @@ def simulate_pipeline(
         fwd_x = [t * sc.factor("p2p") for t in fwd_x]
         bwd_x = [t * sc.factor("p2p") for t in bwd_x]
 
-    # Walk state: per-stage op pointer and free time, per-link (direction)
-    # free time, completed op end times, scheduled transfers.
+    # Walk state: per-stage op pointer, one serial resource per stage and
+    # per (direction, link), completed op end times, scheduled transfers.
     pointer = [0] * S
-    stage_free = [0.0] * S
-    link_free = {("fwd", i): 0.0 for i in range(S - 1)}
-    link_free.update({("bwd", i): 0.0 for i in range(S - 1)})
+    stages = [SerialResource() for _ in range(S)]
+    links = {
+        (kind, i): SerialResource() for kind in ("fwd", "bwd") for i in range(S - 1)
+    }
     op_end: dict[tuple[str, int, int], float] = {}
     xfer_end: dict[tuple[str, int, int], float] = {}
     ops: list[OpRecord] = []
@@ -208,8 +211,7 @@ def simulate_pipeline(
 
     def _schedule_xfer(kind: str, boundary: int, m: int, ready: float) -> None:
         dur = (fwd_x if kind == "fwd" else bwd_x)[boundary]
-        start = max(link_free[(kind, boundary)], ready)
-        link_free[(kind, boundary)] = start + dur
+        w = links[(kind, boundary)].reserve(ready, dur)
         src, dst = (boundary, boundary + 1) if kind == "fwd" else (boundary + 1, boundary)
         xfers.append(
             XferRecord(
@@ -217,13 +219,13 @@ def simulate_pipeline(
                 src=src,
                 dst=dst,
                 microbatch=m,
-                start_s=start,
+                start_s=w.start_s,
                 dur_s=dur,
                 ready_s=ready,
                 nbytes=nbytes[boundary],
             )
         )
-        xfer_end[(kind, boundary, m)] = start + dur
+        xfer_end[(kind, boundary, m)] = w.end_s
 
     total = sum(len(o) for o in orders)
     done = 0
@@ -242,13 +244,12 @@ def simulate_pipeline(
                 if dep is None:
                     break  # dependency not produced yet; try other stages
                 dur = (stage_fwd_s if kind == "F" else stage_bwd_s)[s]
-                start = max(stage_free[s], dep)
-                end = start + dur
+                w = stages[s].reserve(dep, dur)
                 ops.append(
-                    OpRecord(kind=kind, stage=s, microbatch=m, start_s=start, dur_s=dur)
+                    OpRecord(kind=kind, stage=s, microbatch=m, start_s=w.start_s, dur_s=dur)
                 )
+                end = w.end_s
                 op_end[(kind, s, m)] = end
-                stage_free[s] = end
                 pointer[s] += 1
                 done += 1
                 progressed = True

@@ -9,10 +9,9 @@ the simulator:
 * the *data* path is exact — each launch runs the real simulated
   collective (buffers move through the algorithm, results are bit-exact),
   so bucketed and fused training produce identical gradients;
-* the *time* path is a schedule — the fabric serves one collective at a
-  time, so a request launched at ``ready_s`` starts at
-  ``max(ready_s, previous request's end)`` and occupies the network for
-  the collective's simulated duration. Whatever fits before the caller's
+* the *time* path is a schedule — the fabric is a
+  :class:`~repro.hw.clock.SerialResource` serving one collective at a
+  time for its simulated duration. Whatever fits before the caller's
   barrier (the end of backward compute) is *hidden*; only the remainder
   lands on the iteration's critical path.
 
@@ -27,22 +26,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.hw.clock import Reservation, SerialResource
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.trace.tracer import Span, active as _tracer
 
 
 @dataclass
-class PendingCollective:
-    """One in-flight (or completed) nonblocking collective request."""
+class PendingCollective(Reservation):
+    """One in-flight (or completed) nonblocking collective request; its
+    window lasts the blocking collective's simulated duration."""
 
     tag: str
-    #: When the request was launched (its data became available).
-    ready_s: float
-    #: When the serial fabric actually began serving it.
-    start_s: float
-    #: Network occupancy (the blocking collective's simulated duration).
-    comm_s: float
     result: CollectiveResult = field(default_factory=CollectiveResult)
     #: The per-rank buffers the collective reduced (in place) — the request
     #: owns them until :meth:`IAllreduceQueue.wait_all` hands them back.
@@ -52,19 +47,6 @@ class PendingCollective:
     #: service window recorded at :meth:`IAllreduceQueue.wait_all` hangs
     #: its causal edge off it.
     launch_span: Span | None = None
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.comm_s
-
-    def hidden_before(self, barrier_s: float) -> float:
-        """Seconds of this request's service that precede ``barrier_s``.
-
-        Clamped to ``[0, comm_s]``: ``end_s - start_s`` can exceed
-        ``comm_s`` by one ulp, and a fully-hidden request must report
-        exactly zero exposed time.
-        """
-        return min(self.comm_s, max(0.0, min(self.end_s, barrier_s) - self.start_s))
 
 
 class IAllreduceQueue:
@@ -87,12 +69,10 @@ class IAllreduceQueue:
         self.comm = comm
         self._collective = collective
         self.origin_s = comm.clock.now if origin_s is None else float(origin_s)
-        #: When the fabric next frees up (monotone across launches).
-        self.free_s = self.origin_s
+        #: The network, serving one collective at a time.
+        self.fabric = SerialResource(self.origin_s)
         #: Launched-but-unwaited requests, in launch order.
         self.pending: list[PendingCollective] = []
-        #: Last traced service window — the serial fabric chains them.
-        self._last_service: Span | None = None
 
     def iallreduce(
         self,
@@ -116,16 +96,10 @@ class IAllreduceQueue:
         ready = self.origin_s if ready_s is None else float(ready_s)
         t0 = self.comm.clock.now
         result = self._collective(self.comm, buffers, average=average)
-        comm_s = self.comm.clock.now - t0
-        req = PendingCollective(
-            tag=tag,
-            ready_s=ready,
-            start_s=max(ready, self.free_s),
-            comm_s=comm_s,
-            result=result,
-            buffers=list(buffers),
+        req = self.fabric.reserve(
+            ready, self.comm.clock.now - t0, PendingCollective,
+            tag=tag, result=result, buffers=list(buffers),
         )
-        self.free_s = req.end_s
         self.pending.append(req)
         tr = _tracer()
         if tr.enabled:
@@ -158,28 +132,15 @@ class IAllreduceQueue:
         for req in completed:
             req.done = True
             if tr.enabled:
-                svc_args = {"tag": req.tag, "ready_s": req.ready_s}
-                if barrier_s is not None:
-                    svc_args["hidden_s"] = req.hidden_before(barrier_s)
-                    svc_args["exposed_s"] = req.comm_s - svc_args["hidden_s"]
-                svc = tr.emit(
-                    f"allreduce {req.tag}" if req.tag else "allreduce",
-                    "collective_service",
-                    track="comm/fabric",
-                    start=req.start_s,
-                    dur=req.comm_s,
-                    args=svc_args,
+                self.fabric.emit(
+                    tr, req, f"allreduce {req.tag}" if req.tag else "allreduce",
+                    "collective_service", track="comm/fabric", args={"tag": req.tag},
+                    barrier_s=barrier_s, launch=req.launch_span,
                 )
-                if req.launch_span is not None:
-                    tr.edge(req.launch_span, svc)
-                if self._last_service is not None:
-                    # The fabric serves one collective at a time.
-                    tr.edge(self._last_service, svc)
-                self._last_service = svc
             if barrier_s is None:
                 continue
             hidden = req.hidden_before(barrier_s)
-            exposed = req.comm_s - hidden
+            exposed = req.dur_s - hidden
             if mx.enabled:
                 mx.count("comm.overlap_hidden_s", hidden)
                 mx.count("comm.overlap_exposed_s", exposed)

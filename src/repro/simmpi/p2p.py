@@ -27,12 +27,13 @@ activation transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import CommunicatorError
 from repro.faults.injector import active as _faults, charge_transient
+from repro.hw.clock import Reservation, SerialResource
 from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.trace.scaling import active as _scaling
@@ -54,33 +55,19 @@ class P2PResult:
 
 
 @dataclass
-class PendingTransfer:
-    """One in-flight (or completed) nonblocking p2p transfer."""
+class PendingTransfer(Reservation):
+    """One in-flight (or completed) nonblocking p2p transfer; its window
+    lasts the blocking transfer's priced duration."""
 
     tag: str
     src: int
     dst: int
     nbytes: float
-    #: When the payload became available (the launch instant).
-    ready_s: float
-    #: When the serial fabric actually began serving it.
-    start_s: float
-    #: Network occupancy (the blocking transfer's priced duration).
-    comm_s: float
     cross_supernode: bool = False
     done: bool = False
     launch_span: Span | None = None
     #: The service window's span, recorded at :meth:`P2PTransport.wait_all`.
     service_span: Span | None = None
-
-    @property
-    def end_s(self) -> float:
-        return self.start_s + self.comm_s
-
-    def hidden_before(self, barrier_s: float) -> float:
-        """Seconds of this transfer's service that precede ``barrier_s``
-        (clamped to ``[0, comm_s]``, same rule as the collective queue)."""
-        return min(self.comm_s, max(0.0, min(self.end_s, barrier_s) - self.start_s))
 
 
 class P2PTransport:
@@ -99,20 +86,25 @@ class P2PTransport:
     def __init__(self, comm: SimComm, origin_s: float | None = None) -> None:
         self.comm = comm
         self.origin_s = comm.clock.now if origin_s is None else float(origin_s)
-        #: When the serial fabric next frees up for nonblocking transfers.
-        self.free_s = self.origin_s
+        #: The network nonblocking transfers are served on, one at a time.
+        self.fabric = SerialResource(self.origin_s)
         #: Launched-but-unwaited nonblocking transfers, in launch order.
         self.pending: list[PendingTransfer] = []
         self._mailbox: dict[tuple[int, int, str], list[np.ndarray]] = {}
         #: The previous blocking transfer's span — the fabric serves one
         #: message at a time, so each transfer depends on the last.
         self._prev_span: Span | None = None
-        self._last_service: Span | None = None
 
     # ------------------------------------------------------------------ #
-    # blocking
+    # shared delivery path
     # ------------------------------------------------------------------ #
-    def _check_ranks(self, src: int, dst: int) -> None:
+    def _deliver(
+        self, src: int, dst: int, payload, tag: str
+    ) -> tuple[float, float, float, bool]:
+        """The data path of every send: check both endpoints, price the
+        transfer and deposit a bitwise copy of ``payload`` for a matching
+        :meth:`recv`. Returns ``(nbytes, transfer seconds, straggler
+        slowdown seconds, crosses a supernode)``."""
         p = self.comm.p
         for r in (src, dst):
             if not 0 <= r < p:
@@ -123,9 +115,8 @@ class P2PTransport:
             dead = frozenset(r for r in (src, dst) if r in self.comm.failed_ranks)
             if dead:
                 self.comm._timeout(dead)
-
-    def _price(self, src: int, dst: int, nbytes: float) -> tuple[float, float]:
-        """(final transfer seconds, straggler slowdown seconds)."""
+        arr = np.array(payload, copy=True)
+        nbytes = float(arr.nbytes)
         base = self.comm.pair_time(src, dst, nbytes)
         t = base
         fi = _faults()
@@ -135,8 +126,30 @@ class P2PTransport:
         sc = _scaling()
         if sc.enabled:
             t *= sc.factor("p2p")
-        return t, slow_s
+        self._mailbox.setdefault((src, dst, tag), []).append(arr)
+        return nbytes, t, slow_s, self.comm.crosses_supernode(src, dst)
 
+    def _charge(self, nbytes: float, t: float, slow_s: float, cross: bool) -> None:
+        """The time path of every send: count the message, advance the
+        communicator clock by the transfer and charge its faults."""
+        mx = _metrics()
+        if mx.enabled:
+            mx.count("comm.p2p_sends", 1)
+            mx.count("comm.p2p_bytes", nbytes, link="cross" if cross else "intra")
+        self.comm.clock.advance(t, category="comm")
+        fi = _faults()
+        if fi.enabled:
+            if slow_s > 0:
+                fi.note_slow()
+                if mx.enabled:
+                    mx.count("faults.slow_s", slow_s)
+            # Flaky-link retry: the transfer is repeated with identical
+            # data, so results stay bit-exact (the "comm" transient site).
+            charge_transient("comm", self.comm.clock, t, track="comm")
+
+    # ------------------------------------------------------------------ #
+    # blocking
+    # ------------------------------------------------------------------ #
     def send(self, src: int, dst: int, payload, *, tag: str = "") -> P2PResult:
         """Blocking send of ``payload`` from ``src`` to ``dst``.
 
@@ -145,11 +158,7 @@ class P2PTransport:
         transfer time. Raises :class:`~repro.errors.CollectiveTimeout`
         if either endpoint is dead.
         """
-        self._check_ranks(src, dst)
-        arr = np.array(payload, copy=True)
-        nbytes = float(arr.nbytes)
-        t, slow_s = self._price(src, dst, nbytes)
-        cross = self.comm.crosses_supernode(src, dst)
+        nbytes, t, slow_s, cross = self._deliver(src, dst, payload, tag)
         result = P2PResult(
             time_s=t, nbytes=nbytes, src=src, dst=dst, cross_supernode=cross
         )
@@ -173,21 +182,7 @@ class P2PTransport:
                 tr.edge(self._prev_span, span)
             self._prev_span = span
             result.span = span
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.p2p_sends", 1)
-            mx.count("comm.p2p_bytes", nbytes, link="cross" if cross else "intra")
-        self.comm.clock.advance(t, category="comm")
-        fi = _faults()
-        if fi.enabled:
-            if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
-            # Flaky-link retry: the transfer is repeated with identical
-            # data, so results stay bit-exact (the "comm" transient site).
-            charge_transient("comm", self.comm.clock, t, track="comm")
-        self._mailbox.setdefault((src, dst, tag), []).append(arr)
+        self._charge(nbytes, t, slow_s, cross)
         return result
 
     def recv(self, src: int, dst: int, *, tag: str = "") -> np.ndarray:
@@ -220,36 +215,17 @@ class P2PTransport:
 
         The payload is delivered immediately (data path exact — a matching
         :meth:`recv`/:meth:`irecv` sees the bytes the moment this returns)
-        while the network window is scheduled serially after earlier
-        nonblocking requests: ``start = max(ready_s, fabric free)``.
+        while the network window is booked on the serial fabric after
+        earlier nonblocking requests.
         """
-        self._check_ranks(src, dst)
-        arr = np.array(payload, copy=True)
-        nbytes = float(arr.nbytes)
         ready = self.origin_s if ready_s is None else float(ready_s)
-        t, slow_s = self._price(src, dst, nbytes)
-        req = PendingTransfer(
-            tag=tag,
-            src=src,
-            dst=dst,
-            nbytes=nbytes,
-            ready_s=ready,
-            start_s=max(ready, self.free_s),
-            comm_s=t,
-            cross_supernode=self.comm.crosses_supernode(src, dst),
+        nbytes, t, slow_s, cross = self._deliver(src, dst, payload, tag)
+        req = self.fabric.reserve(
+            ready, t, PendingTransfer,
+            tag=tag, src=src, dst=dst, nbytes=nbytes, cross_supernode=cross,
         )
-        self.free_s = req.end_s
         self.pending.append(req)
-        self._mailbox.setdefault((src, dst, tag), []).append(arr)
-        self.comm.clock.advance(t, category="comm")
-        fi = _faults()
-        mx = _metrics()
-        if fi.enabled:
-            if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
-            charge_transient("comm", self.comm.clock, t, track="comm")
+        self._charge(nbytes, t, slow_s, cross)
         tr = _tracer()
         if tr.enabled:
             req.launch_span = tr.instant_event(
@@ -259,13 +235,6 @@ class P2PTransport:
                 start=ready,
                 args={"src": src, "dst": dst, "bytes": nbytes, "tag": tag,
                       "queued_s": req.start_s - ready},
-            )
-        if mx.enabled:
-            mx.count("comm.p2p_sends", 1)
-            mx.count(
-                "comm.p2p_bytes",
-                nbytes,
-                link="cross" if req.cross_supernode else "intra",
             )
         return req
 
@@ -289,35 +258,24 @@ class P2PTransport:
         for req in completed:
             req.done = True
             if tr.enabled:
-                args = {
-                    "src": req.src,
-                    "dst": req.dst,
-                    "bytes": req.nbytes,
-                    "tag": req.tag,
-                    "ready_s": req.ready_s,
-                    "cross_supernode": req.cross_supernode,
-                }
-                if barrier_s is not None:
-                    args["hidden_s"] = req.hidden_before(barrier_s)
-                    args["exposed_s"] = req.comm_s - args["hidden_s"]
-                svc = tr.emit(
+                req.service_span = self.fabric.emit(
+                    tr, req,
                     f"xfer {req.src}->{req.dst}" + (f" {req.tag}" if req.tag else ""),
-                    "p2p_transfer",
-                    track="p2p/fabric",
-                    start=req.start_s,
-                    dur=req.comm_s,
-                    args=args,
+                    "p2p_transfer", track="p2p/fabric",
+                    args={
+                        "src": req.src,
+                        "dst": req.dst,
+                        "bytes": req.nbytes,
+                        "tag": req.tag,
+                        "cross_supernode": req.cross_supernode,
+                    },
+                    barrier_s=barrier_s,
+                    launch=req.launch_span,
                 )
-                if req.launch_span is not None:
-                    tr.edge(req.launch_span, svc)
-                if self._last_service is not None:
-                    tr.edge(self._last_service, svc)
-                self._last_service = svc
-                req.service_span = svc
             if barrier_s is not None and mx.enabled:
                 hidden = req.hidden_before(barrier_s)
                 mx.count("comm.p2p_hidden_s", hidden)
-                mx.count("comm.p2p_exposed_s", req.comm_s - hidden)
+                mx.count("comm.p2p_exposed_s", req.dur_s - hidden)
         return completed
 
 

@@ -18,6 +18,8 @@ import pathlib
 import pytest
 
 from repro.errors import CritPathError
+from repro.harness.fig10_scalability import CONFIGS, whatif_tracer
+from repro.parallel.scaling import PAPER_NODE_COUNTS
 from repro.trace.critpath import (
     build_graph,
     critical_path,
@@ -34,8 +36,6 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "critpath_fig10.json"
 
 def fig10_report():
     """The golden scenario: AlexNet B=128 at 16 nodes, 16 MB buckets."""
-    from repro.harness.fig10_scalability import whatif_tracer
-
     tracer, sched = whatif_tracer("AlexNet, B=128", 16, bucket_mb=16)
     return critical_path(tracer), sched
 
@@ -208,6 +208,26 @@ class TestServing:
         assert set(done) == {r.rid for r in served}
         for rec in served:
             assert done[rec.rid] == pytest.approx(rec.arrival_s + rec.latency_s)
+
+
+class TestFig10LaunchSplit:
+    @pytest.mark.parametrize("bucket_mb", (8, 16, 32, 64, 96))
+    @pytest.mark.parametrize("n_nodes", PAPER_NODE_COUNTS)
+    @pytest.mark.parametrize("label", [c[0] for c in CONFIGS])
+    def test_every_launch_splits_inside_its_window(self, label, n_nodes, bucket_mb):
+        # A fully hidden launch whose end_s - start_s rounds one ulp above
+        # its duration used to report a negative exposed_s.
+        tracer, sched = whatif_tracer(label, n_nodes, bucket_mb=bucket_mb)
+        svc = tracer.by_category("collective_service")
+        assert len(svc) == sched.n_launches
+        for span in svc:
+            assert 0.0 <= span.args["hidden_s"] <= span.dur_s
+            assert span.args["exposed_s"] >= 0.0
+        # The schedule subtracts summed hidden time from summed occupancy;
+        # the trace sums per-launch differences. Same quantity, different
+        # float grouping.
+        exposed = sum(span.args["exposed_s"] for span in svc)
+        assert sched.exposed_s == pytest.approx(exposed, rel=1e-12, abs=0.0)
 
 
 class TestGolden:

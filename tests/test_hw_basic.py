@@ -1,6 +1,7 @@
 """Unit tests for the SW26010 hardware model basics: specs, clock, LDM."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import LDMAllocationError
 from repro.hw import (
@@ -12,6 +13,8 @@ from repro.hw import (
     LDMAllocator,
     SimClock,
 )
+from repro.hw.clock import SerialResource
+from repro.trace.tracer import Tracer
 
 
 class TestSpecs:
@@ -92,6 +95,61 @@ class TestSimClock:
         clk.reset()
         assert clk.now == 0.0
         assert clk.breakdown() == {}
+
+
+#: Non-negative finite seconds, wide enough that ``start + dur`` rounds.
+seconds = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+class TestSerialResource:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        windows=st.lists(st.tuples(seconds, seconds), min_size=1, max_size=20),
+        origin=seconds,
+    )
+    def test_windows_are_causal_and_serial(self, windows, origin):
+        res = SerialResource(origin)
+        prev_end = origin
+        for ready, dur in windows:
+            w = res.reserve(ready, dur)
+            assert w.ready_s == ready and w.dur_s == dur
+            assert w.start_s >= ready  # never before its work exists
+            assert w.start_s >= prev_end  # one window at a time
+            assert res.free_s == w.end_s
+            prev_end = w.end_s
+
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(st.tuples(seconds, seconds), min_size=1, max_size=20),
+           barrier=seconds)
+    def test_hidden_share_is_clamped_to_the_window(self, windows, barrier):
+        res = SerialResource()
+        for ready, dur in windows:
+            w = res.reserve(ready, dur)
+            hidden = w.hidden_before(barrier)
+            assert 0.0 <= hidden <= w.dur_s
+            assert w.dur_s - hidden >= 0.0
+            if barrier >= w.end_s and w.end_s - w.start_s >= w.dur_s:
+                # Fully hidden: exposes exactly zero, also when end_s -
+                # start_s lands one ulp above dur_s.
+                assert w.dur_s - hidden == 0.0
+            if barrier <= w.start_s:  # fully exposed
+                assert hidden == 0.0
+
+    def test_emit_floors_splits_and_chains(self):
+        tr = Tracer()
+        res = SerialResource()
+        launch = tr.instant_event("launch", "collective_launch", track="comm/launch",
+                                  start=0.0)
+        a = res.emit(tr, res.reserve(0.0, 2.0), "a", "collective_service",
+                     track="comm/fabric", args={"tag": "a"}, barrier_s=1.5,
+                     launch=launch)
+        b = res.emit(tr, res.reserve(1.0, 1.0), "b", "collective_service",
+                     track="comm/fabric", args={})
+        assert (a.start_s, a.dur_s) == (0.0, 2.0)
+        assert a.args == {"tag": "a", "ready_s": 0.0, "hidden_s": 1.5, "exposed_s": 0.5}
+        assert (b.start_s, b.args) == (2.0, {"ready_s": 1.0})
+        assert tr.edges == [(launch, a, "dep"), (a, b, "dep")]
+        assert res.last_span is b
 
 
 class TestLDMAllocator:

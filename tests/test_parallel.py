@@ -345,10 +345,10 @@ class TestOverlapModel:
     def test_schedule_is_serial_and_causal(self):
         sched = self.model(bucket_mb=32.0).overlap_schedule(64, 1.8)
         free = 0.0
-        for r, s, c in zip(sched.ready_s, sched.start_s, sched.comm_s):
-            assert s >= r  # never starts before its data exists
-            assert s >= free  # one collective at a time
-            free = s + c
+        for w in sched.launches:
+            assert w.start_s >= w.ready_s  # never starts before its data exists
+            assert w.start_s >= free  # one collective at a time
+            free = w.end_s
 
     def test_single_node_has_no_schedule(self):
         sched = self.model(bucket_mb=32.0).overlap_schedule(1, 1.8)

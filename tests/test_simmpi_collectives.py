@@ -263,37 +263,37 @@ class TestIAllreduceQueue:
         bufs = lambda: [np.ones(1000) for _ in range(4)]
         a = queue.iallreduce(bufs(), ready_s=0.0)
         b = queue.iallreduce(bufs(), ready_s=0.0)  # queued behind a
-        c = queue.iallreduce(bufs(), ready_s=a.end_s + b.comm_s + 5.0)  # idle gap
+        c = queue.iallreduce(bufs(), ready_s=a.end_s + b.dur_s + 5.0)  # idle gap
         assert a.start_s == 0.0
         assert b.start_s == a.end_s
         assert c.start_s == c.ready_s  # fabric was free, starts when ready
-        assert queue.free_s == c.end_s
+        assert queue.fabric.free_s == c.end_s
 
     def test_hidden_before_barrier_accounting(self):
         comm, queue = self.make_queue(4)
         bufs = [np.ones(1000) for _ in range(4)]
         req = queue.iallreduce(bufs, ready_s=0.0)
-        mid = req.start_s + req.comm_s / 2
-        assert req.hidden_before(mid) == pytest.approx(req.comm_s / 2)
-        assert req.hidden_before(req.end_s + 1) == pytest.approx(req.comm_s)
+        mid = req.start_s + req.dur_s / 2
+        assert req.hidden_before(mid) == pytest.approx(req.dur_s / 2)
+        assert req.hidden_before(req.end_s + 1) == pytest.approx(req.dur_s)
         assert req.hidden_before(req.start_s) == 0.0
 
     def test_fully_hidden_request_exposes_exactly_zero(self):
-        # start=0.1, comm=0.2: end_s - start_s lands one ulp above comm_s,
-        # which made `comm_s - hidden` negative and tripped the metrics
-        # counter's >= 0 check. Hidden must clamp to exactly comm_s.
+        # start=0.1, dur=0.2: end_s - start_s lands one ulp above dur_s,
+        # which made `dur_s - hidden` negative and tripped the metrics
+        # counter's >= 0 check. Hidden must clamp to exactly dur_s.
         from repro.simmpi import PendingCollective
 
-        req = PendingCollective(tag="b0", ready_s=0.1, start_s=0.1, comm_s=0.2)
-        assert req.hidden_before(1.0) == req.comm_s
-        assert req.comm_s - req.hidden_before(1.0) == 0.0
+        req = PendingCollective(tag="b0", ready_s=0.1, start_s=0.1, dur_s=0.2)
+        assert req.hidden_before(1.0) == req.dur_s
+        assert req.dur_s - req.hidden_before(1.0) == 0.0
 
     def test_wait_all_drains_in_launch_order(self):
         comm, queue = self.make_queue(2)
         tags = []
         for i in range(3):
             queue.iallreduce([np.ones(8), np.ones(8)], tag=f"b{i}")
-        done = queue.wait_all(barrier_s=queue.free_s)
+        done = queue.wait_all(barrier_s=queue.fabric.free_s)
         assert [r.tag for r in done] == ["b0", "b1", "b2"]
         assert all(r.done for r in done)
         assert queue.pending == []

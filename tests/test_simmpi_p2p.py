@@ -93,14 +93,14 @@ class TestNonblocking:
         assert a.start_s == 0.0
         assert b.start_s == a.end_s  # queued behind a
         assert c.start_s == c.ready_s  # fabric already free: starts at ready
-        assert transport.free_s == c.end_s
+        assert transport.fabric.free_s == c.end_s
 
     def test_wait_all_splits_hidden_and_exposed(self, transport):
         req = transport.isend(0, 1, np.zeros(65536), ready_s=0.0)
         transport.isend(1, 2, np.zeros(65536), ready_s=0.0)
         done = transport.wait_all(barrier_s=req.end_s)
         assert len(done) == 2 and all(r.done for r in done)
-        assert done[0].hidden_before(req.end_s) == pytest.approx(done[0].comm_s)
+        assert done[0].hidden_before(req.end_s) == pytest.approx(done[0].dur_s)
         # The second window starts at the barrier: fully exposed.
         assert done[1].hidden_before(req.end_s) == 0.0
         assert transport.pending == []

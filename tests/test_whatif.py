@@ -127,7 +127,7 @@ class TestOverlapCounterConsistency:
             for k in range(3):
                 bufs = [np.ones(4000) for _ in range(4)]
                 queue.iallreduce(bufs, ready_s=0.0, tag=f"b{k}")
-            barrier = queue.free_s * 0.5
+            barrier = queue.fabric.free_s * 0.5
             queue.wait_all(barrier_s=barrier)
         report = critical_path(tr)
         counter = mx.value("comm.overlap_exposed_s")
