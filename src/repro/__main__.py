@@ -107,6 +107,45 @@ def _fail(what: str, got: str, known: dict) -> int:
     return 2
 
 
+def _step_parser(command: str, description: str):
+    """Argument parser for a command that simulates the training step.
+
+    ``trace``, ``whatif`` and ``metrics`` all run
+    :func:`repro.trace.session.trace_training_step`; they share its net,
+    rank, iteration, batch, placement-scheme and supernode arguments.
+    """
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {command}", description=description
+    )
+    parser.add_argument("net", choices=sorted(NETWORKS), help="model-zoo network")
+    parser.add_argument("--ranks", type=int, default=4, help="simulated nodes (default 4)")
+    parser.add_argument("--iters", type=int, default=1, help="iterations to simulate")
+    parser.add_argument("--batch", type=int, default=None, help="mini-batch size")
+    parser.add_argument(
+        "--scheme", choices=("improved", "original"), default="improved",
+        help="allreduce rank placement (round-robin vs block)",
+    )
+    parser.add_argument(
+        "--supernode", type=int, default=None,
+        help="nodes per supernode (default: ranks/2 when even)",
+    )
+    return parser
+
+
+def _step_session(ns):
+    """Build the parsed net; return it with the four step-session arguments."""
+    builder, default_batch = _load_builder(ns.net)
+    net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
+    return net, {
+        "ranks": ns.ranks,
+        "iterations": ns.iters,
+        "scheme": ns.scheme,
+        "nodes_per_supernode": ns.supernode,
+    }
+
+
 def cmd_report(_: list[str]) -> int:
     from repro.harness import report
 
@@ -149,25 +188,10 @@ def cmd_profile(args: list[str]) -> int:
 
 
 def cmd_trace(args: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Trace one simulated data-parallel training step.",
+    parser = _step_parser(
+        "trace", "Trace one simulated data-parallel training step."
     )
-    parser.add_argument("net", choices=sorted(NETWORKS), help="model-zoo network")
-    parser.add_argument("--ranks", type=int, default=4, help="simulated nodes (default 4)")
-    parser.add_argument("--iters", type=int, default=1, help="iterations to trace")
-    parser.add_argument("--batch", type=int, default=None, help="mini-batch size")
     parser.add_argument("--out", default="trace.json", help="Chrome trace-event output path")
-    parser.add_argument(
-        "--scheme", choices=("improved", "original"), default="improved",
-        help="allreduce rank placement (round-robin vs block)",
-    )
-    parser.add_argument(
-        "--supernode", type=int, default=None,
-        help="nodes per supernode (default: ranks/2 when even)",
-    )
     parser.add_argument("--timeline", action="store_true", help="print the text timeline")
     ns = parser.parse_args(args)
 
@@ -176,15 +200,8 @@ def cmd_trace(args: list[str]) -> int:
     from repro.trace.session import trace_training_step
     from repro.utils.units import format_bytes, format_time
 
-    builder, default_batch = _load_builder(ns.net)
-    net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
-    tracer, summary = trace_training_step(
-        net,
-        ranks=ns.ranks,
-        iterations=ns.iters,
-        scheme=ns.scheme,
-        nodes_per_supernode=ns.supernode,
-    )
+    net, session = _step_session(ns)
+    tracer, summary = trace_training_step(net, **session)
     write_chrome_json(tracer, ns.out)
     print(
         f"traced {summary.iterations} iteration(s) of {summary.model!r} on "
@@ -205,34 +222,19 @@ def cmd_trace(args: list[str]) -> int:
 
 
 def cmd_whatif(args: list[str]) -> int:
-    import argparse
     import json
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro whatif",
-        description=(
-            "Project the effect of scaling a resource class or layer cost "
-            "by re-walking the critical-path graph of one traced training "
-            "step; --validate re-runs the simulator under the same scaling "
-            "and checks projection == simulation."
-        ),
+    parser = _step_parser(
+        "whatif",
+        "Project the effect of scaling a resource class or layer cost "
+        "by re-walking the critical-path graph of one traced training "
+        "step; --validate re-runs the simulator under the same scaling "
+        "and checks projection == simulation.",
     )
-    parser.add_argument("net", choices=sorted(NETWORKS), help="model-zoo network")
-    parser.add_argument("--ranks", type=int, default=4, help="simulated nodes (default 4)")
-    parser.add_argument("--iters", type=int, default=1, help="iterations to trace")
-    parser.add_argument("--batch", type=int, default=None, help="mini-batch size")
     parser.add_argument(
         "--scale", action="append", default=[], metavar="CLASS=FACTOR",
         help="cost scaling, e.g. dma=0.5, rlc=2.0, layer:conv1=0.25 "
              "(repeatable)",
-    )
-    parser.add_argument(
-        "--scheme", choices=("improved", "original"), default="improved",
-        help="allreduce rank placement (round-robin vs block)",
-    )
-    parser.add_argument(
-        "--supernode", type=int, default=None,
-        help="nodes per supernode (default: ranks/2 when even)",
     )
     parser.add_argument("--validate", action="store_true",
                         help="re-run the simulator under the scaling and "
@@ -251,17 +253,8 @@ def cmd_whatif(args: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    builder, default_batch = _load_builder(ns.net)
-    net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
-    result = whatif_training(
-        net,
-        factors,
-        ranks=ns.ranks,
-        iterations=ns.iters,
-        scheme=ns.scheme,
-        nodes_per_supernode=ns.supernode,
-        validate=ns.validate,
-    )
+    net, session = _step_session(ns)
+    result = whatif_training(net, factors, validate=ns.validate, **session)
     if ns.json:
         print(json.dumps(result.to_json(), indent=1, sort_keys=True))
     else:
@@ -284,48 +277,24 @@ def cmd_whatif(args: list[str]) -> int:
 
 
 def cmd_metrics(args: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro metrics",
-        description=(
-            "Measure one simulated data-parallel training step: per-resource "
-            "utilization counters and per-layer roofline classification."
-        ),
+    parser = _step_parser(
+        "metrics",
+        "Measure one simulated data-parallel training step: per-resource "
+        "utilization counters and per-layer roofline classification.",
     )
-    parser.add_argument("net", choices=sorted(NETWORKS), help="model-zoo network")
-    parser.add_argument("--ranks", type=int, default=4, help="simulated nodes (default 4)")
-    parser.add_argument("--iters", type=int, default=1, help="iterations to measure")
-    parser.add_argument("--batch", type=int, default=None, help="mini-batch size")
     parser.add_argument("--json", default=None, metavar="FILE",
                         help="also write the machine-readable report")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="also write Chrome trace-event JSON with counter tracks")
-    parser.add_argument(
-        "--scheme", choices=("improved", "original"), default="improved",
-        help="allreduce rank placement (round-robin vs block)",
-    )
-    parser.add_argument(
-        "--supernode", type=int, default=None,
-        help="nodes per supernode (default: ranks/2 when even)",
-    )
     ns = parser.parse_args(args)
 
     from repro.metrics.export import write_chrome_json_with_metrics
     from repro.metrics.session import collect_training_step
     from repro.trace.tracer import Tracer
 
-    builder, default_batch = _load_builder(ns.net)
-    net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
+    net, session = _step_session(ns)
     tracer = Tracer() if ns.trace else None
-    report = collect_training_step(
-        net,
-        ranks=ns.ranks,
-        iterations=ns.iters,
-        scheme=ns.scheme,
-        nodes_per_supernode=ns.supernode,
-        tracer=tracer,
-    )
+    report = collect_training_step(net, tracer=tracer, **session)
     print(report.render())
     if ns.json:
         report.write_json(ns.json)

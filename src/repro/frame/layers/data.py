@@ -16,7 +16,13 @@ from repro.frame.layer import Layer
 
 
 class DataLayer(Layer):
-    """Produces (data, label) blobs from a batch source."""
+    """Produces (data, label) blobs from a batch source.
+
+    It keeps the base class's free cost hooks on purpose: CPEs DMA training
+    data straight from node DRAM and the prefetch thread hides the
+    filesystem read (Sec. V-B), so the data layer contributes no
+    device-visible time.
+    """
 
     type = "Data"
 

@@ -195,10 +195,6 @@ class Net:
             )
         return rows
 
-    def sw_forward_time(self) -> float:
-        """Forward-only simulated seconds (the serving engine's compute)."""
-        return self.sw_iteration_time(include_backward=False)
-
     def add_backward_hook(self, hook) -> None:
         """Register ``hook(layer, index)``, fired as each layer completes
         its backward pass (``index`` is the layer's forward position).
@@ -271,22 +267,23 @@ class Net:
     # SW26010 timing
     # ------------------------------------------------------------------ #
     def sw_layer_costs(self) -> list[tuple[Layer, LayerCost]]:
-        """Per-layer simulated forward/backward costs on one core group."""
+        """Per-layer simulated forward/backward costs on one core group.
+
+        The one SW26010 per-layer walk: the iteration time, the profiler,
+        the roofline rows and the traced step all read it.
+        """
         return [(layer, layer.sw_cost()) for layer in self.layers]
 
-    def sw_iteration_time(self, include_backward: bool = True) -> float:
+    def sw_iteration_time(self) -> float:
         """One training iteration's compute time on the SW26010 node.
 
         The four core groups process batch quarters concurrently and are
         symmetric, so node time equals per-CG time (Algorithm 1) plus the
-        inter-CG gradient average, charged by the parallel trainer.
+        inter-CG gradient average, charged by the parallel trainer. Each
+        layer's ``fwd + bwd`` is added in layer order, the same sum as
+        :func:`repro.perf.layer_cost.net_iteration_time`.
         """
-        total = 0.0
-        for _, cost in self.sw_layer_costs():
-            total += cost.forward.total_s
-            if include_backward:
-                total += cost.backward.total_s
-        return total
+        return sum(cost.total_s for _, cost in self.sw_layer_costs())
 
     def __repr__(self) -> str:
         return f"Net({self.name!r}, {len(self.layers)} layers, {len(self.blobs)} blobs)"

@@ -111,11 +111,6 @@ def load_solver(solver: SGDSolver, path: str) -> None:
             raise ShapeError(f"unknown snapshot key {key!r}")
 
 
-def snapshot_exists(prefix: str, iteration: int) -> bool:
-    """Whether ``{prefix}_iter_{iteration}.npz`` exists."""
-    return os.path.exists(f"{prefix}_iter_{iteration}.npz")
-
-
 def snapshot_path(prefix: str, iteration: int) -> str:
     """Caffe-style snapshot filename."""
     return f"{prefix}_iter_{iteration}.npz"

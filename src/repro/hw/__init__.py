@@ -25,7 +25,7 @@ from repro.hw.spec import (
 )
 from repro.hw.clock import SimClock
 from repro.hw.ldm import LDMAllocator
-from repro.hw.dma import DMAEngine, DMAMode
+from repro.hw.dma import DMAEngine
 from repro.hw.rlc import RegisterComm
 from repro.hw.cpe import CPE
 from repro.hw.mpe import MPE
@@ -44,7 +44,6 @@ __all__ = [
     "SimClock",
     "LDMAllocator",
     "DMAEngine",
-    "DMAMode",
     "RegisterComm",
     "CPE",
     "MPE",

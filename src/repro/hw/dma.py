@@ -18,8 +18,6 @@ operating points hold (see ``tests/test_hw_dma.py``).
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from repro.faults.injector import active as _faults, charge_transient
@@ -27,13 +25,6 @@ from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
-
-
-class DMAMode(enum.Enum):
-    """Transfer direction, matching the athread DMA intrinsics."""
-
-    GET = "dma_get"  # memory -> LDM
-    PUT = "dma_put"  # LDM -> memory
 
 
 class DMAEngine:

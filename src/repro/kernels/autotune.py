@@ -86,36 +86,6 @@ def select_conv_plan(
     )
 
 
-def serving_batch_sweep(
-    config: ConvConfig,
-    batches: tuple[int, ...],
-    *,
-    direction: str = "forward",
-    params: SW26010Params | None = None,
-) -> list[tuple[int, PlanChoice]]:
-    """Plan choice for one conv shape across serving batch sizes.
-
-    A training autotune prices one fixed mini-batch; a serving engine sees
-    every batch the dynamic batcher forms, and the explicit-vs-implicit
-    winner can flip with the batch (the implicit plan's (R, C, N, B) layout
-    gains efficiency with B, and availability itself is batch-gated).
-    Returns ``[(batch, choice)]`` with ``config`` re-keyed per batch —
-    the data behind ``python -m repro serve --explain-plans``.
-    """
-    out: list[tuple[int, PlanChoice]] = []
-    for b in batches:
-        if b < 1:
-            raise ValueError(f"serving batches must be >= 1, got {b}")
-        cfg = ConvConfig(
-            batch=b, ni=config.ni, no=config.no,
-            height=config.height, width=config.width,
-            k=config.k, stride=config.stride, pad=config.pad,
-            dtype_bytes=config.dtype_bytes,
-        )
-        out.append((b, select_conv_plan(cfg, direction, params)))
-    return out
-
-
 class PlanAutotuner:
     """Caches plan choices per (config, direction), like swCaffe's
     first-two-iterations probe."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.hw.spec import SW26010Params, SW_PARAMS
+from repro.kernels.plan import PlanCost
 from repro.utils.tables import Table
 
 #: Resources a plan can be bound by. ``overhead`` means fixed costs (spawn,
@@ -114,10 +115,23 @@ class LayerRoofline:
     layer: str
     layer_type: str
     direction: str  # "fwd" | "bwd"
-    total_s: float
-    flops: float
-    dma_bytes: float
+    cost: PlanCost
     verdict: RooflineVerdict
+
+    @property
+    def total_s(self) -> float:
+        """Simulated seconds of this layer direction on one core group."""
+        return self.cost.total_s
+
+    @property
+    def flops(self) -> float:
+        """FLOPs this layer direction retires."""
+        return self.cost.flops
+
+    @property
+    def dma_bytes(self) -> float:
+        """Bytes this layer direction moves over DMA."""
+        return self.cost.dma_bytes
 
     def as_dict(self) -> dict[str, Any]:
         v = self.verdict
@@ -149,9 +163,7 @@ def net_roofline(net: Any, params: SW26010Params | None = None) -> list[LayerRoo
                     layer=layer.name,
                     layer_type=layer.type,
                     direction=direction,
-                    total_s=c.total_s,
-                    flops=c.flops,
-                    dma_bytes=c.dma_bytes,
+                    cost=c,
                     verdict=classify_cost(c, params),
                 )
             )

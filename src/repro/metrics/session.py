@@ -6,13 +6,12 @@ busy time and achieved-vs-peak utilization, the per-layer roofline table,
 the gradient allreduce's wire traffic, and a snapshot of every counter the
 instrumentation hooks fed during the run.
 
-The workload is the same one the trace CLI simulates: every rank runs
-``iterations`` identical data-parallel training iterations (layer costs on
-one core group), then synchronizes gradients with the recursive
-halving/doubling allreduce over a TaihuLight fabric. When a
-:class:`~repro.trace.tracer.Tracer` is supplied the session also emits the
-span timeline, from the *same* cost objects that feed the counters — which
-is what makes the trace/metrics DMA-byte consistency pin possible.
+The step is the trace session's own: :func:`collect_training_step` runs
+:func:`~repro.trace.session.trace_training_step` under a metrics registry,
+so the report's wall time, its allreduce counters and the span timeline
+(``python -m repro metrics --trace``) describe the one simulated step that
+``python -m repro trace`` shows. The layer counters are counted from the
+:func:`~repro.metrics.roofline.net_roofline` rows the report prints.
 """
 
 from __future__ import annotations
@@ -26,14 +25,11 @@ from repro.metrics.registry import MetricsRegistry, collecting
 from repro.metrics.roofline import (
     LayerRoofline,
     bound_summary,
-    classify_cost,
+    net_roofline,
     render_roofline,
 )
-from repro.simmpi.comm import SimComm
-from repro.simmpi.reorder import block_placement, round_robin_placement
-from repro.topology.fabric import TaihuLightFabric
-from repro.trace.session import replay_rhd
-from repro.trace.tracer import Tracer, emit_cost_spans, tracing
+from repro.trace.session import trace_training_step
+from repro.trace.tracer import Tracer
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
 
@@ -161,102 +157,52 @@ def collect_training_step(
     tracer: Tracer | None = None,
     params: SW26010Params | None = None,
 ) -> MetricsReport:
-    """Measure one simulated data-parallel training step of ``net``.
+    """Measure the data-parallel training step ``trace`` simulates.
 
-    Mirrors :func:`repro.trace.session.trace_training_step`'s workload and
-    placement rules. Layer costs feed the registry (and, when ``tracer``
-    is given, the span timeline) once per rank per iteration; the gradient
-    allreduce runs through :func:`replay_rhd`, whose ``account_step`` hooks
-    feed the ``comm.*`` counters.
+    Runs :func:`~repro.trace.session.trace_training_step` once under
+    ``collecting(registry)``: its gradient allreduces feed the ``comm.*``
+    counters, and its spans land on ``tracer`` (a fresh one when omitted).
+    The per-rank layer counters are counted from the :func:`net_roofline`
+    rows, once per rank per iteration.
     """
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if scheme not in ("improved", "original"):
-        raise ValueError(f"scheme must be 'improved' or 'original', got {scheme!r}")
     p = params or SW_PARAMS
     mx = registry if registry is not None else MetricsRegistry()
-    tr = tracer if tracer is not None else Tracer()
-    emit_trace = tracer is not None
-
-    q = nodes_per_supernode
-    if q is None:
-        q = ranks // 2 if ranks % 2 == 0 and ranks > 2 else ranks
-    if ranks % q != 0:
-        raise ValueError(f"ranks={ranks} must be a multiple of nodes_per_supernode={q}")
-
-    # Price every layer exactly once (plan search is deterministic but not
-    # cheap); the same cost objects feed rows, counters and spans.
-    priced: list[tuple[LayerRoofline, Any]] = []
-    for layer, cost in net.sw_layer_costs():
-        for direction, c in (("fwd", cost.forward), ("bwd", cost.backward)):
-            if c.total_s <= 0:
-                continue
-            priced.append((_roofline_row(layer, direction, c, p), c))
-    rows = [row for row, _ in priced]
-    per_iter_s = sum(r.total_s for r in rows)
-    payload = float(net.param_bytes())
-
+    rows = net_roofline(net, p)
     with collecting(mx):
-        # --- compute phase: identical on every rank ----------------------- #
-        for rank in range(ranks):
-            with mx.labelled(rank=str(rank)):
-                for _ in range(iterations):
-                    for row, c in priced:
-                        mx.count("layer.passes", 1, dir=row.direction,
-                                 layer_type=row.layer_type)
-                        if c.compute_s > 0:
-                            mx.count("cpe.busy_s", c.compute_s)
-                        if c.flops > 0:
-                            mx.count("cpe.flops", c.flops)
-                        if c.dma_s > 0 or c.dma_bytes > 0:
-                            mx.count("dma.bytes", c.dma_bytes, dir="model")
-                            mx.count("dma.busy_s", c.dma_s)
-                        if c.rlc_s > 0:
-                            mx.count("rlc.busy_s", c.rlc_s)
-            if emit_trace:
-                with tr.context(f"rank{rank}"):
-                    for _ in range(iterations):
-                        for row, c in priced:
-                            emit_cost_spans(
-                                tr, f"{row.layer} {row.direction}", c,
-                                cat=f"layer_{row.direction}",
-                                args={"layer_type": row.layer_type},
-                            )
-
-        # --- allreduce phase ---------------------------------------------- #
-        fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
-        placement = (
-            round_robin_placement(ranks, q)
-            if scheme == "improved"
-            else block_placement(ranks, q)
+        _, step = trace_training_step(
+            net,
+            ranks=ranks,
+            iterations=iterations,
+            tracer=tracer,
+            scheme=scheme,
+            nodes_per_supernode=nodes_per_supernode,
         )
-        allreduce_s = 0.0
-        steps = 0
-        intra = cross = 0.0
-        if ranks > 1:
-            for i in range(iterations):
-                comm = SimComm(fabric, placement)
-                with mx.labelled(collective="rhd"):
-                    if emit_trace:
-                        with tracing(tr), tr.shifted(
-                            per_iter_s * (i + 1) + allreduce_s
-                        ):
-                            res = replay_rhd(comm, payload)
-                    else:
-                        res = replay_rhd(comm, payload)
-                allreduce_s += res.time_s
-                steps += res.steps
-                intra += res.bytes_intra
-                cross += res.bytes_cross
+    for rank in range(ranks):
+        with mx.labelled(rank=str(rank)):
+            for _ in range(iterations):
+                for row in rows:
+                    c = row.cost
+                    mx.count("layer.passes", 1, dir=row.direction,
+                             layer_type=row.layer_type)
+                    if c.compute_s > 0:
+                        mx.count("cpe.busy_s", c.compute_s)
+                    if c.flops > 0:
+                        mx.count("cpe.flops", c.flops)
+                    if c.dma_s > 0 or c.dma_bytes > 0:
+                        mx.count("dma.bytes", c.dma_bytes, dir="model")
+                        mx.count("dma.busy_s", c.dma_s)
+                    if c.rlc_s > 0:
+                        mx.count("rlc.busy_s", c.rlc_s)
 
-    compute_s = per_iter_s * iterations
-    wall_s = compute_s + allreduce_s
+    wall_s = step.total_s
+    allreduce_s = step.allreduce_s
+    intra, cross = step.wire_bytes_intra, step.wire_bytes_cross
 
     # --- per-rank resource totals (ranks are symmetric) ------------------- #
     busy = {
-        "cpe": sum(c.compute_s for _, c in priced) * iterations,
-        "dma": sum(c.dma_s for _, c in priced) * iterations,
-        "rlc": sum(c.rlc_s for _, c in priced) * iterations,
+        "cpe": sum(r.cost.compute_s for r in rows) * iterations,
+        "dma": sum(r.cost.dma_s for r in rows) * iterations,
+        "rlc": sum(r.cost.rlc_s for r in rows) * iterations,
     }
     flops = sum(r.flops for r in rows) * iterations
     dma_bytes = sum(r.dma_bytes for r in rows) * iterations
@@ -299,25 +245,13 @@ def collect_training_step(
         iterations=iterations,
         scheme=scheme,
         wall_s=wall_s,
-        compute_s=compute_s,
+        compute_s=step.compute_s,
         allreduce_s=allreduce_s,
-        allreduce_steps=steps,
-        payload_bytes=payload,
+        allreduce_steps=step.allreduce_steps,
+        payload_bytes=step.payload_bytes,
         wire_bytes_intra=intra,
         wire_bytes_cross=cross,
         resources=resources,
         layers=rows,
         counters=mx.snapshot(),
-    )
-
-
-def _roofline_row(layer, direction: str, cost, params: SW26010Params) -> LayerRoofline:
-    return LayerRoofline(
-        layer=layer.name,
-        layer_type=layer.type,
-        direction=direction,
-        total_s=cost.total_s,
-        flops=cost.flops,
-        dma_bytes=cost.dma_bytes,
-        verdict=classify_cost(cost, params),
     )

@@ -18,8 +18,7 @@ from repro.parallel.threads import MultiCGRunner
 from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.parallel.ssgd import SSGDIterationModel
 from repro.parallel.trainer import DistributedTrainer
-from repro.parallel.node_trainer import MultiCGTrainer
-from repro.parallel.param_server import ParameterServerModel, ParameterServerTrainer
+from repro.parallel.param_server import ParameterServerModel
 from repro.parallel.scaling import ScalingStudy, ScalingPoint
 
 __all__ = [
@@ -28,9 +27,7 @@ __all__ = [
     "BucketedPacker",
     "SSGDIterationModel",
     "DistributedTrainer",
-    "MultiCGTrainer",
     "ParameterServerModel",
-    "ParameterServerTrainer",
     "ScalingStudy",
     "ScalingPoint",
 ]

@@ -11,8 +11,6 @@ executable:
   each server and pulls fresh parameters back. Each server's single NIC
   serializes its (p - s)/s incoming and outgoing transfers, which is the
   ingestion bottleneck the paper describes.
-* :class:`ParameterServerTrainer` — a functional synchronous PS trainer
-  (real shards, real updates) proven equivalent to allreduce training.
 """
 
 from __future__ import annotations
@@ -20,11 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from repro.frame.net import Net
-from repro.frame.solver import SGDSolver
-from repro.parallel.packing import GradientPacker
 from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
 
 
@@ -74,92 +67,3 @@ class ParameterServerModel:
                 return n
             n *= 2
         return None
-
-
-@dataclass
-class PSTrainStats:
-    """Records of a functional parameter-server run."""
-
-    losses: list[float] = field(default_factory=list)
-    simulated_sync_s: float = 0.0
-
-    @property
-    def iterations(self) -> int:
-        return len(self.losses)
-
-
-class ParameterServerTrainer:
-    """Functional synchronous parameter-server training.
-
-    The packed parameter vector is sharded over ``n_servers``; each
-    iteration the workers' gradient shards are averaged server-side, one
-    SGD update runs per shard, and the fresh parameters are broadcast
-    back. Numerically this *is* synchronous data-parallel SGD, so it must
-    match the allreduce trainer exactly — only the communication pattern
-    (and therefore the simulated time) differs.
-    """
-
-    def __init__(
-        self,
-        net_factory: Callable[[int], Net],
-        n_workers: int,
-        n_servers: int = 2,
-        base_lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        network: NetworkModel | None = None,
-    ) -> None:
-        if n_workers <= 0 or n_servers <= 0:
-            raise ValueError("workers and servers must be positive")
-        self.nets = [net_factory(rank) for rank in range(n_workers)]
-        self.packers = [GradientPacker(net.params) for net in self.nets]
-        self.n_servers = int(n_servers)
-        # One reference solver per worker applies the identical update.
-        self.solvers = [
-            SGDSolver(net, base_lr=base_lr, momentum=momentum, weight_decay=weight_decay)
-            for net in self.nets
-        ]
-        self.model = ParameterServerModel(
-            model_bytes=self.packers[0].total_bytes,
-            n_servers=n_servers,
-            network=network or SW_COLLECTIVE_NETWORK,
-        )
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.nets)
-
-    def step(self, n_iters: int = 1) -> PSTrainStats:
-        """Run synchronous PS iterations."""
-        stats = PSTrainStats()
-        n = self.packers[0].total_count
-        bounds = np.linspace(0, n, self.n_servers + 1).astype(int)
-        for _ in range(n_iters):
-            iter_losses = []
-            for net in self.nets:
-                net.zero_param_diffs()
-                losses = net.forward()
-                net.backward()
-                iter_losses.append(sum(losses.values()))
-            grads = [p.pack_diffs() for p in self.packers]
-            # Server-side shard averaging (push phase).
-            mean = np.zeros(n, dtype=np.float64)
-            for s in range(self.n_servers):
-                lo, hi = bounds[s], bounds[s + 1]
-                mean[lo:hi] = np.mean([g[lo:hi] for g in grads], axis=0)
-            # Workers pull the averaged gradient and update identically.
-            for packer, solver in zip(self.packers, self.solvers):
-                packer.unpack_diffs(mean.astype(np.float32))
-                solver.apply_update()
-                solver.iter += 1
-            stats.simulated_sync_s += self.model.sync_time(self.n_workers)
-            stats.losses.append(float(np.mean(iter_losses)))
-        return stats
-
-    def replicas_in_sync(self, atol: float = 0.0) -> bool:
-        """Whether all worker replicas hold identical parameters."""
-        ref = self.packers[0].pack_data()
-        return all(
-            np.allclose(p.pack_data(), ref, rtol=0, atol=atol)
-            for p in self.packers[1:]
-        )

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.frame.layer import Layer
-from repro.frame.layers import DataLayer
 from repro.frame.net import Net
 from repro.perf.cpu_host import cpu_layer_time
 from repro.perf.gpu_k40m import gpu_layer_time
@@ -28,11 +27,6 @@ class LayerTiming:
 
 
 def _sw_layer_time(layer: Layer, direction: str) -> float:
-    if isinstance(layer, DataLayer):
-        # CPEs DMA training data straight from node DRAM; the prefetch
-        # thread hides the filesystem read (Sec. V-B), so the data layer
-        # contributes no device-visible time.
-        return 0.0
     cost = layer.sw_forward_cost() if direction == "forward" else layer.sw_backward_cost()
     return cost.total_s
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.metrics.registry import active as _metrics
 from repro.simmpi.collectives.reduce_ops import block_offsets
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.reorder import block_placement, round_robin_placement
@@ -41,8 +42,14 @@ def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> Collective
     :func:`~repro.simmpi.collectives.rhd.rhd_allreduce` charges for a
     payload of ``nbytes`` (``nbytes / itemsize`` elements), including the
     non-power-of-two fold/unfold and MPICH's near-equal block splits — but
-    moves no data, so arbitrarily large gradients trace cheaply.
+    moves no data, so arbitrarily large gradients trace cheaply. Its
+    ``comm.*`` counters carry the same ``collective="rhd"`` label.
     """
+    with _metrics().labelled(collective="rhd"):
+        return _replay_rhd(comm, nbytes, itemsize)
+
+
+def _replay_rhd(comm: SimComm, nbytes: float, itemsize: int) -> CollectiveResult:
     p = comm.p
     n = max(1, int(round(float(nbytes) / itemsize)))
     result = CollectiveResult()
@@ -130,7 +137,7 @@ def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
         return float(net.sw_iteration_time())
     start = tr.cursor("layers")
     with suspended():
-        costs = [(layer, layer.sw_cost()) for layer in net.layers]
+        costs = net.sw_layer_costs()
     sc = _scaling()
     if sc.enabled:
         # What-if validation: scale each layer's component costs exactly
@@ -188,6 +195,8 @@ class SessionSummary:
     allreduce_steps: int
     payload_bytes: float
     scheme: str
+    wire_bytes_intra: float
+    wire_bytes_cross: float
 
     @property
     def total_s(self) -> float:
@@ -235,6 +244,7 @@ def trace_training_step(
     compute_s = 0.0
     allreduce_s = 0.0
     steps = 0
+    intra = cross = 0.0
     first_fwd: dict[tuple[int, int], Span] = {}
     last_bwd: dict[tuple[int, int], Span] = {}
     with tracing(tr):
@@ -284,6 +294,8 @@ def trace_training_step(
                             tr.edge(step_spans[-1], fwd)
                 allreduce_s += res.time_s
                 steps += res.steps
+                intra += res.bytes_intra
+                cross += res.bytes_cross
     summary = SessionSummary(
         model=net.name,
         ranks=ranks,
@@ -293,5 +305,7 @@ def trace_training_step(
         allreduce_steps=steps,
         payload_bytes=payload,
         scheme=scheme,
+        wire_bytes_intra=intra,
+        wire_bytes_cross=cross,
     )
     return tr, summary

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro.frame.net import Net
 from repro.kernels.plan import PlanCost
+from repro.metrics.roofline import classify_cost
 from repro.utils.tables import Table
 from repro.utils.units import format_time
 
@@ -31,14 +32,8 @@ class LayerProfile:
 
     @property
     def bottleneck(self) -> str:
-        """Which resource bounds this layer's time."""
-        parts = {
-            "compute": self.forward.compute_s + self.backward.compute_s,
-            "dma": self.forward.dma_s + self.backward.dma_s,
-            "rlc": self.forward.rlc_s + self.backward.rlc_s,
-            "overhead": self.forward.overhead_s + self.backward.overhead_s,
-        }
-        return max(parts, key=parts.get)
+        """Which resource bounds this layer's time (the roofline rule)."""
+        return classify_cost(self.forward + self.backward).bound
 
 
 class NetProfiler:
@@ -49,17 +44,10 @@ class NetProfiler:
 
     def profile(self) -> list[LayerProfile]:
         """Collect every layer's cost breakdown."""
-        out = []
-        for layer in self.net.layers:
-            out.append(
-                LayerProfile(
-                    name=layer.name,
-                    type=layer.type,
-                    forward=layer.sw_forward_cost(),
-                    backward=layer.sw_backward_cost(),
-                )
-            )
-        return out
+        return [
+            LayerProfile(layer.name, layer.type, cost.forward, cost.backward)
+            for layer, cost in self.net.sw_layer_costs()
+        ]
 
     def totals(self, profiles: list[LayerProfile] | None = None) -> dict[str, float]:
         """Whole-net resource totals in seconds."""

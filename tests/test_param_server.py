@@ -1,26 +1,9 @@
 """Tests for the parameter-server baseline (the scheme the paper rejects)."""
 
-import numpy as np
 import pytest
 
-from repro.frame.layers import DataLayer, InnerProductLayer, ReLULayer, SoftmaxWithLossLayer
-from repro.frame.net import Net
-from repro.parallel import DistributedTrainer
-from repro.parallel.param_server import ParameterServerModel, ParameterServerTrainer
+from repro.parallel.param_server import ParameterServerModel
 from repro.parallel.ssgd import SSGDIterationModel
-from repro.utils.rng import seeded_rng
-
-from tests.test_distributed_trainer import ShardSource, make_batches
-
-
-def build_net(source, batch, classes=3):
-    net = Net("ps")
-    net.add(DataLayer("data", source, batch), bottoms=[], tops=["data", "label"])
-    net.add(InnerProductLayer("ip1", 8, rng=seeded_rng(41)), ["data"], ["h"])
-    net.add(ReLULayer("r"), ["h"], ["a"])
-    net.add(InnerProductLayer("ip2", classes, rng=seeded_rng(42)), ["a"], ["logits"])
-    net.add(SoftmaxWithLossLayer("loss"), ["logits", "label"], ["loss"])
-    return net
 
 
 class TestTimingModel:
@@ -50,58 +33,3 @@ class TestTimingModel:
         crossover = ps.crossover_vs_allreduce(ssgd.allreduce_time)
         assert crossover is not None and crossover <= 1024
         assert ps.sync_time(1024) > 3 * ssgd.allreduce_time(1024)
-
-
-class TestFunctionalEquivalence:
-    def test_ps_training_equals_allreduce_training(self):
-        n_workers, per_worker, classes, steps = 4, 3, 3, 4
-        data = make_batches(steps, n_workers, per_worker, dim=5, classes=classes, seed=8)
-
-        def shard(rank):
-            return ShardSource(
-                [
-                    (img[rank * per_worker : (rank + 1) * per_worker],
-                     lab[rank * per_worker : (rank + 1) * per_worker])
-                    for img, lab in data
-                ]
-            )
-
-        ps = ParameterServerTrainer(
-            net_factory=lambda r: build_net(shard(r), per_worker, classes),
-            n_workers=n_workers,
-            n_servers=3,
-            base_lr=0.05,
-            momentum=0.9,
-        )
-        ps.step(steps)
-        assert ps.replicas_in_sync(atol=1e-6)
-
-        ar = DistributedTrainer(
-            net_factory=lambda r: build_net(shard(r), per_worker, classes),
-            n_workers=n_workers,
-            algorithm="rhd",
-            base_lr=0.05,
-            momentum=0.9,
-        )
-        ar.step(steps)
-        for pp, ap in zip(ps.nets[0].params, ar.nets[0].params):
-            np.testing.assert_allclose(pp.data, ap.data, rtol=1e-4, atol=1e-6)
-
-    def test_sync_time_accumulates(self):
-        data = make_batches(2, 2, 3, dim=5, classes=3)
-
-        def shard(rank):
-            return ShardSource(
-                [(img[rank * 3 : (rank + 1) * 3], lab[rank * 3 : (rank + 1) * 3]) for img, lab in data]
-            )
-
-        ps = ParameterServerTrainer(
-            net_factory=lambda r: build_net(shard(r), 3), n_workers=2, n_servers=2
-        )
-        stats = ps.step(2)
-        assert stats.iterations == 2
-        assert stats.simulated_sync_s > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParameterServerTrainer(lambda r: None, n_workers=0)
