@@ -5,9 +5,11 @@ time of a training run is identical with and without a tracer installed —
 instrumentation reads the clock, it never advances it (the tracing analogue
 of the fault plane's zero-overhead contract). The second case records the
 deterministic size and identity-schedule end time of the dependency graph
-built from a fig10-sized multi-rank trace, so graph-construction changes
-(dropped edges, altered chaining) show up in the bench diff, and its wall
-time tracks the build cost itself.
+built from a 16-rank traced data-parallel step — the Fig. 10/11 iteration
+of :class:`~repro.parallel.ssgd.SSGDIterationModel`, with its local reduce,
+barrier, allreduce and SGD update — so graph-construction changes (dropped
+edges, altered chaining) show up in the bench diff, and its wall time
+tracks the build cost itself.
 """
 
 from repro.frame.model_zoo import lenet
@@ -36,9 +38,6 @@ def test_tracing_disabled_overhead_is_zero(benchmark):
 
 def test_graph_build_on_fig10_sized_trace(benchmark):
     def run():
-        # One iteration: the serial-fabric layout where the identity
-        # schedule is *bitwise* exact (multi-iteration folds regroup the
-        # inter-iteration offsets and agree only to ~1 ulp).
         net = lenet.build(batch_size=16)
         tracer, _ = trace_training_step(net, ranks=16, iterations=1)
         graph = build_graph(tracer)

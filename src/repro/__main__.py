@@ -107,6 +107,20 @@ def _fail(what: str, got: str, known: dict) -> int:
     return 2
 
 
+class _BadArgument(Exception):
+    """A parsed argument outside its valid range: :func:`main` prints one
+    ``error:`` line and exits 2."""
+
+
+def _require_positive(**flags: int | None) -> None:
+    """Reject the first ``--flag`` set below 1 (``None`` means unset)."""
+    for flag, value in flags.items():
+        if value is not None and value < 1:
+            raise _BadArgument(
+                f"--{flag.replace('_', '-')} must be >= 1, got {value}"
+            )
+
+
 def _step_parser(command: str, description: str):
     """Argument parser for a command that simulates the training step.
 
@@ -135,7 +149,15 @@ def _step_parser(command: str, description: str):
 
 
 def _step_session(ns):
-    """Build the parsed net; return it with the four step-session arguments."""
+    """Check the shared step arguments, build the parsed net, and return
+    it with the four step-session arguments."""
+    _require_positive(
+        ranks=ns.ranks, iters=ns.iters, batch=ns.batch, supernode=ns.supernode
+    )
+    if ns.supernode is not None and ns.ranks % ns.supernode:
+        raise _BadArgument(
+            f"--ranks {ns.ranks} must be a multiple of --supernode {ns.supernode}"
+        )
     builder, default_batch = _load_builder(ns.net)
     net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
     return net, {
@@ -180,8 +202,9 @@ def cmd_profile(args: list[str]) -> int:
     try:
         batch = int(args[1]) if len(args) > 1 else default_batch
     except ValueError:
-        print(f"error: batch must be an integer, got {args[1]!r}", file=sys.stderr)
-        return 2
+        raise _BadArgument(f"batch must be an integer, got {args[1]!r}") from None
+    if batch < 1:
+        raise _BadArgument(f"batch must be >= 1, got {batch}")
     net = builder(batch_size=batch)
     print(NetProfiler(net).render())
     return 0
@@ -205,10 +228,12 @@ def cmd_trace(args: list[str]) -> int:
     write_chrome_json(tracer, ns.out)
     print(
         f"traced {summary.iterations} iteration(s) of {summary.model!r} on "
-        f"{summary.ranks} rank(s): compute {format_time(summary.compute_s)}, "
-        f"allreduce {format_time(summary.allreduce_s)} "
-        f"({summary.allreduce_steps} steps, "
-        f"{format_bytes(summary.payload_bytes)} gradients, {summary.scheme})"
+        f"{summary.ranks} rank(s) in {format_time(summary.total_s)}: compute "
+        f"{format_time(summary.compute_s)}, local reduce "
+        f"{format_time(summary.local_reduce_s)}, allreduce "
+        f"{format_time(summary.allreduce_s)} ({summary.allreduce_steps} steps, "
+        f"{format_bytes(summary.payload_bytes)} gradients, {summary.scheme}), "
+        f"update {format_time(summary.update_s)}"
     )
     print(f"wrote {len(tracer.spans)} spans to {ns.out} (load in ui.perfetto.dev)")
     print()
@@ -250,8 +275,7 @@ def cmd_whatif(args: list[str]) -> int:
     try:
         factors = parse_scales(ns.scale)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArgument(exc) from None
 
     net, session = _step_session(ns)
     result = whatif_training(net, factors, validate=ns.validate, **session)
@@ -345,11 +369,14 @@ def cmd_chaos(args: list[str]) -> int:
     from repro.trace import write_chrome_json
     from repro.trace.tracer import Tracer
 
+    _require_positive(
+        ranks=ns.ranks, iters=ns.iters, batch=ns.batch, supernode=ns.supernode,
+        snapshot_every=ns.snapshot_every,
+    )
     try:
         parse_seed_string(ns.faults)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArgument(exc) from None
     builder, default_batch = _load_builder(ns.net)
     batch = ns.batch if ns.batch is not None else default_batch
 
@@ -431,24 +458,19 @@ def cmd_serve(args: list[str]) -> int:
     from repro.trace import render_timeline, write_chrome_json
     from repro.trace.tracer import Tracer
 
+    _require_positive(requests=ns.requests)
+    if ns.rate is not None and not ns.rate > 0:
+        raise _BadArgument(f"--rate must be > 0, got {ns.rate}")
     try:
         profile, _, _ = parse_seed_string(ns.arrivals)
         if profile not in PROFILES:
             raise ValueError(
                 f"unknown arrival profile {profile!r} (choose from {PROFILES})"
             )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if ns.faults is not None:
-        from repro.faults.plan import parse_seed_string as parse_fault_seed
+        if ns.faults is not None:
+            from repro.faults.plan import parse_seed_string as parse_fault_seed
 
-        try:
             parse_fault_seed(ns.faults)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
         config = ServeConfig(
             max_batch=ns.max_batch,
             max_wait_s=ns.max_wait_ms / 1e3,
@@ -456,8 +478,7 @@ def cmd_serve(args: list[str]) -> int:
             slo_s=ns.slo_ms / 1e3,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _BadArgument(exc) from None
 
     builder, _ = _load_builder(ns.net)
     tracer = None if ns.no_trace else Tracer()
@@ -533,18 +554,9 @@ def cmd_pipeline(args: list[str]) -> int:
         help="export the walked schedule as Chrome trace-event JSON",
     )
     ns = parser.parse_args(args)
-    if ns.stages < 1:
-        print(f"error: --stages must be >= 1, got {ns.stages}", file=sys.stderr)
-        return 2
-    if ns.microbatches < 1:
-        print(
-            f"error: --microbatches must be >= 1, got {ns.microbatches}",
-            file=sys.stderr,
-        )
-        return 2
-    if ns.replicas < 1:
-        print(f"error: --replicas must be >= 1, got {ns.replicas}", file=sys.stderr)
-        return 2
+    _require_positive(
+        stages=ns.stages, microbatches=ns.microbatches, replicas=ns.replicas
+    )
 
     from repro.parallel.ssgd import SSGDIterationModel
     from repro.perf.layer_cost import net_iteration_time
@@ -554,12 +566,9 @@ def cmd_pipeline(args: list[str]) -> int:
     builder, default_batch = _load_builder(ns.net)
     net = builder(batch_size=ns.batch if ns.batch is not None else default_batch)
     if ns.stages > len(net.layers):
-        print(
-            f"error: --stages {ns.stages} exceeds {ns.net}'s "
-            f"{len(net.layers)} layers",
-            file=sys.stderr,
+        raise _BadArgument(
+            f"--stages {ns.stages} exceeds {ns.net}'s {len(net.layers)} layers"
         )
-        return 2
     plan = plan_stages(net, ns.stages, method=ns.method)
     model = PipelineIterationModel(
         plan,
@@ -800,7 +809,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if argv[0] not in COMMANDS:
         return _fail("command", argv[0], COMMANDS)
-    return COMMANDS[argv[0]](argv[1:])
+    try:
+        return COMMANDS[argv[0]](argv[1:])
+    except _BadArgument as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

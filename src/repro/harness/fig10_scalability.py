@@ -99,144 +99,9 @@ def render(points: list[ScalingPoint] | None = None) -> str:
     return table.render() + "\n\n" + plot
 
 
-def whatif_tracer(
-    label: str, n_nodes: int, bucket_mb: float | None = None
-):
-    """One config's iteration as a critical-path-ready trace.
-
-    Builds a minimal tracer straight from the analytic
-    :class:`~repro.parallel.ssgd.OverlapSchedule`: one node-compute span
-    over ``[0, barrier]`` plus one ``collective_service`` span per
-    allreduce launch (serially chained, floored at its ``ready_s``), each
-    carrying the same hidden/exposed split the trainer's nonblocking
-    queue reports through ``comm.overlap_hidden_s`` /
-    ``comm.overlap_exposed_s``. The critical-path walk over this trace
-    therefore attributes *exactly* the schedule's exposed collective
-    time. Returns ``(tracer, schedule)``.
-    """
-    from repro.hw.clock import SerialResource
-    from repro.trace.tracer import Tracer
-
-    model = _iteration_model(label)
-    if bucket_mb is not None:
-        model = dataclasses.replace(model, bucket_mb=bucket_mb)
-    node = model.runner.iteration_time(model.compute_s, model.model_bytes)
-    compute = node.compute_s + node.sync_s
-    sched = model.overlap_schedule(n_nodes, compute)
-    tracer = Tracer()
-    tracer.emit(
-        "forward+backward", "cpe_compute", track="node/cpe",
-        start=0.0, dur=compute, args={"config": label, "nodes": n_nodes},
-    )
-    # The schedule already booked the windows; this resource only chains
-    # their spans.
-    fabric = SerialResource()
-    for idx, (launch, merged) in enumerate(zip(sched.launches, sched.merged)):
-        fabric.emit(
-            tracer, launch, f"allreduce launch{idx}", "collective_service",
-            track="comm/fabric", args={"merged": merged},
-            barrier_s=sched.barrier_s,
-        )
-    return tracer, sched
-
-
-def render_whatif(
-    label: str,
-    n_nodes: int,
-    scales: list[str] | None = None,
-    bucket_mb: float | None = None,
-) -> str:
-    """The ``--whatif`` summary: critical path + projections of one config."""
-    from repro.trace.critpath import build_graph, critical_path, render_critpath
-    from repro.trace.whatif import parse_scales, project
-    from repro.utils.units import format_time
-
-    tracer, sched = whatif_tracer(label, n_nodes, bucket_mb=bucket_mb)
-    graph = build_graph(tracer)
-    report = critical_path(graph)
-    lines = [
-        f"critical path of {label!r} at {n_nodes} nodes "
-        f"({sched.n_buckets} bucket(s), {sched.n_launches} launch(es)):",
-        render_critpath(report),
-        f"schedule exposed collective: {format_time(sched.exposed_s)} "
-        f"(hidden {format_time(sched.hidden_s)}) — the on-path attribution "
-        f"above matches it by construction",
-    ]
-    # Launch floors are recorded release times (they do not scale), so
-    # the collective class is the meaningful default knob here.
-    for item in scales or ("collective=0.5", "collective=2.0"):
-        factors = parse_scales([item] if isinstance(item, str) else item)
-        proj = project(graph, factors)
-        lines.append(
-            f"what-if {item}: {format_time(proj.baseline_s)} -> "
-            f"{format_time(proj.projected_s)} ({proj.speedup:.3f}x)"
-        )
-    return "\n".join(lines)
-
-
-def main(argv: list[str] | None = None) -> None:
-    """CLI entry; ``--trace FILE`` exports a per-rank timeline of one config.
-
-    The scaling table itself is analytic; the trace drills into one
-    configuration (``--config``, default "AlexNet, B=128") at a small rank
-    count (``--ranks``), emitting every rank's layer/DMA/RLC spans and the
-    gradient allreduce steps. ``--whatif`` prints the critical-path
-    attribution of one config at ``--nodes`` nodes (built from the same
-    overlap schedule that prices the figure) plus projected end-to-end
-    times under ``--scale CLASS=FACTOR`` cost scalings.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description="Fig. 10 weak-scaling study")
-    parser.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write Chrome trace-event JSON of one config's iteration",
-    )
-    parser.add_argument(
-        "--config", default="AlexNet, B=128", choices=[c[0] for c in CONFIGS],
-        help="which curve to trace",
-    )
-    parser.add_argument("--ranks", type=int, default=8, help="ranks to trace")
-    parser.add_argument(
-        "--whatif", action="store_true",
-        help="print the critical-path / what-if summary of --config",
-    )
-    parser.add_argument(
-        "--nodes", type=int, default=16,
-        help="node count for the --whatif critical path (default 16)",
-    )
-    parser.add_argument(
-        "--bucket-mb", type=float, default=None, metavar="MB",
-        help="overlap-aware bucketed allreduce for --whatif (default fused)",
-    )
-    parser.add_argument(
-        "--scale", action="append", default=[], metavar="CLASS=FACTOR",
-        help="what-if cost scaling (repeatable; default collective=0.5, 2.0)",
-    )
-    ns = parser.parse_args(argv)
+def main() -> None:
+    """CLI entry: print the scaling table and plot."""
     print(render())
-    if ns.whatif:
-        print()
-        print(
-            render_whatif(
-                ns.config, ns.nodes,
-                scales=ns.scale or None, bucket_mb=ns.bucket_mb,
-            )
-        )
-    if ns.trace:
-        from repro import trace
-        from repro.trace.session import trace_training_step
-
-        (builder, batch) = next(
-            (b, n) for label, b, n in CONFIGS if label == ns.config
-        )
-        net = builder(batch_size=batch)
-        tracer, summary = trace_training_step(net, ranks=ns.ranks)
-        trace.write_chrome_json(tracer, ns.trace)
-        print(
-            f"traced {ns.config!r} on {summary.ranks} ranks: wrote "
-            f"{len(tracer.spans)} spans to {ns.trace} (load in ui.perfetto.dev)"
-        )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,7 +11,8 @@ The step is the trace session's own: :func:`collect_training_step` runs
 so the report's wall time, its allreduce counters and the span timeline
 (``python -m repro metrics --trace``) describe the one simulated step that
 ``python -m repro trace`` shows. The layer counters are counted from the
-:func:`~repro.metrics.roofline.net_roofline` rows the report prints.
+:func:`~repro.metrics.roofline.net_roofline` rows the report prints; the
+DMA counters add the step's local reduces and SGD updates.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class MetricsReport:
     scheme: str
     wall_s: float
     compute_s: float
+    local_reduce_s: float
     allreduce_s: float
+    update_s: float
     allreduce_steps: int
     payload_bytes: float
     wire_bytes_intra: float
@@ -97,7 +100,9 @@ class MetricsReport:
             "scheme": self.scheme,
             "wall_s": self.wall_s,
             "compute_s": self.compute_s,
+            "local_reduce_s": self.local_reduce_s,
             "allreduce_s": self.allreduce_s,
+            "update_s": self.update_s,
             "allreduce_steps": self.allreduce_steps,
             "payload_bytes": self.payload_bytes,
             "wire_bytes": {
@@ -124,7 +129,9 @@ class MetricsReport:
                 f"resource utilization: {self.model!r} x{self.iterations} iter "
                 f"on {self.ranks} rank(s), wall {format_time(self.wall_s)} "
                 f"(compute {format_time(self.compute_s)}, "
-                f"allreduce {format_time(self.allreduce_s)})"
+                f"local reduce {format_time(self.local_reduce_s)}, "
+                f"allreduce {format_time(self.allreduce_s)}, "
+                f"update {format_time(self.update_s)})"
             ),
         )
         for name, res in self.resources.items():
@@ -163,7 +170,8 @@ def collect_training_step(
     ``collecting(registry)``: its gradient allreduces feed the ``comm.*``
     counters, and its spans land on ``tracer`` (a fresh one when omitted).
     The per-rank layer counters are counted from the :func:`net_roofline`
-    rows, once per rank per iteration.
+    rows, once per rank per iteration; the local reduces and SGD updates
+    add to ``dma.*`` with ``dir=model``.
     """
     p = params or SW_PARAMS
     mx = registry if registry is not None else MetricsRegistry()
@@ -177,6 +185,8 @@ def collect_training_step(
             scheme=scheme,
             nodes_per_supernode=nodes_per_supernode,
         )
+    # The local reduce and the update are pure DMA passes.
+    node_dma_s = step.local_reduce_s + step.update_s
     for rank in range(ranks):
         with mx.labelled(rank=str(rank)):
             for _ in range(iterations):
@@ -193,6 +203,8 @@ def collect_training_step(
                         mx.count("dma.busy_s", c.dma_s)
                     if c.rlc_s > 0:
                         mx.count("rlc.busy_s", c.rlc_s)
+            mx.count("dma.bytes", step.node_dma_bytes, dir="model")
+            mx.count("dma.busy_s", node_dma_s)
 
     wall_s = step.total_s
     allreduce_s = step.allreduce_s
@@ -201,11 +213,11 @@ def collect_training_step(
     # --- per-rank resource totals (ranks are symmetric) ------------------- #
     busy = {
         "cpe": sum(r.cost.compute_s for r in rows) * iterations,
-        "dma": sum(r.cost.dma_s for r in rows) * iterations,
+        "dma": sum(r.cost.dma_s for r in rows) * iterations + node_dma_s,
         "rlc": sum(r.cost.rlc_s for r in rows) * iterations,
     }
     flops = sum(r.flops for r in rows) * iterations
-    dma_bytes = sum(r.dma_bytes for r in rows) * iterations
+    dma_bytes = sum(r.dma_bytes for r in rows) * iterations + step.node_dma_bytes
     resources = {
         "cpe": ResourceUtilization(
             name="cpe",
@@ -246,7 +258,9 @@ def collect_training_step(
         scheme=scheme,
         wall_s=wall_s,
         compute_s=step.compute_s,
+        local_reduce_s=step.local_reduce_s,
         allreduce_s=allreduce_s,
+        update_s=step.update_s,
         allreduce_steps=step.allreduce_steps,
         payload_bytes=step.payload_bytes,
         wire_bytes_intra=intra,

@@ -107,8 +107,10 @@ class SimComm:
         #: Seconds a step waits on a dead partner before declaring it.
         self.timeout_s: float = 1e-3
         #: Representative span of the previous traced step; each lockstep
-        #: round depends on the one before it (critical-path edges).
-        self._prev_step_span: Span | None = None
+        #: round depends on the one before it (critical-path edges). A
+        #: trace session seeds it with a barrier span so the first round
+        #: waits on every rank.
+        self.prev_step_span: Span | None = None
 
     @property
     def p(self) -> int:
@@ -193,7 +195,7 @@ class SimComm:
             # previous round still wait for it (lockstep), so every span
             # depends on the previous step's representative.
             step_idx = result.steps
-            prev = self._prev_step_span
+            prev = self.prev_step_span
             first: Span | None = None
             for a, b, nbytes in pairs:
                 for rank, partner in ((a, b), (b, a)):
@@ -213,7 +215,7 @@ class SimComm:
                     if prev is not None:
                         tr.edge(prev, span)
             if first is not None:
-                self._prev_step_span = first
+                self.prev_step_span = first
         mx = _metrics()
         if mx.enabled:
             mx.count("comm.steps", 1)

@@ -14,7 +14,7 @@ This subpackage provides:
 * :class:`~repro.topology.cost_model.NetworkModel` — a size-dependent
   bandwidth/latency curve calibrated against Fig. 6;
 * :class:`~repro.topology.fabric.TaihuLightFabric` — node/supernode layout
-  and pairwise message pricing;
+  and pairwise message pricing on the collective curve;
 * :mod:`~repro.topology.infiniband` — the Infiniband FDR reference curve
   plotted alongside the Sunway network in Fig. 6.
 """

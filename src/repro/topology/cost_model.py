@@ -111,7 +111,8 @@ class NetworkModel:
 #: theoretical 16 GB/s per link, ~12 GB/s achieved with MPI for very large
 #: messages, microsecond startup latency, and a slow bandwidth ramp — the
 #: measured latency curve sits above Infiniband FDR's for every message
-#: larger than ~2 KB even though the Sunway link peaks higher.
+#: larger than ~2 KB even though the Sunway link peaks higher. Only Fig. 6
+#: plots it; simulated communicators price on the collective curve below.
 SW_NETWORK = NetworkModel(
     name="Sunway",
     alpha=1.0 * US,
@@ -121,9 +122,10 @@ SW_NETWORK = NetworkModel(
 )
 
 #: Effective network curve for *collective* operations at scale, used by
-#: the Fig. 10/11 scaling study. MPI collectives on TaihuLight achieve far
-#: less than the P2P link peak (the paper's own Fig. 6 latency panel shows
-#: ~0.6 GB/s effective at 2 MB messages), and the paper's measured
+#: the Fig. 10/11 scaling study and, as the :class:`TaihuLightFabric`
+#: default, by every simulated communicator. MPI collectives on TaihuLight
+#: achieve far less than the P2P link peak (the paper's own Fig. 6 latency
+#: panel shows ~0.6 GB/s effective at 2 MB messages), and the paper's measured
 #: communication fractions at 1024 nodes (Fig. 11: AlexNet ~1.1 s, ResNet-50
 #: ~0.69 s per 232.6 / 97.7 MB allreduce) pin the effective per-link
 #: collective bandwidth at ~0.65 GB/s with a multi-megabyte half-saturation

@@ -5,11 +5,15 @@ message between any two nodes: intra-supernode messages get full bandwidth,
 inter-supernode messages cross the central switching network, which is
 provisioned at 1/4 bandwidth and therefore over-subscribed whenever many
 pairs cross simultaneously (the situation the paper's allreduce avoids).
+
+Messages are priced on the collective network curve the Fig. 10/11
+iteration models use, so every simulated communicator — traced, executed
+or recovered — synchronizes gradients at the modeled rate.
 """
 
 from __future__ import annotations
 
-from repro.topology.cost_model import NetworkModel, SW_NETWORK
+from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
 from repro.topology.node import ComputeNode
 from repro.topology.supernode import NODES_PER_SUPERNODE, Supernode
 
@@ -24,8 +28,8 @@ class TaihuLightFabric:
     nodes_per_supernode:
         Supernode size (256 on TaihuLight).
     network:
-        P2P curve used to price messages; defaults to the calibrated
-        Sunway model.
+        Curve used to price messages; defaults to the calibrated
+        collective curve of the iteration models.
     """
 
     def __init__(
@@ -40,7 +44,7 @@ class TaihuLightFabric:
             raise ValueError("nodes_per_supernode must be positive")
         self.n_nodes = int(n_nodes)
         self.nodes_per_supernode = int(nodes_per_supernode)
-        self.network = network or SW_NETWORK
+        self.network = network or SW_COLLECTIVE_NETWORK
         self.nodes = [
             ComputeNode(node_id=i, supernode_id=i // self.nodes_per_supernode)
             for i in range(self.n_nodes)

@@ -1,38 +1,38 @@
 """Trace sessions: end-to-end timelines of a simulated training step.
 
 Ties the tracer to the workload the CLI exposes (``python -m repro trace
-<model> --ranks N``): every rank runs one data-parallel training iteration
-(identical compute, Algorithm 1's node-local half priced by the layer
-plans), then the ranks synchronize gradients with the recursive
-halving/doubling allreduce over the TaihuLight fabric, placed after the
-compute phase on the shared timeline.
+<model> --ranks N``): the data-parallel iteration that
+:class:`~repro.parallel.ssgd.SSGDIterationModel` prices for Figs. 10/11
+(Algorithm 1). Every rank runs its layer passes (priced by the layer
+plans), the CG sync and CG0's local gradient reduce; the ranks allreduce
+the gradients with recursive halving/doubling over the TaihuLight fabric;
+every rank applies the SGD update, and the next iteration starts after it.
 
-The collective is traced through :func:`replay_rhd` — a schedule-accurate
-*accounting replay* of :func:`~repro.simmpi.collectives.rhd.rhd_allreduce`
-that walks the identical step/pair/byte structure through
-``SimComm.account_step`` without materializing the gradient buffers (a
-VGG-16 payload is 0.5 GB per rank; the replay prices it in microseconds).
-``tests/test_trace_integration.py`` pins replay-vs-executed equality.
+The collective is traced through :func:`replay_rhd`, an *accounting
+replay* that walks :func:`~repro.simmpi.collectives.rhd.rhd_schedule` —
+the schedule :func:`~repro.simmpi.collectives.rhd.rhd_allreduce` executes
+— through ``SimComm.account_step`` without materializing the gradient
+buffers (a VGG-16 payload is 0.5 GB per rank; the replay prices it in
+microseconds). ``tests/test_trace_integration.py`` pins replay-vs-executed
+equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.kernels.plan import PlanCost
 from repro.metrics.registry import active as _metrics
-from repro.simmpi.collectives.reduce_ops import block_offsets
-from repro.simmpi.comm import CollectiveResult, SimComm
+from repro.parallel.ssgd import SSGDIterationModel
+from repro.simmpi.collectives.rhd import rhd_schedule
+from repro.simmpi.comm import CollectiveResult, SimComm, reduce_gamma
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Span, Tracer, active, emit_cost_spans, suspended, tracing
+from repro.trace.tracer import Tracer, active, emit_cost_spans, suspended, tracing
 
-
-def _largest_pow2_leq(p: int) -> int:
-    k = 1
-    while k * 2 <= p:
-        k *= 2
-    return k
+#: ``scheme`` -> rank placement; its ``name`` is the iteration model's.
+PLACEMENTS = {"improved": round_robin_placement, "original": block_placement}
 
 
 def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> CollectiveResult:
@@ -45,78 +45,11 @@ def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> Collective
     moves no data, so arbitrarily large gradients trace cheaply. Its
     ``comm.*`` counters carry the same ``collective="rhd"`` label.
     """
-    with _metrics().labelled(collective="rhd"):
-        return _replay_rhd(comm, nbytes, itemsize)
-
-
-def _replay_rhd(comm: SimComm, nbytes: float, itemsize: int) -> CollectiveResult:
-    p = comm.p
     n = max(1, int(round(float(nbytes) / itemsize)))
     result = CollectiveResult()
-    if p == 1:
-        return result
-    nbytes_full = float(n * itemsize)
-
-    # --- fold down to a power of two -------------------------------------
-    k = _largest_pow2_leq(p)
-    r = p - k
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        comm.account_step(result, pairs, reduce_bytes=nbytes_full)
-        active_ranks = [2 * i for i in range(r)] + list(range(2 * r, p))
-    else:
-        active_ranks = list(range(p))
-
-    off = block_offsets(n, k)
-
-    def span_bytes(lo_blk: int, hi_blk: int) -> float:
-        return float((off[hi_blk] - off[lo_blk]) * itemsize)
-
-    # --- reduce-scatter: recursive halving --------------------------------
-    lo = [0] * k
-    hi = [k] * k
-    d = k // 2
-    while d >= 1:
-        pairs = []
-        max_reduce = 0.0
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            mid = (lo[v] + hi[v]) // 2
-            send_v = span_bytes(mid, hi[v])
-            send_w = span_bytes(lo[v], mid)
-            pairs.append((active_ranks[v], active_ranks[w], max(send_v, send_w)))
-            max_reduce = max(max_reduce, send_v, send_w)
-            lo[v], hi[v] = lo[v], mid
-            lo[w], hi[w] = mid, hi[w]
-        comm.account_step(result, pairs, reduce_bytes=max_reduce)
-        d //= 2
-
-    # --- allgather: recursive doubling ------------------------------------
-    d = 1
-    while d < k:
-        pairs = []
-        merged: dict[int, tuple[int, int]] = {}
-        for v in range(k):
-            w = v ^ d
-            if w < v:
-                continue
-            send_v = span_bytes(lo[v], hi[v])
-            send_w = span_bytes(lo[w], hi[w])
-            pairs.append((active_ranks[v], active_ranks[w], max(send_v, send_w)))
-            span = (min(lo[v], lo[w]), max(hi[v], hi[w]))
-            merged[v] = span
-            merged[w] = span
-        for v, (nlo, nhi) in merged.items():
-            lo[v], hi[v] = nlo, nhi
-        comm.account_step(result, pairs)
-        d *= 2
-
-    # --- unfold ------------------------------------------------------------
-    if r > 0:
-        pairs = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
-        comm.account_step(result, pairs)
+    with _metrics().labelled(collective="rhd"):
+        for step in rhd_schedule(comm.p, n, itemsize):
+            comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
     return result
 
 
@@ -177,6 +110,7 @@ def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
         f"{net.name} iteration",
         "solver_iter",
         track="solver",
+        start=start,
         dur=dur,
         args={"layers": len(net.layers)},
     )
@@ -185,22 +119,31 @@ def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
 
 @dataclass(frozen=True)
 class SessionSummary:
-    """What one traced training step simulated."""
+    """What one traced training step simulated.
+
+    The terms are :class:`~repro.parallel.ssgd.IterationBreakdown`'s, per
+    rank (the ranks are symmetric) and summed over the iterations:
+    ``compute_s`` (layer passes plus the CG sync), ``local_reduce_s``,
+    ``allreduce_s`` and ``update_s``. ``total_s`` is the traced end: the
+    same terms accumulated along the timeline, so it equals
+    ``tracer.end_time()`` and the critical-path end bitwise.
+    ``node_dma_bytes`` is what the local reduces and updates stream.
+    """
 
     model: str
     ranks: int
     iterations: int
     compute_s: float
+    local_reduce_s: float
     allreduce_s: float
+    update_s: float
+    total_s: float
     allreduce_steps: int
     payload_bytes: float
+    node_dma_bytes: float
     scheme: str
     wire_bytes_intra: float
     wire_bytes_cross: float
-
-    @property
-    def total_s(self) -> float:
-        return self.compute_s + self.allreduce_s
 
 
 def trace_training_step(
@@ -214,96 +157,103 @@ def trace_training_step(
 ) -> tuple[Tracer, SessionSummary]:
     """Trace ``iterations`` data-parallel training steps of ``net``.
 
-    Every rank gets an identical compute timeline (tracks
-    ``rank<r>/{solver,layers,cpe,dma,rlc}``); each iteration's gradient
-    allreduce follows on ``rank<r>/collective``, priced over a TaihuLight
-    fabric with ``round-robin`` (``scheme="improved"``) or ``block``
-    (``scheme="original"``) rank placement.
+    One :class:`~repro.parallel.ssgd.SSGDIterationModel` (gradient payload,
+    ``nodes_per_supernode`` and the placement ``scheme`` names:
+    ``round-robin`` for ``"improved"``, ``block`` for ``"original"``)
+    prices everything but the layers. Each iteration, in order: every
+    rank's layer spans, CG sync and local reduce (tracks
+    ``rank<r>/{solver,layers,cpe,dma,rlc}``); a zero-duration barrier on
+    ``rank0/collective`` that waits on every rank; the allreduce rounds on
+    ``rank<r>/collective``; every rank's SGD update.
     """
-    if ranks < 1:
-        raise ValueError("ranks must be >= 1")
-    if scheme not in ("improved", "original"):
+    if ranks < 1 or iterations < 1:
+        raise ValueError(f"ranks and iterations must be >= 1, got {ranks}, {iterations}")
+    if scheme not in PLACEMENTS:
         raise ValueError(f"scheme must be 'improved' or 'original', got {scheme!r}")
-    tr = tracer if tracer is not None else Tracer()
-
     q = nodes_per_supernode
     if q is None:
         # Prefer a layout with >= 2 supernodes so cross-supernode steps
         # show up; fall back to one supernode for tiny/odd rank counts.
         q = ranks // 2 if ranks % 2 == 0 and ranks > 2 else ranks
-    if ranks % q != 0:
+    if q < 1 or ranks % q != 0:
         raise ValueError(f"ranks={ranks} must be a multiple of nodes_per_supernode={q}")
+    tr = tracer if tracer is not None else Tracer()
 
     payload = float(net.param_bytes())
-    fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
-    placement = (
-        round_robin_placement(ranks, q)
-        if scheme == "improved"
-        else block_placement(ranks, q)
+    placement = PLACEMENTS[scheme](ranks, q)
+    # The layer spans price the compute, so the model's compute_s is unused.
+    model = SSGDIterationModel(
+        compute_s=0.0,
+        model_bytes=payload,
+        nodes_per_supernode=q,
+        placement=placement.name,
     )
-    compute_s = 0.0
-    allreduce_s = 0.0
+    node = model.runner.iteration_time(0.0, payload)
+    # The local reduce (four gradient copies in, one out) and the update
+    # (params, grads and velocity) each stream five payloads through DMA.
+    sync = PlanCost(overhead_s=node.sync_s)
+    local_reduce = PlanCost(dma_s=node.local_reduce_s, dma_bytes=5.0 * payload)
+    update = PlanCost(dma_s=model.update_time(), dma_bytes=5.0 * payload)
+    sc = _scaling()
+    if sc.enabled:
+        sync, local_reduce, update = (
+            sc.scale_plan_cost(c) for c in (sync, local_reduce, update)
+        )
+    fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
+    gamma = reduce_gamma(model.reduce_engine)
+
+    compute_s = local_reduce_s = allreduce_s = update_s = 0.0
     steps = 0
     intra = cross = 0.0
-    first_fwd: dict[tuple[int, int], Span] = {}
-    last_bwd: dict[tuple[int, int], Span] = {}
     with tracing(tr):
-        for r in range(ranks):
-            with tr.context(f"rank{r}"):
-                for it in range(iterations):
-                    mark = len(tr.spans)
-                    trace_net_iteration(net, tr)
-                    segment = tr.spans[mark:]
-                    fwds = [s for s in segment if s.cat == "layer_fwd"]
-                    bwds = [s for s in segment if s.cat == "layer_bwd"]
-                    if fwds:
-                        first_fwd[(r, it)] = fwds[0]
-                    if bwds:
-                        last_bwd[(r, it)] = bwds[-1]
-            compute_s = max(compute_s, tr.cursor(f"/rank{r}/layers"))
-        if ranks > 1:
-            # One allreduce per iteration, laid out after the compute phase
-            # it synchronizes. Each uses a fresh communicator whose clock
-            # is pre-advanced to the phase's place on the global timeline,
-            # so recorded step times accumulate from the offset exactly as
-            # the critical-path projection chains them.
-            per_iter = compute_s / iterations if iterations else 0.0
-            for i in range(iterations):
-                comm = SimComm(fabric, placement)
-                comm.clock.advance(per_iter * (i + 1) + allreduce_s, category="comm")
-                mark = len(tr.spans)
+        for _ in range(iterations):
+            reduced = []
+            for r in range(ranks):
+                with tr.context(f"rank{r}"):
+                    layers_s = trace_net_iteration(net, tr)
+                    emit_cost_spans(tr, "cg sync", sync)
+                    reduced.append(emit_cost_spans(tr, "local reduce", local_reduce))
+            compute_s += layers_s + sync.total_s
+            local_reduce_s += local_reduce.total_s
+            ready = max(span.end_s for span in reduced)
+            last_step = None
+            if ranks > 1:
+                barrier = tr.emit(
+                    "barrier", "collective_step", track="rank0/collective", start=ready
+                )
+                for span in reduced:
+                    tr.edge(span, barrier)
+                # A fresh communicator whose clock starts at the barrier, so
+                # every round's start accumulates exactly as the critical
+                # path chains it.
+                comm = SimComm(fabric, placement, gamma=gamma)
+                comm.clock.advance(ready, category="comm")
+                comm.prev_step_span = barrier
                 res = replay_rhd(comm, payload)
-                step_spans = [
-                    s for s in tr.spans[mark:] if s.cat == "collective_step"
-                ]
-                # Barrier: the first lockstep round waits on every rank's
-                # backward pass of the iteration it synchronizes.
-                for span in step_spans:
-                    if span.name != "step0":
-                        break
-                    for r in range(ranks):
-                        bwd = last_bwd.get((r, i))
-                        if bwd is not None:
-                            tr.edge(bwd, span)
-                # Sync: the next iteration's forward waits on this
-                # allreduce completing (its final round's representative).
-                if step_spans and i + 1 < iterations:
-                    for r in range(ranks):
-                        fwd = first_fwd.get((r, i + 1))
-                        if fwd is not None:
-                            tr.edge(step_spans[-1], fwd)
+                ready = comm.clock.now
+                last_step = comm.prev_step_span
                 allreduce_s += res.time_s
                 steps += res.steps
                 intra += res.bytes_intra
                 cross += res.bytes_cross
+            for r in range(ranks):
+                with tr.context(f"rank{r}"):
+                    updated = emit_cost_spans(tr, "sgd update", update, start=ready)
+                if last_step is not None:
+                    tr.edge(last_step, updated)
+            update_s += update.total_s
     summary = SessionSummary(
         model=net.name,
         ranks=ranks,
         iterations=iterations,
         compute_s=compute_s,
+        local_reduce_s=local_reduce_s,
         allreduce_s=allreduce_s,
+        update_s=update_s,
+        total_s=updated.end_s,
         allreduce_steps=steps,
         payload_bytes=payload,
+        node_dma_bytes=iterations * (local_reduce.dma_bytes + update.dma_bytes),
         scheme=scheme,
         wire_bytes_intra=intra,
         wire_bytes_cross=cross,

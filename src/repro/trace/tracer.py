@@ -115,9 +115,9 @@ class Tracer:
       by analytic instrumentation (layer costs, solver iterations) that
       has durations but no clock;
     * **clock-driven** (explicit ``start``): the span is pinned at a
-      simulated-clock timestamp (plus the tracer's current offset) and the
-      cursor only ratchets forward — used by clocked instrumentation
-      (DMA engine, register comm, communicator steps).
+      simulated-clock timestamp and the cursor only ratchets forward —
+      used by clocked instrumentation (DMA engine, register comm,
+      communicator steps).
 
     The cursor of a track never moves backwards, which is the per-track
     monotonicity invariant the unit tests pin.
@@ -132,7 +132,6 @@ class Tracer:
         self.edges: list[tuple[Span, Span, str]] = []
         self._cursors: dict[str, float] = defaultdict(float)
         self._prefix: list[str] = []
-        self._offset: float = 0.0
 
     # ------------------------------------------------------------------ #
     # track context
@@ -160,21 +159,6 @@ class Tracer:
             yield
         finally:
             self._prefix.pop()
-
-    @contextmanager
-    def shifted(self, offset_s: float) -> Iterator[None]:
-        """Add ``offset_s`` to explicit (clock-driven) start times.
-
-        Lets a session place a clocked phase (e.g. a collective whose
-        :class:`SimClock` starts at zero) after an already-emitted compute
-        phase on the shared timeline.
-        """
-        previous = self._offset
-        self._offset = previous + float(offset_s)
-        try:
-            yield
-        finally:
-            self._offset = previous
 
     def cursor(self, track: str) -> float:
         """Current cursor (end of the latest span) of a track."""
@@ -210,7 +194,7 @@ class Tracer:
         if start is None:
             start_s = self._cursors[resolved]
         else:
-            start_s = float(start) + self._offset
+            start_s = float(start)
         if not math.isfinite(start_s):
             raise SpanValidationError(
                 f"span {name!r} on track {track!r}: start must be finite, "
@@ -291,7 +275,7 @@ class Tracer:
                 default=start,
             )
             dur = max(descendant_end - start, 0.0)
-        self.emit(name, cat, track="/" + resolved, start=start - self._offset, dur=dur, args=args)
+        self.emit(name, cat, track="/" + resolved, start=start, dur=dur, args=args)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -329,10 +313,6 @@ class NullTracer(Tracer):
         yield
 
     @contextmanager
-    def shifted(self, offset_s: float) -> Iterator[None]:
-        yield
-
-    @contextmanager
     def span(self, name: str, cat: str, **kwargs: Any) -> Iterator[None]:
         yield
 
@@ -345,20 +325,23 @@ def emit_cost_spans(
     cat: str = "plan_cost",
     track: str = "layers",
     args: Mapping[str, Any] | None = None,
+    start: float | None = None,
 ) -> Span | None:
     """Emit a priced invocation as a parent span plus component children.
 
     ``cost`` is any :class:`~repro.kernels.plan.PlanCost`-shaped object
     (``compute_s`` / ``dma_s`` / ``rlc_s`` / ``total_s`` / ``flops`` /
-    ``dma_bytes``). The parent lands on ``track`` at its cursor; the
-    compute/DMA/RLC components land on the sibling resource tracks
-    (``cpe``, ``dma``, ``rlc``) pinned at the parent's start — they overlap
-    each other, which is exactly the dual-pipeline rule
-    (``total = max(compute, dma, rlc) + overhead``) made visible.
+    ``dma_bytes``). The parent lands on ``track`` at ``start`` (default:
+    the track's cursor); the compute/DMA/RLC components land on the
+    sibling resource tracks (``cpe``, ``dma``, ``rlc``) pinned at the
+    parent's start — they overlap each other, which is exactly the
+    dual-pipeline rule (``total = max(compute, dma, rlc) + overhead``)
+    made visible.
     """
     if not tracer.enabled:
         return None
-    start = tracer.cursor(track)
+    if start is None:
+        start = tracer.cursor(track)
     merged: dict[str, Any] = {
         "flops": cost.flops,
         "dma_bytes": cost.dma_bytes,
@@ -366,7 +349,9 @@ def emit_cost_spans(
     }
     if args:
         merged.update(args)
-    parent = tracer.emit(name, cat, track=track, dur=cost.total_s, args=merged)
+    parent = tracer.emit(
+        name, cat, track=track, start=start, dur=cost.total_s, args=merged
+    )
     components = (
         ("cpe", "cpe_compute", cost.compute_s, {"flops": cost.flops}),
         ("dma", "dma_transfer", cost.dma_s, {"bytes": cost.dma_bytes}),
@@ -378,7 +363,7 @@ def emit_cost_spans(
                 name,
                 comp_cat,
                 track=comp_track,
-                start=start - tracer._offset,
+                start=start,
                 dur=dur,
                 args={"of": cat, **extra},
             )

@@ -9,15 +9,14 @@ we can do better on both sides of that trade:
   span's resource class — no sampling noise;
 * the **validation** re-runs the actual simulator with the same factors
   installed at the cost-model sites (:mod:`repro.trace.scaling`) and
-  compares end-to-end times. On the serial-fabric schedule the two walks
-  perform the same float operations in the same order, so they agree
-  *bitwise* for a single iteration and to ~1e-12 relative across many
-  (``tests/test_whatif.py`` pins both); where discrete decisions shift
-  (serving batch formation), the error is reported, not hidden.
+  compares end-to-end times. On the training step the two walks perform
+  the same float operations in the same order, so they agree *bitwise*
+  at any iteration count (``tests/test_whatif.py`` pins it); where
+  discrete decisions shift (serving batch formation), the error is
+  reported, not hidden.
 
 Surface: ``python -m repro whatif <net> --ranks N --scale dma=0.5
-[--validate --json]`` and the ``--whatif`` flags on the fig10/serving
-harnesses.
+[--validate --json]`` and the ``--whatif`` flag of the serving harness.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from repro.trace.scaling import SCALE_CLASSES, CostScaling, scaling
 from repro.trace.tracer import Span, Tracer
 
 #: Relative tolerance for declaring a validation run consistent. The
-#: serial-fabric schedule is exact (0.0 observed error for one iteration);
-#: multi-iteration folds may differ in the last bits of accumulation.
+#: training step is exact (0.0 observed error at any iteration count).
 REL_TOL = 1e-9
 
 

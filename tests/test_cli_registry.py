@@ -123,3 +123,29 @@ class TestServeArgs:
         with pytest.raises(SystemExit) as exc:
             main(["serve", "nosuchnet"])
         assert exc.value.code == 2
+
+
+class TestBadValuesExit2:
+    """Out-of-range values fail at the CLI edge: exit 2 and one ``error:``
+    line, never a traceback from deep inside the simulator."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "profile lenet 0",
+            "trace lenet --batch 0",
+            "trace lenet --ranks 6 --supernode 4",
+            "serve lenet --requests 0",
+            "serve lenet --rate 0",
+            "metrics lenet --ranks 0",
+            "whatif lenet --ranks 0",
+            "chaos lenet --ranks 0",
+            "pipeline lenet --stages 0",
+        ],
+    )
+    def test_one_error_line(self, capsys, argv):
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""

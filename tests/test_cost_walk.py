@@ -45,14 +45,18 @@ def _assert_metrics_measure_traced_step(net, **session):
     assert report.wall_s == summary.total_s
     assert (
         report.compute_s,
+        report.local_reduce_s,
         report.allreduce_s,
+        report.update_s,
         report.allreduce_steps,
         report.payload_bytes,
         report.wire_bytes_intra,
         report.wire_bytes_cross,
     ) == (
         summary.compute_s,
+        summary.local_reduce_s,
         summary.allreduce_s,
+        summary.update_s,
         summary.allreduce_steps,
         summary.payload_bytes,
         summary.wire_bytes_intra,
@@ -64,8 +68,8 @@ def _assert_metrics_measure_traced_step(net, **session):
         simulated.terminal,
         simulated.terminal_track,
     )
-    # The path runs through every barrier and sync edge to the last step.
-    assert measured.end_to_end_s == pytest.approx(report.wall_s, rel=1e-12)
+    # The path runs through every barrier and sync edge to the last update.
+    assert measured.end_to_end_s == report.wall_s
 
 
 class TestMetricsMeasureTheTracedStep:

@@ -5,8 +5,9 @@ Unit tests build tiny hand-made traces and pin the graph semantics
 integration tests pin the identity invariant — scheduling a real training
 trace with no factors reproduces its recorded end time bitwise — plus
 byte-identical determinism across repeated runs at several rank counts,
-and a golden critical-path report of the fig10 16-node overlap schedule
-(``tests/golden/critpath_fig10.json``; regenerate with
+the hidden/exposed split of every Fig. 10 bucketed launch, and a golden
+critical-path report of the traced data-parallel step
+(``tests/golden/critpath_step.json``; regenerate with
 ``python -m tests.test_critpath``).
 """
 
@@ -18,7 +19,8 @@ import pathlib
 import pytest
 
 from repro.errors import CritPathError
-from repro.harness.fig10_scalability import CONFIGS, whatif_tracer
+from repro.frame.model_zoo import lenet
+from repro.harness.fig10_scalability import CONFIGS, build_study
 from repro.parallel.scaling import PAPER_NODE_COUNTS
 from repro.trace.critpath import (
     build_graph,
@@ -29,15 +31,19 @@ from repro.trace.critpath import (
     request_completions,
     schedule,
 )
+from repro.trace.session import trace_training_step
 from repro.trace.tracer import Tracer
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "critpath_fig10.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "critpath_step.json"
 
 
-def fig10_report():
-    """The golden scenario: AlexNet B=128 at 16 nodes, 16 MB buckets."""
-    tracer, sched = whatif_tracer("AlexNet, B=128", 16, bucket_mb=16)
-    return critical_path(tracer), sched
+def step_report():
+    """The golden scenario, the CI what-if config: LeNet B=16 on 8 ranks,
+    4 per supernode, one iteration."""
+    tracer, summary = trace_training_step(
+        lenet.build(batch_size=16), ranks=8, nodes_per_supernode=4
+    )
+    return critical_path(tracer), summary
 
 
 def render(report) -> str:
@@ -216,27 +222,30 @@ class TestFig10LaunchSplit:
     @pytest.mark.parametrize("label", [c[0] for c in CONFIGS])
     def test_every_launch_splits_inside_its_window(self, label, n_nodes, bucket_mb):
         # A fully hidden launch whose end_s - start_s rounds one ulp above
-        # its duration used to report a negative exposed_s.
-        tracer, sched = whatif_tracer(label, n_nodes, bucket_mb=bucket_mb)
-        svc = tracer.by_category("collective_service")
-        assert len(svc) == sched.n_launches
-        for span in svc:
-            assert 0.0 <= span.args["hidden_s"] <= span.dur_s
-            assert span.args["exposed_s"] >= 0.0
+        # its duration used to report a negative exposed time.
+        model = build_study(bucket_mb=bucket_mb).configs[label]
+        node = model.runner.iteration_time(model.compute_s, model.model_bytes)
+        sched = model.overlap_schedule(n_nodes, node.compute_s + node.sync_s)
+        assert sched.n_launches > 0
+        exposed = []
+        for launch in sched.launches:
+            hidden = launch.hidden_before(sched.barrier_s)
+            assert 0.0 <= hidden <= launch.dur_s
+            exposed.append(launch.dur_s - hidden)
+            assert exposed[-1] >= 0.0
         # The schedule subtracts summed hidden time from summed occupancy;
-        # the trace sums per-launch differences. Same quantity, different
-        # float grouping.
-        exposed = sum(span.args["exposed_s"] for span in svc)
-        assert sched.exposed_s == pytest.approx(exposed, rel=1e-12, abs=0.0)
+        # this sums per-launch differences. Same quantity, different float
+        # grouping.
+        assert sched.exposed_s == pytest.approx(sum(exposed), rel=1e-12, abs=0.0)
 
 
 class TestGolden:
-    def test_fig10_exposed_collective_matches_overlap_schedule(self):
-        # The report sums per-launch exposed_s in path order; the schedule
-        # computes total - hidden. Same quantity, different float grouping
-        # — equal to within one ulp of accumulation.
-        report, sched = fig10_report()
-        assert report.collective_exposed_s == pytest.approx(sched.exposed_s, rel=1e-12)
+    def test_exposed_collective_is_the_traced_allreduce(self):
+        # The fused allreduce starts at the barrier, so every round is
+        # exposed: the path sums the rounds in the order the summary does.
+        report, summary = step_report()
+        assert report.collective_exposed_s == summary.allreduce_s
+        assert report.end_to_end_s == summary.total_s
         assert report.by_resource.get("collective", 0.0) > 0
 
     def test_matches_checked_in_golden_file(self):
@@ -244,11 +253,11 @@ class TestGolden:
             f"golden file missing: {GOLDEN}; regenerate with "
             "`python -m tests.test_critpath`"
         )
-        report, _ = fig10_report()
+        report, _ = step_report()
         assert render(report) == GOLDEN.read_text()
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration helper
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(render(fig10_report()[0]))
+    GOLDEN.write_text(render(step_report()[0]))
     print(f"wrote {GOLDEN}")

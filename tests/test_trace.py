@@ -135,15 +135,6 @@ class TestContext:
         with tr.context("rank0"):
             assert tr.resolve("/global") == "global"
 
-    def test_shifted_offsets_clock_driven_starts_only(self, tr):
-        with tr.shifted(100.0):
-            pinned = tr.emit("p", "collective_step", track="coll", start=1.0, dur=1.0)
-            cursor = tr.emit("c", "cpe_compute", track="cpe", dur=1.0)
-        assert pinned.start_s == 101.0
-        assert cursor.start_s == 0.0
-        after = tr.emit("q", "collective_step", track="coll2", start=1.0, dur=1.0)
-        assert after.start_s == 1.0
-
 
 class TestDisabledTracer:
     def test_default_ambient_tracer_is_null(self):
@@ -156,9 +147,8 @@ class TestDisabledTracer:
 
     def test_null_tracer_contexts_are_noops(self):
         with NULL_TRACER.context("rank0"):
-            with NULL_TRACER.shifted(5.0):
-                with NULL_TRACER.span("s", "solver_iter"):
-                    pass
+            with NULL_TRACER.span("s", "solver_iter"):
+                pass
         assert len(NULL_TRACER.spans) == 0
 
     def test_emit_cost_spans_noop_when_disabled(self):

@@ -150,7 +150,8 @@ class TestTraceSession:
                 assert f"rank{r}/{res}" in tracks
         assert summary.ranks == 2
         assert summary.compute_s > 0 and summary.allreduce_s > 0
-        assert summary.total_s == summary.compute_s + summary.allreduce_s
+        assert summary.local_reduce_s > 0 and summary.update_s > 0
+        assert summary.total_s == tr.end_time()
 
     def test_collective_follows_compute_on_timeline(self):
         from repro.frame.model_zoo import lenet
@@ -158,7 +159,7 @@ class TestTraceSession:
         net = lenet.build(batch_size=4)
         tr, summary = trace_training_step(net, ranks=2)
         first_step = min(s.start_s for s in tr.by_category("collective_step"))
-        assert first_step == pytest.approx(summary.compute_s)
+        assert first_step == summary.compute_s + summary.local_reduce_s
 
     def test_scheme_and_supernode_validation(self):
         from repro.frame.model_zoo import lenet

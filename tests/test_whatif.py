@@ -81,6 +81,8 @@ class TestTrainingValidation:
         )
         assert result.validation.rel_error <= REL_TOL
         assert result.validation.ok
+        # Each iteration lays out on one chain, so the fold is exact too.
+        assert result.validation.abs_error_s == 0.0
 
     def test_identity_projection_is_noop(self):
         result = whatif_training(_lenet(), {}, ranks=4)
@@ -205,14 +207,6 @@ class TestCLI:
 
 
 class TestHarnessSummaries:
-    def test_fig10_whatif_summary(self, capsys):
-        from repro.harness.fig10_scalability import render_whatif
-
-        text = render_whatif("AlexNet, B=128", 16, bucket_mb=16)
-        assert "critical path" in text
-        assert "what-if collective=0.5" in text
-        assert "matches it by construction" in text
-
     def test_serving_whatif_summary(self):
         from repro.harness.serving_latency import render_whatif
 
