@@ -47,6 +47,6 @@ def test_graph_build_on_fig10_sized_trace(benchmark):
     # The identity schedule reproduces the recorded end time bitwise.
     assert sched.end_to_end_s == tracer.end_time()
     benchmark.record("trace_spans", float(len(tracer.spans)), "spans")
-    benchmark.record("graph_nodes", float(len(graph.nodes)), "nodes")
+    benchmark.record("graph_nodes", float(len(graph.spans)), "nodes")
     benchmark.record("graph_edges", float(len(graph.edges)), "edges")
     benchmark.record("end_to_end_sim_s", sched.end_to_end_s, "s")

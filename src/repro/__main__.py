@@ -219,7 +219,12 @@ def cmd_trace(args: list[str]) -> int:
     ns = parser.parse_args(args)
 
     from repro.trace import render_attribution, render_timeline, write_chrome_json
-    from repro.trace.critpath import critical_path, path_spans, render_critpath
+    from repro.trace.critpath import (
+        build_graph,
+        critical_path,
+        path_spans,
+        render_critpath,
+    )
     from repro.trace.session import trace_training_step
     from repro.utils.units import format_bytes, format_time
 
@@ -239,10 +244,11 @@ def cmd_trace(args: list[str]) -> int:
     print()
     print(render_attribution(tracer))
     print()
-    print(render_critpath(critical_path(tracer)))
+    graph = build_graph(tracer)
+    print(render_critpath(critical_path(graph)))
     if ns.timeline:
         print()
-        print(render_timeline(tracer, highlight=path_spans(tracer)))
+        print(render_timeline(tracer, highlight=path_spans(graph)))
     return 0
 
 

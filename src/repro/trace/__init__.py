@@ -93,7 +93,6 @@ _SESSION_EXPORTS = (
 )
 _CRITPATH_EXPORTS = (
     "CritGraph",
-    "CritNode",
     "CritPathReport",
     "build_graph",
     "critical_path",

@@ -36,9 +36,13 @@ for serially-served windows (batches, nonblocking collectives).
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Mapping
 
 from repro.errors import CritPathError
 from repro.metrics.registry import active as _metrics
@@ -60,16 +64,16 @@ RESOURCE_CLASS = {
 }
 
 #: Containers whose duration derives from member components + overhead.
-CONTAINER_CATS = ("layer_fwd", "layer_bwd", "plan_cost")
+CONTAINER_CATS = frozenset(("layer_fwd", "layer_bwd", "plan_cost"))
 
 #: Decoration-only categories: never scheduled as graph nodes.
-EXCLUDED_CATS = (
+EXCLUDED_CATS = frozenset((
     "solver_iter",
     "overlap_window",
     "batch_dispatch",
     "request_shed",
     "pipeline_bubble",
-)
+))
 
 #: Tolerance for inferring same-track ordering from recorded geometry.
 _CHAIN_EPS = 1e-12
@@ -83,159 +87,207 @@ def _layer_of(span: Span) -> str | None:
     return name if sep and suffix in ("fwd", "bwd") else span.name
 
 
-@dataclass
-class CritNode:
-    """One scheduled span in the dependency graph."""
-
-    span: Span
-    index: int
-    #: "leaf" | "container" | "marker" (zero-duration anchor/instant).
-    kind: str
-    resource: str | None = None
-    layer: str | None = None
-    #: Earliest allowed start independent of predecessors (None: roots
-    #: fall back to the recorded start, non-roots to their predecessors).
-    floor_s: float | None = None
-    preds: list[int] = field(default_factory=list)
-    succs: list[int] = field(default_factory=list)
-    #: Member component node indices (containers only).
-    members: list[int] = field(default_factory=list)
-
-
-@dataclass
+@dataclass(frozen=True)
 class CritGraph:
-    """The full dependency graph of one trace."""
+    """The dependency graph of one trace, compiled into per-node columns.
 
-    nodes: list[CritNode]
+    Node ``i`` is ``spans[i]``; every other column is a tuple indexed the
+    same way. :func:`build_graph` also fixes the Kahn order once, so each
+    schedule is one duration pass plus one walk over ``order``.
+    """
+
+    spans: tuple[Span, ...]
+    #: "leaf" | "container" | "marker" (zero-duration anchor/instant).
+    kinds: tuple[str, ...]
+    #: What-if resource class (None: never scaled).
+    resources: tuple[str | None, ...]
+    layers: tuple[str | None, ...]
+    #: Release floor: the recorded start of markers and roots, ``ready_s``
+    #: of serially-served windows, else 0.0 (predecessor-bound).
+    floors: tuple[float, ...]
+    preds: tuple[tuple[int, ...], ...]
+    succs: tuple[tuple[int, ...], ...]
+    #: Member component node indices (containers only).
+    members: tuple[tuple[int, ...], ...]
     #: Scheduled (dep + inferred-chain) edges as (src, dst) node indices.
     edges: list[tuple[int, int]]
     #: Member spans (by node index) — priced inside containers, not scheduled.
-    member_nodes: set[int]
+    member_nodes: frozenset[int]
+    #: Topological order over scheduled nodes (short of them on a cycle).
+    order: tuple[int, ...]
 
     @property
     def n_scheduled(self) -> int:
-        return len(self.nodes) - len(self.member_nodes)
+        return len(self.spans) - len(self.member_nodes)
+
+    @cached_property
+    def identity(self) -> tuple[tuple[float, ...], ...]:
+        """The unscaled schedule's (start, end, dur), walked once."""
+        dur = _durations(self, {})
+        start, end = _walk(self, dur)
+        return tuple(start), tuple(end), tuple(dur)
+
+
+def _adjacency(n: int, edges: list, side: int) -> tuple[tuple[int, ...], ...]:
+    """Per-node neighbour tuples from ``edges`` grouped on ``edge[side]``."""
+    out: list[tuple[int, ...]] = [()] * n
+    other = itemgetter(1 - side)
+    for node, group in groupby(edges, itemgetter(side)):
+        out[node] = tuple(map(other, group))
+    return tuple(out)
 
 
 def build_graph(tracer: Tracer | list[Span]) -> CritGraph:
-    """Build the dependency graph of a trace.
+    """Compile a trace into its dependency graph.
 
     Accepts a :class:`Tracer` (explicit edges included) or a bare span
     list (same-track inference only).
     """
     if isinstance(tracer, Tracer):
-        spans = tracer.spans
+        recorded = tracer.spans
         raw_edges = tracer.edges
     else:
-        spans = list(tracer)
+        recorded = list(tracer)
         raw_edges = []
 
-    nodes: list[CritNode] = []
-    by_span: dict[int, int] = {}
-    for span in spans:
-        if span.cat in EXCLUDED_CATS:
+    spans: list[Span] = []
+    kinds: list[str] = []
+    resources: list[str | None] = []
+    layers: list[str | None] = []
+    # None: roots fall back to the recorded start, others to predecessors.
+    floors: list[float | None] = []
+    for span in recorded:
+        _, cat, _, start, _, args, instant = span
+        if cat in EXCLUDED_CATS:
             continue
-        if span.cat in CONTAINER_CATS:
-            kind = "container"
-        elif span.instant:
-            kind = "marker"
+        spans.append(span)
+        resources.append(RESOURCE_CLASS.get(cat))
+        container = cat in CONTAINER_CATS
+        kinds.append("container" if container else "marker" if instant else "leaf")
+        layers.append(_layer_of(span) if container else None)
+        if instant and not container:
+            floors.append(start)
+        elif args and "ready_s" in args:
+            floors.append(float(args["ready_s"]))
         else:
-            kind = "leaf"
-        node = CritNode(
-            span=span,
-            index=len(nodes),
-            kind=kind,
-            resource=RESOURCE_CLASS.get(span.cat),
-            layer=_layer_of(span),
-        )
-        if kind == "marker":
-            node.floor_s = span.start_s
-        elif span.args and "ready_s" in span.args:
-            node.floor_s = float(span.args["ready_s"])
-        by_span[id(span)] = node.index
-        nodes.append(node)
+            floors.append(None)
+    n = len(spans)
+    node_of = dict(zip(map(id, spans), range(n))).get
 
+    members: list[tuple[int, ...]] = [()] * n
     member_nodes: set[int] = set()
-    dep_edges: set[tuple[int, int]] = set()
+    dep_edges: list[tuple[int, int]] = []
     for src, dst, kind in raw_edges:
-        si = by_span.get(id(src))
-        di = by_span.get(id(dst))
+        si, di = node_of(id(src)), node_of(id(dst))
         if si is None or di is None or si == di:
             continue
         if kind == "member":
-            nodes[di].members.append(si)
+            members[di] += (si,)
             member_nodes.add(si)
         else:
-            dep_edges.add((si, di))
+            dep_edges.append((si, di))
 
     # Same-track ordering: non-member interval spans emitted on one track
     # chain when the next one starts at/after the previous end (clock- and
     # cursor-driven emission are both monotone per track; spans that
     # overlap are concurrent and stay unchained).
-    last_on_track: dict[str, int] = {}
-    for node in nodes:
-        if node.index in member_nodes or node.kind == "marker":
+    last_on_track: dict[str, tuple[int, float]] = {}
+    for i, (span, kind) in enumerate(zip(spans, kinds)):
+        if kind == "marker" or i in member_nodes:
             continue
-        track = node.span.track
+        _, _, track, start, dur, _, _ = span
+        end = start + dur
         prev = last_on_track.get(track)
-        if prev is not None:
-            prev_span = nodes[prev].span
-            if node.span.start_s >= prev_span.end_s - _CHAIN_EPS:
-                dep_edges.add((prev, node.index))
+        if prev is not None and start >= prev[1] - _CHAIN_EPS:
+            dep_edges.append((prev[0], i))
         # ``>=``: a zero-duration span ending exactly where its predecessor
         # did must still become the chain head, or the next span would
         # bypass it (and any explicit dependency riding on it).
-        if prev is None or node.span.end_s >= nodes[prev].span.end_s:
-            last_on_track[track] = node.index
-    # Members recorded before their container may have chained; drop any
-    # edge touching a member node (they are priced, not scheduled).
-    edges = sorted(
-        (s, d)
-        for s, d in dep_edges
-        if s not in member_nodes and d not in member_nodes
+        if prev is None or end >= prev[1]:
+            last_on_track[track] = (i, end)
+    # Emission order leaves long sorted runs for the sort to merge; drop
+    # duplicates, then explicit edges touching a (priced, unscheduled) member.
+    dep_edges.sort()
+    edges = [e for e in dict.fromkeys(dep_edges)
+             if e[0] not in member_nodes and e[1] not in member_nodes]
+    succs = _adjacency(n, edges, 0)
+    # A stable sort by destination keeps each node's predecessors ascending.
+    preds = _adjacency(n, sorted(edges, key=itemgetter(1)), 1)
+
+    # Kahn's algorithm; ``order`` doubles as the FIFO of ready nodes.
+    indegree = list(map(len, preds))
+    order = [i for i in range(n) if not indegree[i] and i not in member_nodes]
+    for i in order:
+        for j in succs[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                order.append(j)
+
+    floors = [
+        (span.start_s if not preds[i] else 0.0) if floor is None else floor
+        for i, (span, floor) in enumerate(zip(spans, floors))
+    ]
+    return CritGraph(
+        spans=tuple(spans), kinds=tuple(kinds), resources=tuple(resources),
+        layers=tuple(layers), floors=tuple(floors), preds=preds, succs=succs,
+        members=tuple(members), edges=edges,
+        member_nodes=frozenset(member_nodes), order=tuple(order),
     )
-    for s, d in edges:
-        nodes[d].preds.append(s)
-        nodes[s].succs.append(d)
-    return CritGraph(nodes=nodes, edges=edges, member_nodes=member_nodes)
 
 
 # --------------------------------------------------------------------------- #
 # scheduling / projection
 # --------------------------------------------------------------------------- #
-def _factor(factors: Mapping[str, float] | None, cls: str) -> float:
-    if not factors:
-        return 1.0
-    return factors.get(cls, 1.0)
+def _binding_member(
+    graph: CritGraph, i: int, get
+) -> tuple[float, str | None, float]:
+    """Container ``i``'s largest scaled member time, that member's class,
+    and the container's layer factor."""
+    layer = graph.layers[i]
+    lf = get(f"layer:{layer}", 1.0) if layer else 1.0
+    bound, bound_res = 0.0, None
+    for m in graph.members[i]:
+        res = graph.resources[m]
+        d = graph.spans[m].dur_s * (get(res or "", 1.0) * lf)
+        if d > bound:
+            bound, bound_res = d, res
+    return bound, bound_res, lf
 
 
-def effective_duration(
-    graph: CritGraph, node: CritNode, factors: Mapping[str, float] | None
-) -> float:
-    """A node's duration under what-if ``factors`` (identity when None).
+def _durations(graph: CritGraph, factors: Mapping[str, float]) -> list[float]:
+    """Each scheduled node's duration under ``factors`` (0.0 elsewhere).
 
     Mirrors, operation for operation, what the simulator recomputes under
     :class:`~repro.trace.scaling.CostScaling` — containers re-apply the
     dual-pipeline ``max(members) + overhead`` rule to scaled components.
     """
-    span = node.span
-    if node.kind == "marker":
-        return 0.0
-    if node.kind == "container":
-        lf = _factor(factors, f"layer:{node.layer}") if node.layer else 1.0
-        bound = 0.0
-        for mi in node.members:
-            m = graph.nodes[mi]
-            d = m.span.dur_s * (_factor(factors, m.resource or "") * lf)
-            if d > bound:
-                bound = d
-        overhead = 0.0
-        if span.args and "overhead_s" in span.args:
-            overhead = float(span.args["overhead_s"])
-        return bound + overhead * (_factor(factors, "overhead") * lf)
-    if node.resource is not None:
-        return span.dur_s * _factor(factors, node.resource)
-    return span.dur_s
+    get = factors.get
+    spans, kinds, resources = graph.spans, graph.kinds, graph.resources
+    dur = [0.0] * len(spans)
+    for i in graph.order:
+        kind = kinds[i]
+        if kind == "leaf":
+            res, d = resources[i], spans[i].dur_s
+            dur[i] = d if res is None else d * get(res, 1.0)
+        elif kind == "container":
+            bound, _, lf = _binding_member(graph, i, get)
+            overhead = float((spans[i].args or {}).get("overhead_s", 0.0))
+            dur[i] = bound + overhead * (get("overhead", 1.0) * lf)
+    return dur
+
+
+def _walk(graph: CritGraph, dur: list[float]) -> tuple[list[float], list[float]]:
+    """Forward pass in topological order: ``start = max(floor, pred ends)``."""
+    start, end = [0.0] * len(dur), [0.0] * len(dur)
+    floors, preds = graph.floors, graph.preds
+    end_of = end.__getitem__
+    for i in graph.order:
+        # ``max`` keeps the first of equal values: the floor, then the
+        # earliest-listed predecessor.
+        s = max(floors[i], *map(end_of, preds[i])) if preds[i] else floors[i]
+        start[i] = s
+        end[i] = s + dur[i]
+    return start, end
 
 
 @dataclass
@@ -256,45 +308,17 @@ def schedule(
     graph: CritGraph, factors: Mapping[str, float] | None = None
 ) -> ScheduleResult:
     """Walk the graph forward: ``start = max(floor, latest pred end)``."""
-    n = len(graph.nodes)
-    start = [0.0] * n
-    end = [0.0] * n
-    dur = [0.0] * n
-    indegree = [0] * n
-    for node in graph.nodes:
-        indegree[node.index] = len(node.preds)
-    ready = [
-        i
-        for i in range(n)
-        if indegree[i] == 0 and i not in graph.member_nodes
-    ]
-    order: list[int] = []
-    head = 0
-    while head < len(ready):
-        i = ready[head]
-        head += 1
-        order.append(i)
-        node = graph.nodes[i]
-        d = effective_duration(graph, node, factors)
-        release = node.floor_s
-        if release is None:
-            release = node.span.start_s if not node.preds else 0.0
-        s = release
-        for p in node.preds:
-            if end[p] > s:
-                s = end[p]
-        start[i], dur[i] = s, d
-        end[i] = s + d
-        for j in node.succs:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                ready.append(j)
-    if len(order) != graph.n_scheduled:
+    if len(graph.order) != graph.n_scheduled:
         raise CritPathError(
-            f"dependency graph has a cycle: scheduled {len(order)} of "
+            f"dependency graph has a cycle: scheduled {len(graph.order)} of "
             f"{graph.n_scheduled} nodes"
         )
-    return ScheduleResult(start_s=start, end_s=end, dur_s=dur, order=order)
+    if factors:
+        dur = _durations(graph, factors)
+        start, end = _walk(graph, dur)
+    else:
+        start, end, dur = map(list, graph.identity)
+    return ScheduleResult(start_s=start, end_s=end, dur_s=dur, order=list(graph.order))
 
 
 # --------------------------------------------------------------------------- #
@@ -397,18 +421,15 @@ def extract_path(
     stops where a node is bound by its own release floor rather than a
     predecessor — the path's source event.
     """
-    scheduled = [i for i in sched.order]
-    if not scheduled:
+    if not sched.order:
         return [], -1
-    terminal = max(scheduled, key=lambda i: (sched.end_s[i], i))
+    start, end = sched.start_s, sched.end_s
+    terminal = max(sched.order, key=lambda i: (end[i], i))
     path = [terminal]
     node = terminal
-    while True:
-        preds = graph.nodes[node].preds
-        if not preds:
-            break
-        binding = max(preds, key=lambda p: (sched.end_s[p], -p))
-        if sched.end_s[binding] < sched.start_s[node]:
+    while graph.preds[node]:
+        binding = max(graph.preds[node], key=lambda p: (end[p], -p))
+        if end[binding] < start[node]:
             break  # release-bound: the path starts here
         node = binding
         path.append(node)
@@ -427,13 +448,13 @@ def critical_path(
     sched = schedule(graph, factors)
     path_idx, terminal = extract_path(graph, sched)
 
+    get = (factors or {}).get
     by_resource: dict[str, float] = {}
     by_layer: dict[str, float] = {}
     exposed = 0.0
     entries: list[PathEntry] = []
     for i in path_idx:
-        node = graph.nodes[i]
-        span = node.span
+        span, res, layer = graph.spans[i], graph.resources[i], graph.layers[i]
         dur = sched.dur_s[i]
         entries.append(
             PathEntry(
@@ -442,54 +463,38 @@ def critical_path(
                 track=span.track,
                 start_s=sched.start_s[i],
                 dur_s=dur,
-                resource=node.resource,
-                layer=node.layer,
+                resource=res,
+                layer=layer,
             )
         )
-        if node.kind == "container":
-            lf = _factor(factors, f"layer:{node.layer}") if node.layer else 1.0
-            bound, bound_res = 0.0, None
-            for mi in node.members:
-                m = graph.nodes[mi]
-                d = m.span.dur_s * (_factor(factors, m.resource or "") * lf)
-                if d > bound:
-                    bound, bound_res = d, m.resource
+        if graph.kinds[i] == "container":
+            bound, bound_res, _ = _binding_member(graph, i, get)
             if bound_res is not None:
                 by_resource[bound_res] = by_resource.get(bound_res, 0.0) + bound
             overhead = dur - bound
             if overhead > 0:
                 by_resource["overhead"] = by_resource.get("overhead", 0.0) + overhead
-            if node.layer:
-                by_layer[node.layer] = by_layer.get(node.layer, 0.0) + dur
-        elif node.resource is not None:
-            by_resource[node.resource] = by_resource.get(node.resource, 0.0) + dur
-        if node.resource == "collective":
-            if span.args and "exposed_s" in span.args:
-                exposed += float(span.args["exposed_s"])
-            else:
-                exposed += dur
+            if layer:
+                by_layer[layer] = by_layer.get(layer, 0.0) + dur
+        elif res is not None:
+            by_resource[res] = by_resource.get(res, 0.0) + dur
+        if res == "collective":
+            exposed += float((span.args or {}).get("exposed_s", dur))
 
-    # Slack: classic CPM late-finish backward pass over the projection.
-    end_to_end = sched.end_to_end_s
-    n = len(graph.nodes)
-    late = [end_to_end] * n
+    # Slack: classic CPM late-finish backward pass over the projection;
+    # ``late_start[j] = late[j] - dur[j]`` is set before j's predecessors.
+    end_to_end, end = sched.end_to_end_s, sched.end_s
+    late = [end_to_end] * len(graph.spans)
+    late_start = late[:]
     for i in reversed(sched.order):
-        node = graph.nodes[i]
-        if node.succs:
-            late[i] = min(late[j] - sched.dur_s[j] for j in node.succs)
+        if graph.succs[i]:
+            late[i] = min(map(late_start.__getitem__, graph.succs[i]))
+        late_start[i] = late[i] - sched.dur_s[i]
     on_path = set(path_idx)
-    slack_rows = sorted(
-        (
-            (late[i] - sched.end_s[i], i)
-            for i in sched.order
-            if i not in on_path and not graph.nodes[i].span.instant
-        ),
-        key=lambda t: (-t[0], t[1]),
-    )
-    slack = [
-        (graph.nodes[i].span.name, graph.nodes[i].span.track, s)
-        for s, i in slack_rows[:top_slack]
-    ]
+    rows = ((late[i] - end[i], i) for i in sched.order
+            if i not in on_path and not graph.spans[i].instant)
+    slack_rows = heapq.nsmallest(top_slack, rows, key=lambda t: (-t[0], t[1]))
+    slack = [(graph.spans[i].name, graph.spans[i].track, s) for s, i in slack_rows]
 
     segments: list[dict[str, Any]] = []
     for e in entries:
@@ -502,8 +507,8 @@ def critical_path(
 
     report = CritPathReport(
         end_to_end_s=end_to_end,
-        terminal=graph.nodes[terminal].span.name if terminal >= 0 else "",
-        terminal_track=graph.nodes[terminal].span.track if terminal >= 0 else "",
+        terminal=graph.spans[terminal].name if terminal >= 0 else "",
+        terminal_track=graph.spans[terminal].track if terminal >= 0 else "",
         path=entries,
         by_resource=by_resource,
         by_layer=by_layer,
@@ -531,7 +536,7 @@ def path_spans(
     graph = tracer if isinstance(tracer, CritGraph) else build_graph(tracer)
     sched = schedule(graph, factors)
     path_idx, _ = extract_path(graph, sched)
-    return [graph.nodes[i].span for i in path_idx]
+    return [graph.spans[i] for i in path_idx]
 
 
 def request_completions(
@@ -544,15 +549,15 @@ def request_completions(
     batch compute, all encoded in the graph's edges. Keyed by ``rid``.
     """
     out: dict[int, float] = {}
-    for node in graph.nodes:
-        span = node.span
+    spans = graph.spans
+    for i, span in enumerate(spans):
         if span.cat != "request_queued" or not span.args:
             continue
         rid = span.args.get("rid")
         if rid is None:
             continue
-        for j in node.succs:
-            if graph.nodes[j].span.cat == "batch_compute":
+        for j in graph.succs[i]:
+            if spans[j].cat == "batch_compute":
                 out[int(rid)] = sched.end_s[j]
                 break
     return out

@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from repro.errors import SpanValidationError
 
@@ -71,9 +70,11 @@ SPAN_CATEGORIES = (
 EDGE_KINDS = ("dep", "member")
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """One traced interval (or instant event) on a track.
+
+    An immutable record; edges and timeline highlights match spans by
+    identity, never by value.
 
     Attributes
     ----------
@@ -191,26 +192,20 @@ class Tracer:
                 f"and >= 0 (end >= start), got {dur!r}"
             )
         resolved = self.resolve(track)
-        if start is None:
-            start_s = self._cursors[resolved]
-        else:
-            start_s = float(start)
+        start_s = self._cursors[resolved] if start is None else float(start)
         if not math.isfinite(start_s):
             raise SpanValidationError(
                 f"span {name!r} on track {track!r}: start must be finite, "
                 f"got {start_s!r}"
             )
-        span = Span(
-            name=name,
-            cat=cat,
-            track=resolved,
-            start_s=start_s,
-            dur_s=float(dur),
-            args=dict(args) if args else None,
-            instant=instant,
+        # One C-level tuple build: the generated ``Span.__new__`` would add
+        # a Python frame to every recorded span.
+        span = tuple.__new__(
+            Span,
+            (name, cat, resolved, start_s, dur, dict(args) if args else None, instant),
         )
         self.spans.append(span)
-        end = start_s + span.dur_s
+        end = start_s + dur
         if end > self._cursors[resolved]:
             self._cursors[resolved] = end
         return span

@@ -73,7 +73,7 @@ class TestGraph:
         )
         graph = build_graph(tr)
         sched = schedule(graph)
-        idx = graph.nodes.index(next(n for n in graph.nodes if n.span.name == "svc"))
+        idx = next(i for i, s in enumerate(graph.spans) if s.name == "svc")
         assert sched.start_s[idx] == 5.0 and sched.end_s[idx] == 6.0
 
     def test_markers_floor_at_recorded_start(self):
@@ -120,9 +120,9 @@ class TestGraph:
         graph = build_graph(tr)
         sched = schedule(graph)
         path_idx, terminal = extract_path(graph, sched)
-        names = [graph.nodes[i].span.name for i in path_idx]
+        names = [graph.spans[i].name for i in path_idx]
         assert names == ["src", "slow", "sink"]
-        assert graph.nodes[terminal].span.name == "sink"
+        assert graph.spans[terminal].name == "sink"
         # The fast arm has 4 seconds of slack.
         report = critical_path(graph)
         slack = {n: s for n, _, s in report.top_slack}

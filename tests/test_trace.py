@@ -251,6 +251,23 @@ class TestSpanValidation:
         assert len(tr.spans) == 0
 
 
+class TestSpanRecord:
+    """Spans are immutable records; callers compare them by identity."""
+
+    def test_assigning_a_field_raises(self, tr):
+        span = tr.emit("a", "cpe_compute", dur=1.0)
+        with pytest.raises(AttributeError):
+            span.dur_s = 2.0
+        assert span.dur_s == 1.0
+
+    def test_args_are_copied_at_emit(self, tr):
+        args = {"bytes": 64}
+        span = tr.emit("a", "dma_transfer", dur=1.0, args=args)
+        args["bytes"] = 128
+        args["extra"] = True
+        assert span.args == {"bytes": 64}
+
+
 class TestEdges:
     def test_edge_records_in_order(self, tr):
         a = tr.emit("a", "cpe_compute", track="cpe", dur=1.0)
@@ -329,3 +346,15 @@ class TestTimelineEdgeCases:
         line_b = next(l for l in lines if "] b <" in l)
         assert line_a.startswith("* ")
         assert line_b.startswith("  ")
+
+    def test_highlight_matches_identity_not_equal_fields(self, tr):
+        from repro.trace.timeline import render_timeline
+
+        a = tr.emit("a", "cpe_compute", track="cpe", start=0.0, dur=1.0)
+        twin = tr.emit("a", "cpe_compute", track="cpe", start=0.0, dur=1.0)
+        assert twin == a and twin is not a
+        lines = render_timeline(tr, highlight=[a]).splitlines()
+        rows = [l for l in lines if "] a <" in l]
+        assert len(rows) == 2
+        assert rows[0].startswith("* ")
+        assert rows[1].startswith("  ")

@@ -178,13 +178,24 @@ class TestTraceSession:
 
 
 class TestCLI:
-    def test_trace_command_end_to_end(self, tmp_path, capsys):
+    def test_trace_command_end_to_end(self, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
+        from repro.trace import critpath
 
+        builds = []
+        build_graph = critpath.build_graph
+
+        def counted_build(tracer):
+            builds.append(tracer)
+            return build_graph(tracer)
+
+        monkeypatch.setattr(critpath, "build_graph", counted_build)
         out = tmp_path / "lenet.json"
         rc = main(["trace", "lenet", "--ranks", "2", "--batch", "4",
                    "--out", str(out), "--timeline"])
         assert rc == 0
+        # The report and the timeline highlight share one compiled graph.
+        assert len(builds) == 1
         printed = capsys.readouterr().out
         assert "wrote" in printed and "bottleneck" in printed
         obj = json.loads(out.read_text())
