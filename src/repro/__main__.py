@@ -561,8 +561,11 @@ def cmd_pipeline(args: list[str]) -> int:
     )
     ns = parser.parse_args(args)
     _require_positive(
-        stages=ns.stages, microbatches=ns.microbatches, replicas=ns.replicas
+        stages=ns.stages, microbatches=ns.microbatches, replicas=ns.replicas,
+        batch=ns.batch,
     )
+    if not ns.bucket_mb > 0:
+        raise _BadArgument(f"--bucket-mb must be > 0, got {ns.bucket_mb}")
 
     from repro.parallel.ssgd import SSGDIterationModel
     from repro.perf.layer_cost import net_iteration_time
@@ -645,7 +648,12 @@ def cmd_train(args: list[str]) -> int:
     from repro.frame.solver import SGDSolver
     from repro.utils.units import format_time
 
-    iters = int(args[0]) if args else 50
+    try:
+        iters = int(args[0]) if args else 50
+    except ValueError:
+        raise _BadArgument(f"ITERS must be an integer, got {args[0]!r}") from None
+    if iters < 1:
+        raise _BadArgument(f"ITERS must be >= 1, got {iters}")
     net = lenet.build(batch_size=16)
     solver = SGDSolver(net, base_lr=0.005, momentum=0.9)
     stats = solver.step(iters)

@@ -1,7 +1,7 @@
 """The fault injector: ambient delivery of a plan's faults into the hooks.
 
-Mirrors the design of :mod:`repro.trace.tracer` and
-:mod:`repro.metrics.registry`: injection is ambient and **off by default**.
+Mirrors the design of :mod:`repro.trace.tracer`: injection is ambient and
+**off by default**.
 :func:`active` returns a shared :class:`NullInjector` whose ``enabled``
 attribute is False, so every instrumentation site costs one function call
 and one attribute check when disabled and never perturbs simulated-time
@@ -20,8 +20,9 @@ corruption + retry-with-backoff on the :class:`~repro.hw.clock.SimClock`),
 :mod:`repro.hw.mesh_sim` (bus bandwidth degradation), and
 :mod:`repro.simmpi.comm` (straggler slowdown, flaky-link step retries,
 crash timeouts). The shared :func:`charge_transient` helper keeps the
-DMA/RLC/comm sites identical: decide, emit trace spans, feed the
-``faults.*`` counters, charge the clock.
+DMA/RLC/comm sites identical: decide, emit trace spans, charge the clock.
+The injector itself keeps the run's fault totals (retries, retry,
+straggler and timeout seconds) that ``python -m repro chaos`` reports.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.faults.plan import SITE_KINDS, FaultPlan
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -53,6 +53,13 @@ class FaultInjector:
         self.injected: Counter[str] = Counter()
         #: Total transient retries performed.
         self.retries: int = 0
+        #: Simulated seconds spent on those retries (re-runs plus backoff).
+        self.retry_s: float = 0.0
+        #: Extra seconds stragglers added to collective steps and p2p sends.
+        self.slow_s: float = 0.0
+        #: Collective timeouts waited out on crashed ranks, and their seconds.
+        self.timeouts: int = 0
+        self.timeout_s: float = 0.0
         #: Communicator rebuilds performed by elastic recovery.
         self.rank_rebuilds: int = 0
         #: Iteration cursor (set by the trainer via :meth:`begin_iteration`).
@@ -68,7 +75,8 @@ class FaultInjector:
         """Decide the next invocation of ``site``: ``(retries, extra_seconds)``.
 
         Advances the site's invocation counter; ``extra_seconds`` accounts
-        each retry at the operation's own duration plus exponential backoff.
+        each retry at the operation's own duration plus exponential backoff,
+        and adds to :attr:`retry_s`.
         """
         n = self._site_calls[site]
         self._site_calls[site] = n + 1
@@ -77,7 +85,9 @@ class FaultInjector:
             return 0, 0.0
         self.injected[SITE_KINDS[site]] += k
         self.retries += k
-        return k, self.plan.retry_overhead_s(base_s, k)
+        extra = self.plan.retry_overhead_s(base_s, k)
+        self.retry_s += extra
+        return k, extra
 
     # ------------------------------------------------------------------ #
     # degradations
@@ -114,9 +124,16 @@ class FaultInjector:
             return logical_rank
         return self._rank_map[logical_rank]
 
-    def note_slow(self) -> None:
-        """Record one collective step stretched by a straggler."""
+    def note_slow(self, slow_s: float) -> None:
+        """Record one collective step or p2p send stretched by ``slow_s``
+        seconds by a straggler."""
         self.injected["straggler"] += 1
+        self.slow_s += slow_s
+
+    def note_timeout(self, timeout_s: float) -> None:
+        """Record one collective timeout waited out on a crashed rank."""
+        self.timeouts += 1
+        self.timeout_s += timeout_s
 
     def note_crash(self, ranks: frozenset[int]) -> None:
         """Record delivered rank crashes (called by the timeout site)."""
@@ -205,37 +222,42 @@ def suspended() -> Iterator[None]:
 # --------------------------------------------------------------------------- #
 # the shared transient hook
 # --------------------------------------------------------------------------- #
-def charge_transient(site: str, clock, base_s: float, *, track: str) -> int:
-    """Hook helper for DMA/RLC/comm sites: inject, observe, charge, retry.
+def _retry(site: str, base_s: float, *, track: str, at_s: float) -> tuple[int, float]:
+    """Decide the next invocation of ``site``: ``(retries, extra_seconds)``.
 
-    No-op (beyond the enabled check) when injection is disabled. When the
-    plan faults this invocation: emits a ``fault_inject`` instant plus a
-    ``fault_retry`` span on ``track``, feeds the ``faults.*`` counters, and
-    advances ``clock`` by the retry overhead under the ``"fault"`` category.
-    Returns the number of retries injected.
+    ``(0, 0.0)`` when injection is disabled or the invocation succeeds
+    first try. Otherwise emits a ``fault_inject`` instant plus a
+    ``fault_retry`` span on ``track``, both starting at ``at_s``.
     """
     fi = active()
     if not fi.enabled:
-        return 0
+        return 0, 0.0
     k, extra = fi.transient(site, base_s)
-    if k == 0:
-        return 0
-    kind = SITE_KINDS[site]
-    tr = _tracer()
-    if tr.enabled:
-        tr.instant_event(
-            kind, "fault_inject", track=track, start=clock.now, args={"retries": k}
-        )
-        tr.emit(
-            f"{kind} retry", "fault_retry", track=track,
-            start=clock.now, dur=extra, args={"retries": k, "base_s": base_s},
-        )
-    mx = _metrics()
-    if mx.enabled:
-        mx.count("faults.injected", k, kind=kind)
-        mx.count("faults.retries", k)
-        mx.count("faults.retry_s", extra)
-    clock.advance(extra, category="fault")
+    if k:
+        tr = _tracer()
+        if tr.enabled:
+            kind = SITE_KINDS[site]
+            tr.instant_event(
+                kind, "fault_inject", track=track, start=at_s, args={"retries": k}
+            )
+            tr.emit(
+                f"{kind} retry", "fault_retry", track=track,
+                start=at_s, dur=extra, args={"retries": k, "base_s": base_s},
+            )
+    return k, extra
+
+
+def charge_transient(site: str, clock, base_s: float, *, track: str) -> int:
+    """Hook helper for DMA/RLC/comm sites: inject, trace, charge, retry.
+
+    No-op (beyond the enabled check) when injection is disabled. When the
+    plan faults this invocation: traces the retries at ``clock.now`` and
+    advances ``clock`` by the retry overhead under the ``"fault"``
+    category. Returns the number of retries injected.
+    """
+    k, extra = _retry(site, base_s, track=track, at_s=clock.now)
+    if k:
+        clock.advance(extra, category="fault")
     return k
 
 
@@ -245,29 +267,7 @@ def transient_delay(site: str, base_s: float, *, track: str, at_s: float) -> flo
     The serving engine (:mod:`repro.serve.engine`) keeps its own event time
     instead of a :class:`~repro.hw.clock.SimClock`, so this variant returns
     the retry overhead in seconds for the caller to add to its timeline —
-    same decision, same trace spans (pinned at ``at_s``), same ``faults.*``
-    counters. Returns 0.0 when injection is disabled or the invocation
-    succeeds first try.
+    same decision, same trace spans (pinned at ``at_s``). Returns 0.0 when
+    injection is disabled or the invocation succeeds first try.
     """
-    fi = active()
-    if not fi.enabled:
-        return 0.0
-    k, extra = fi.transient(site, base_s)
-    if k == 0:
-        return 0.0
-    kind = SITE_KINDS[site]
-    tr = _tracer()
-    if tr.enabled:
-        tr.instant_event(
-            kind, "fault_inject", track=track, start=at_s, args={"retries": k}
-        )
-        tr.emit(
-            f"{kind} retry", "fault_retry", track=track,
-            start=at_s, dur=extra, args={"retries": k, "base_s": base_s},
-        )
-    mx = _metrics()
-    if mx.enabled:
-        mx.count("faults.injected", k, kind=kind)
-        mx.count("faults.retries", k)
-        mx.count("faults.retry_s", extra)
-    return extra
+    return _retry(site, base_s, track=track, at_s=at_s)[1]

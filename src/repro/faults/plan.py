@@ -43,7 +43,7 @@ PROFILES = ("transient", "degrade", "crash", "chaos")
 #: Transient-fault call sites (first field of the stateless decision).
 TRANSIENT_SITES = ("dma", "rlc", "comm")
 
-#: Site -> fault kind, as reported in metrics labels and trace span names.
+#: Site -> fault kind, as reported in injector totals and trace span names.
 SITE_KINDS = {"dma": "dma_corrupt", "rlc": "rlc_fail", "comm": "link_retry"}
 
 

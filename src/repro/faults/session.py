@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.faults.injector import FaultInjector, injecting
 from repro.faults.plan import FaultPlan
-from repro.metrics.registry import MetricsRegistry, collecting
 from repro.parallel.trainer import DistributedTrainer
 from repro.trace.tracer import Tracer, tracing
 from repro.utils.units import format_time
@@ -120,7 +119,6 @@ def run_chaos(
     snapshot_every: int = 2,
     snapshot_dir: str | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     verify: bool = True,
 ) -> ChaosReport:
     """Train under a seeded fault plan; optionally verify bitwise recovery.
@@ -141,9 +139,8 @@ def run_chaos(
         snapshot_every=snapshot_every,
     )
     fi = FaultInjector(plan)
-    mx = metrics if metrics is not None else MetricsRegistry()
     trace_ctx = tracing(tracer) if tracer is not None else nullcontext()
-    with collecting(mx), trace_ctx, injecting(fi):
+    with trace_ctx, injecting(fi):
         stats = trainer.step(iterations)
     report = ChaosReport(
         seed=seed,
@@ -154,12 +151,8 @@ def run_chaos(
         injected=Counter(fi.injected),
         retries=fi.retries,
         rank_rebuilds=fi.rank_rebuilds,
-        timeouts=int(mx.value("faults.timeouts")),
-        fault_time_s=(
-            mx.value("faults.retry_s")
-            + mx.value("faults.slow_s")
-            + mx.value("faults.timeout_s")
-        ),
+        timeouts=fi.timeouts,
+        fault_time_s=fi.retry_s + fi.slow_s + fi.timeout_s,
         total_time_s=stats.comm_time_s,
         losses=list(stats.losses),
         recoveries=list(trainer.recoveries),

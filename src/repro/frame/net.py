@@ -14,7 +14,6 @@ from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer, LayerCost
 from repro.kernels.plan import PlanCost
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer, emit_cost_spans, suspended
 
 
@@ -109,12 +108,9 @@ class Net:
         """
         losses: dict[str, float] = {}
         tr = _tracer()
-        mx = _metrics()
         for layer in self.layers:
             bottom, top = self._io(layer)
             layer.forward(bottom, top)
-            if mx.enabled:
-                mx.count("layer.passes", 1, dir="fwd", layer_type=layer.type)
             if tr.enabled:
                 with suspended():  # keep plan-search churn out of the trace
                     cost = layer.sw_forward_cost()
@@ -222,13 +218,10 @@ class Net:
                     top_blob.shape, layer.loss_weight, dtype=top_blob.dtype
                 )
         tr = _tracer()
-        mx = _metrics()
         for index in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[index]
             bottom, top = self._io(layer)
             layer.backward(top, bottom)
-            if mx.enabled:
-                mx.count("layer.passes", 1, dir="bwd", layer_type=layer.type)
             if tr.enabled:
                 with suspended():
                     cost = layer.sw_backward_cost()

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.frame.net import Net
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -145,9 +144,6 @@ class SGDSolver:
                     dur=iter_time,
                     args={"lr": self.learning_rate(), "iter_size": self.iter_size},
                 )
-            mx = _metrics()
-            if mx.enabled:
-                mx.count("solver.iterations", 1)
             if self.iter_size > 1:
                 for p in self.net.params:
                     p.diff = p.diff / self.iter_size

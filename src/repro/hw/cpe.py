@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.hw.clock import SimClock
 from repro.hw.ldm import LDMAllocator
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -65,11 +64,6 @@ class CPE:
                 args={"flops": flops, "efficiency": efficiency,
                       "cpe": f"({self.row},{self.col})"},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("cpe.busy_s", dt)
-            mx.count("cpe.flops", flops)
-            mx.observe("cpe.efficiency", efficiency)
         self.clock.advance(dt, category="compute")
 
     def simd_efficiency(self, vector_len: int, dtype_bytes: int = 8) -> float:

@@ -23,7 +23,6 @@ import numpy as np
 from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -157,7 +156,6 @@ class DMAEngine:
             if self._last_span is not None:
                 tr.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("get", out.nbytes, dt)
         self.clock.advance(dt, category="dma")
         if _faults().enabled:
             # Corrupted transfers are re-issued; data is re-copied intact.
@@ -188,18 +186,6 @@ class DMAEngine:
             if self._last_span is not None:
                 tr.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("put", src.nbytes, dt)
         self.clock.advance(dt, category="dma")
         if _faults().enabled:
             charge_transient("dma", self.clock, dt, track="dma")
-
-    def _record_metrics(self, direction: str, nbytes: int, dt: float) -> None:
-        """Feed the utilization counters for one executed transfer."""
-        mx = _metrics()
-        if not mx.enabled:
-            return
-        mx.count("dma.bytes", int(nbytes), dir=direction)
-        mx.count("dma.transfers", 1)
-        mx.count("dma.busy_s", dt)
-        if dt > 0 and nbytes > 0:
-            mx.observe("dma.achieved_frac", nbytes / dt / self.params.dma_peak_bw)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import LDMAllocationError
 from repro.hw.spec import SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -85,9 +84,6 @@ class LDMAllocator:
                 f"ldm_alloc {name}", "ldm_alloc", track="ldm",
                 args={"nbytes": nbytes, "used": self._used, "free": self.free},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.high_water("ldm.high_water_bytes", self._used)
         return buf
 
     def require(self, name: str, nbytes: int) -> LDMBuffer:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from repro.faults.injector import active as _faults
 from repro.hw.clock import SerialResource
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -176,14 +175,6 @@ class MeshSimulator:
             trace.finish_s = max(trace.finish_s, finish)
         trace.bus_busy_s = bus_busy
         trace.bus_wait_s = bus_wait
-        mx = _metrics()
-        if mx.enabled:
-            for bus, busy in bus_busy.items():
-                mx.count("mesh.bus_busy_s", busy, bus=bus)
-            for bus, wait in bus_wait.items():
-                if wait > 0:
-                    mx.count("mesh.bus_wait_s", wait, bus=bus)
-            mx.high_water("mesh.bus_utilization", trace.max_bus_utilization)
         return trace
 
 

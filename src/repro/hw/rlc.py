@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer
 
 
@@ -80,7 +79,6 @@ class RegisterComm:
             if self._last_span is not None:
                 tr.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("p2p", nbytes, n_concurrent, dt)
         self.clock.advance(dt, category="rlc")
         if _faults().enabled:
             # A lost register-bus message is simply re-sent.
@@ -99,15 +97,6 @@ class RegisterComm:
             if self._last_span is not None:
                 tr.edge(self._last_span, span)
             self._last_span = span
-        self._record_metrics("bcast", nbytes, n_concurrent, dt)
         self.clock.advance(dt, category="rlc")
         if _faults().enabled:
             charge_transient("rlc", self.clock, dt, track="rlc")
-
-    def _record_metrics(self, kind: str, nbytes: float, n_concurrent: int, dt: float) -> None:
-        """Feed the register-bus utilization counters for one charge."""
-        mx = _metrics()
-        if not mx.enabled:
-            return
-        mx.count("rlc.bytes", float(nbytes) * max(1, n_concurrent), kind=kind)
-        mx.count("rlc.busy_s", dt)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import active as _tracer, emit_cost_spans
 
 
@@ -141,14 +140,6 @@ class KernelPlan(abc.ABC):
         tr = _tracer()
         if tr.enabled:
             emit_cost_spans(tr, label or self.name, cost, cat="plan_cost", track="plan")
-        mx = _metrics()
-        if mx.enabled:
-            from repro.metrics.roofline import classify_cost
-
-            verdict = classify_cost(cost, self.params)
-            mx.count("plan.invocations", 1, plan=self.name, bound=verdict.bound)
-            mx.count("plan.flops", cost.flops)
-            mx.count("plan.dma_bytes", cost.dma_bytes)
         return cost
 
     def time_s(self) -> float:

@@ -3,16 +3,17 @@
 The counterpart of :mod:`repro.trace.session`: instead of a span timeline,
 :func:`collect_training_step` produces a :class:`MetricsReport` — per-resource
 busy time and achieved-vs-peak utilization, the per-layer roofline table,
-the gradient allreduce's wire traffic, and a snapshot of every counter the
-instrumentation hooks fed during the run.
+the gradient allreduce's wire traffic, and a counters block.
 
 The step is the trace session's own: :func:`collect_training_step` runs
-:func:`~repro.trace.session.trace_training_step` under a metrics registry,
-so the report's wall time, its allreduce counters and the span timeline
-(``python -m repro metrics --trace``) describe the one simulated step that
-``python -m repro trace`` shows. The layer counters are counted from the
-:func:`~repro.metrics.roofline.net_roofline` rows the report prints; the
-DMA counters add the step's local reduces and SGD updates.
+:func:`~repro.trace.session.trace_training_step`, so the report's wall
+time, its allreduce counters and the span timeline (``python -m repro
+metrics --trace``) describe the one simulated step that ``python -m repro
+trace`` shows. Every counter is written from what that run returns: the
+layer counters from the :func:`~repro.metrics.roofline.net_roofline` rows
+the report prints, the DMA counters adding the step's local reduces and
+SGD updates, and the ``comm.*`` counters from the step's
+:class:`~repro.trace.session.SessionSummary`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.metrics.registry import MetricsRegistry, collecting
+from repro.metrics.registry import MetricsRegistry
 from repro.metrics.roofline import (
     LayerRoofline,
     bound_summary,
     net_roofline,
     render_roofline,
 )
-from repro.trace.session import trace_training_step
+from repro.trace.session import SessionSummary, trace_training_step
 from repro.trace.tracer import Tracer
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
@@ -153,6 +154,23 @@ class MetricsReport:
         return "\n\n".join([table.render(), wire, render_roofline(self.layers)])
 
 
+def _count_allreduce(mx: MetricsRegistry, step: SessionSummary) -> None:
+    """The step's gradient allreduce as ``comm.*`` counters, labelled
+    ``collective="rhd"``: lockstep rounds, per-rank wire bytes by link
+    (an entry only for a link some round used) and locally reduced bytes.
+    No entry at one rank, where nothing is exchanged. Byte counts are
+    whole numbers, so the iteration sums equal the per-round sums."""
+    if step.allreduce_steps:
+        mx.count("comm.steps", step.allreduce_steps, collective="rhd")
+    for link, nbytes in (
+        ("intra", step.wire_bytes_intra), ("cross", step.wire_bytes_cross)
+    ):
+        if nbytes > 0:
+            mx.count("comm.bytes", nbytes, collective="rhd", link=link)
+    if step.reduce_bytes > 0:
+        mx.count("comm.reduce_bytes", step.reduce_bytes, collective="rhd")
+
+
 def collect_training_step(
     net,
     *,
@@ -160,51 +178,49 @@ def collect_training_step(
     iterations: int = 1,
     scheme: str = "improved",
     nodes_per_supernode: int | None = None,
-    registry: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     params: SW26010Params | None = None,
 ) -> MetricsReport:
     """Measure the data-parallel training step ``trace`` simulates.
 
-    Runs :func:`~repro.trace.session.trace_training_step` once under
-    ``collecting(registry)``: its gradient allreduces feed the ``comm.*``
-    counters, and its spans land on ``tracer`` (a fresh one when omitted).
-    The per-rank layer counters are counted from the :func:`net_roofline`
-    rows, once per rank per iteration; the local reduces and SGD updates
-    add to ``dma.*`` with ``dir=model``.
+    Runs :func:`~repro.trace.session.trace_training_step` once; its spans
+    land on ``tracer`` (a fresh one when omitted), and its summary feeds
+    the ``comm.*`` counters. The per-rank layer counters (label ``rank``)
+    are counted from the :func:`net_roofline` rows, once per rank per
+    iteration; the local reduces and SGD updates add to ``dma.*`` with
+    ``dir=model``.
     """
     p = params or SW_PARAMS
-    mx = registry if registry is not None else MetricsRegistry()
     rows = net_roofline(net, p)
-    with collecting(mx):
-        _, step = trace_training_step(
-            net,
-            ranks=ranks,
-            iterations=iterations,
-            tracer=tracer,
-            scheme=scheme,
-            nodes_per_supernode=nodes_per_supernode,
-        )
+    _, step = trace_training_step(
+        net,
+        ranks=ranks,
+        iterations=iterations,
+        tracer=tracer,
+        scheme=scheme,
+        nodes_per_supernode=nodes_per_supernode,
+    )
+    mx = MetricsRegistry()
     # The local reduce and the update are pure DMA passes.
     node_dma_s = step.local_reduce_s + step.update_s
-    for rank in range(ranks):
-        with mx.labelled(rank=str(rank)):
-            for _ in range(iterations):
-                for row in rows:
-                    c = row.cost
-                    mx.count("layer.passes", 1, dir=row.direction,
-                             layer_type=row.layer_type)
-                    if c.compute_s > 0:
-                        mx.count("cpe.busy_s", c.compute_s)
-                    if c.flops > 0:
-                        mx.count("cpe.flops", c.flops)
-                    if c.dma_s > 0 or c.dma_bytes > 0:
-                        mx.count("dma.bytes", c.dma_bytes, dir="model")
-                        mx.count("dma.busy_s", c.dma_s)
-                    if c.rlc_s > 0:
-                        mx.count("rlc.busy_s", c.rlc_s)
-            mx.count("dma.bytes", step.node_dma_bytes, dir="model")
-            mx.count("dma.busy_s", node_dma_s)
+    for rank in map(str, range(ranks)):
+        for _ in range(iterations):
+            for row in rows:
+                c = row.cost
+                mx.count("layer.passes", 1, dir=row.direction,
+                         layer_type=row.layer_type, rank=rank)
+                if c.compute_s > 0:
+                    mx.count("cpe.busy_s", c.compute_s, rank=rank)
+                if c.flops > 0:
+                    mx.count("cpe.flops", c.flops, rank=rank)
+                if c.dma_s > 0 or c.dma_bytes > 0:
+                    mx.count("dma.bytes", c.dma_bytes, dir="model", rank=rank)
+                    mx.count("dma.busy_s", c.dma_s, rank=rank)
+                if c.rlc_s > 0:
+                    mx.count("rlc.busy_s", c.rlc_s, rank=rank)
+        mx.count("dma.bytes", step.node_dma_bytes, dir="model", rank=rank)
+        mx.count("dma.busy_s", node_dma_s, rank=rank)
+    _count_allreduce(mx, step)
 
     wall_s = step.total_s
     allreduce_s = step.allreduce_s

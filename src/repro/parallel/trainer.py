@@ -31,7 +31,6 @@ from repro.faults.recovery import rebuild_comm, rewind_net_sources, survivor_ind
 from repro.frame.net import Net
 from repro.frame.snapshot import load_solver, save_solver, snapshot_path
 from repro.frame.solver import SGDSolver
-from repro.metrics.registry import active as _metrics
 from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.simmpi.comm import SimComm
 from repro.simmpi.nonblocking import IAllreduceQueue
@@ -370,9 +369,6 @@ class DistributedTrainer:
             fi.set_rank_map(self.active)
             fi.note_crash(frozenset(dead_external))
             fi.note_rebuild()
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("faults.rank_rebuilds", 1)
 
     def _snapshot(self) -> None:
         """Persist solver state; replicas are identical, one file suffices."""

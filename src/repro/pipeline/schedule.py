@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.hw.clock import SerialResource
-from repro.metrics.registry import active as _metrics
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Tracer
 
@@ -269,10 +268,6 @@ def simulate_pipeline(
         ops=tuple(sorted(ops, key=lambda o: (o.stage, o.start_s))),
         xfers=tuple(sorted(xfers, key=lambda x: (x.kind, x.src, x.start_s))),
     )
-    mx = _metrics()
-    if mx.enabled:
-        mx.gauge("pipeline.bubble_frac", timeline.bubble_frac)
-        mx.gauge("pipeline.makespan_s", timeline.makespan_s)
     return timeline
 
 

@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.frame.net import Net
 from repro.frame.solver import SGDSolver
-from repro.metrics.registry import active as _metrics
 from repro.parallel.packing import GradientPacker
 from repro.pipeline.partition import StagePlan, plan_stages
 from repro.pipeline.schedule import emit_pipeline_trace, simulate_pipeline
@@ -297,13 +296,10 @@ class PipelineTrainer:
         )
 
     def _record(self, timeline, stats: PipelineStats) -> None:
-        """Emit one walked iteration's trace/metrics and advance time."""
+        """Emit one walked iteration's trace and advance time."""
         tr = _tracer()
         if tr.enabled:
             emit_pipeline_trace(tr, timeline, origin_s=self._origin_s)
-        mx = _metrics()
-        if mx.enabled:
-            mx.gauge("pipeline.stage_imbalance", self.plan.stage_imbalance)
         self._origin_s += timeline.makespan_s
         stats.pipeline_time_s += timeline.makespan_s
         stats.bubble_fracs.append(timeline.bubble_frac)

@@ -19,10 +19,10 @@ Scheduling invariants (pinned by ``tests/test_serve_engine.py``):
 * event time only moves forward, and the result is a pure function of
   (arrivals, cost model, config, ambient fault plan) — no wall clock.
 
-Ambient integration mirrors the training-side subsystems: ``serve.*``
-metrics and ``request_queued`` / ``batch_dispatch`` / ``batch_compute``
-trace spans are emitted only when a collector is installed (the engine
-itself allocates none), and fault hooks consult the ambient injector
+Ambient integration mirrors the training-side subsystems:
+``request_queued`` / ``batch_dispatch`` / ``batch_compute`` trace spans
+are emitted only when a tracer is installed (the engine itself allocates
+none), and fault hooks consult the ambient injector
 (compute stretched by straggler/mesh degradation, per-batch transient
 retries through the shared ``comm`` site).
 """
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.faults.injector import active as _injector, transient_delay
-from repro.metrics.registry import active as _metrics
 from repro.serve.arrivals import Request
 from repro.serve.report import RequestRecord, ServeReport
 from repro.trace.scaling import active as _scaling
@@ -89,7 +88,6 @@ class ServingEngine:
         """Serve every request; returns the full latency report."""
         cfg = self.config
         tr = _tracer()
-        mx = _metrics()
         fi = _injector()
         # Degradations apply to the whole session: a straggling node or a
         # degraded CPE mesh slows every batch by a constant factor.
@@ -116,8 +114,6 @@ class ServingEngine:
                     records.append(
                         RequestRecord(rid=req.rid, arrival_s=req.arrival_s, shed=True)
                     )
-                    if mx.enabled:
-                        mx.count("serve.requests", 1, outcome="shed")
                     if tr.enabled:
                         tr.instant_event(
                             f"req{req.rid} shed", "request_shed",
@@ -126,8 +122,6 @@ class ServingEngine:
                         )
                     continue
                 queue.append(req)
-                if mx.enabled:
-                    mx.high_water("serve.queue_depth", len(queue))
                 if tr.enabled:
                     queued_spans[req.rid] = tr.instant_event(
                         f"req{req.rid}", "request_queued",
@@ -207,17 +201,6 @@ class ServingEngine:
                     batch_size=size,
                 )
                 records.append(rec)
-                if mx.enabled:
-                    mx.count("serve.requests", 1, outcome="completed")
-                    mx.observe("serve.queue_wait_s", queue_s)
-                    mx.observe("serve.batch_wait_s", batch_s)
-                    mx.observe("serve.latency_s", rec.latency_s)
-                    if rec.latency_s > cfg.slo_s:
-                        mx.count("serve.slo_miss", 1)
-            if mx.enabled:
-                mx.count("serve.batches", 1)
-                mx.observe("serve.batch_size", size)
-                mx.count("serve.compute_s", compute_s)
             n_batches += 1
             t = t_free = t + compute_s
 

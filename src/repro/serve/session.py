@@ -3,8 +3,7 @@
 Glues the pieces together for the CLI and the harness: build the
 batch-size-sensitive cost model from a model-zoo builder, realize the
 seeded arrival stream, optionally install a fault plan, and run the
-engine — emitting trace spans and ``serve.*`` metrics into whatever
-ambient collectors the caller installed.
+engine — emitting trace spans onto the caller's tracer.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from contextlib import ExitStack
 
 from repro.faults.injector import FaultInjector, injecting
 from repro.faults.plan import FaultPlan
-from repro.metrics.registry import MetricsRegistry, collecting
 from repro.serve.arrivals import ArrivalPlan
 from repro.serve.costmodel import NetForwardCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
@@ -48,13 +46,12 @@ def run_serving(
     fault_seed: str | None = None,
     model: str = "",
     tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> ServeReport:
     """Serve a seeded arrival stream through one model-zoo network.
 
     ``rate_rps=None`` derives the default operating point with
     :func:`auto_rate`. The cost model is primed for every batch share up to
-    ``max_batch`` *before* ``tracer``/``registry`` are installed, so the
+    ``max_batch`` *before* ``tracer`` is installed, so the
     trace holds only serving spans — never the plan search's churn. When
     ``fault_seed`` is given, the engine runs under that fault plan.
     """
@@ -71,8 +68,6 @@ def run_serving(
     with ExitStack() as stack:
         if tracer is not None:
             stack.enter_context(tracing(tracer))
-        if registry is not None:
-            stack.enter_context(collecting(registry))
         if fault_seed is not None:
             fault_plan = FaultPlan.from_seed(fault_seed, ranks=1, iterations=1)
             stack.enter_context(injecting(FaultInjector(fault_plan)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import check_buffers, finalize
 
@@ -19,13 +18,6 @@ def binomial_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place binomial-tree allreduce (works for any rank count)."""
-    with _metrics().labelled(collective="binomial"):
-        return _binomial_allreduce(comm, buffers, average=average)
-
-
-def _binomial_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
     p = comm.p
     if len(buffers) != p:
         raise ValueError(f"expected {p} buffers, got {len(buffers)}")

@@ -25,7 +25,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers, finalize
 
@@ -130,13 +129,15 @@ def rhd_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place recursive halving/doubling allreduce."""
-    with _metrics().labelled(collective="rhd"):
-        return _rhd_allreduce(comm, buffers, average=average)
+    return _rhd_allreduce(comm, buffers, average=average)
 
 
 def _rhd_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
+    """The body of :func:`rhd_allreduce`, shared with
+    :func:`~repro.simmpi.collectives.topo_aware.topo_aware_allreduce` so
+    one topology-aware allreduce stays one collective call."""
     p = comm.p
     if len(buffers) != p:
         raise ValueError(f"expected {p} buffers, got {len(buffers)}")

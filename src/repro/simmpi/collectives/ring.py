@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers, finalize
 
@@ -25,13 +24,6 @@ def ring_allreduce(
     from ``r-1``. Phase 2 (allgather): p-1 more steps circulating the
     finished chunks. Every step moves ~n/p bytes per rank.
     """
-    with _metrics().labelled(collective="ring"):
-        return _ring_allreduce(comm, buffers, average=average)
-
-
-def _ring_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
     p = comm.p
     if len(buffers) != p:
         raise ValueError(f"expected {p} buffers, got {len(buffers)}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.rhd import _rhd_allreduce
 from repro.simmpi.reorder import round_robin_placement
@@ -54,12 +53,11 @@ def topo_aware_allreduce(
     matching how swCaffe installs its communicator once at startup. The
     clone's simulated time is folded back into ``comm.clock``.
     """
-    with _metrics().labelled(collective="topo_aware"):
-        if comm.placement.name == "round-robin":
-            return _rhd_allreduce(comm, buffers, average=average)
-        renumbered = make_topo_aware_comm(
-            comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
-        )
-        result = _rhd_allreduce(renumbered, buffers, average=average)
-        comm.clock.advance(renumbered.clock.now, category="comm")
-        return result
+    if comm.placement.name == "round-robin":
+        return _rhd_allreduce(comm, buffers, average=average)
+    renumbered = make_topo_aware_comm(
+        comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
+    )
+    result = _rhd_allreduce(renumbered, buffers, average=average)
+    comm.clock.advance(renumbered.clock.now, category="comm")
+    return result

@@ -21,7 +21,6 @@ from repro.hw.clock import SimClock
 from repro.hw.spec import SW_PARAMS
 from repro.topology.cost_model import LinearCostModel
 from repro.topology.fabric import TaihuLightFabric
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.process import Placement
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Span, active as _tracer
@@ -216,19 +215,11 @@ class SimComm:
                         tr.edge(prev, span)
             if first is not None:
                 self.prev_step_span = first
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.steps", 1)
-            mx.count("comm.bytes", max_bytes, link="cross" if any_cross else "intra")
-            if reduce_bytes > 0:
-                mx.count("comm.reduce_bytes", reduce_bytes)
         result.add_step(step_time)
         self.clock.advance(step_time, category="comm")
         if fi.enabled:
             if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
+                fi.note_slow(slow_s)
             # Flaky-link retry: the whole lockstep step is repeated, time
             # charged to the clock's "fault" category (the re-exchange
             # carries identical data, so results stay bit-exact).
@@ -248,10 +239,9 @@ class SimComm:
                 "rank_crash", "fault_inject", track="comm",
                 start=self.clock.now, args={"ranks": sorted(dead)},
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("faults.timeouts", 1)
-            mx.count("faults.timeout_s", self.timeout_s)
+        fi = _faults()
+        if fi.enabled:
+            fi.note_timeout(self.timeout_s)
         raise CollectiveTimeout(
             f"collective step timed out on crashed rank(s) {sorted(dead)}",
             ranks=dead,

@@ -17,7 +17,7 @@ the simulator:
 
 The communicator's clock keeps its existing meaning — total network
 occupancy — while the queue tracks where on the timeline each request
-ran, which is what the overlap metrics and trace spans report.
+ran, which is what the trace's service and overlap spans report.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hw.clock import Reservation, SerialResource
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.trace.tracer import Span, active as _tracer
 
@@ -114,9 +113,6 @@ class IAllreduceQueue:
                     "queued_s": req.start_s - ready,
                 },
             )
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.bucket_launches", 1)
         return req
 
     def wait_all(self, *, barrier_s: float | None = None) -> list[PendingCollective]:
@@ -128,23 +124,19 @@ class IAllreduceQueue:
         """
         completed, self.pending = self.pending, []
         tr = _tracer()
-        mx = _metrics()
         for req in completed:
             req.done = True
-            if tr.enabled:
-                self.fabric.emit(
-                    tr, req, f"allreduce {req.tag}" if req.tag else "allreduce",
-                    "collective_service", track="comm/fabric", args={"tag": req.tag},
-                    barrier_s=barrier_s, launch=req.launch_span,
-                )
+            if not tr.enabled:
+                continue
+            self.fabric.emit(
+                tr, req, f"allreduce {req.tag}" if req.tag else "allreduce",
+                "collective_service", track="comm/fabric", args={"tag": req.tag},
+                barrier_s=barrier_s, launch=req.launch_span,
+            )
             if barrier_s is None:
                 continue
             hidden = req.hidden_before(barrier_s)
-            exposed = req.dur_s - hidden
-            if mx.enabled:
-                mx.count("comm.overlap_hidden_s", hidden)
-                mx.count("comm.overlap_exposed_s", exposed)
-            if tr.enabled and hidden > 0:
+            if hidden > 0:
                 tr.emit(
                     f"overlap {req.tag}" if req.tag else "overlap",
                     "overlap_window",
@@ -154,7 +146,7 @@ class IAllreduceQueue:
                     args={
                         "tag": req.tag,
                         "hidden_s": hidden,
-                        "exposed_s": exposed,
+                        "exposed_s": req.dur_s - hidden,
                         "barrier_s": barrier_s,
                     },
                 )

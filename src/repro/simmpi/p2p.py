@@ -34,7 +34,6 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import Reservation, SerialResource
-from repro.metrics.registry import active as _metrics
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Span, active as _tracer
@@ -129,20 +128,14 @@ class P2PTransport:
         self._mailbox.setdefault((src, dst, tag), []).append(arr)
         return nbytes, t, slow_s, self.comm.crosses_supernode(src, dst)
 
-    def _charge(self, nbytes: float, t: float, slow_s: float, cross: bool) -> None:
-        """The time path of every send: count the message, advance the
-        communicator clock by the transfer and charge its faults."""
-        mx = _metrics()
-        if mx.enabled:
-            mx.count("comm.p2p_sends", 1)
-            mx.count("comm.p2p_bytes", nbytes, link="cross" if cross else "intra")
+    def _charge(self, t: float, slow_s: float) -> None:
+        """The time path of every send: advance the communicator clock by
+        the transfer and charge its faults."""
         self.comm.clock.advance(t, category="comm")
         fi = _faults()
         if fi.enabled:
             if slow_s > 0:
-                fi.note_slow()
-                if mx.enabled:
-                    mx.count("faults.slow_s", slow_s)
+                fi.note_slow(slow_s)
             # Flaky-link retry: the transfer is repeated with identical
             # data, so results stay bit-exact (the "comm" transient site).
             charge_transient("comm", self.comm.clock, t, track="comm")
@@ -182,7 +175,7 @@ class P2PTransport:
                 tr.edge(self._prev_span, span)
             self._prev_span = span
             result.span = span
-        self._charge(nbytes, t, slow_s, cross)
+        self._charge(t, slow_s)
         return result
 
     def recv(self, src: int, dst: int, *, tag: str = "") -> np.ndarray:
@@ -225,7 +218,7 @@ class P2PTransport:
             tag=tag, src=src, dst=dst, nbytes=nbytes, cross_supernode=cross,
         )
         self.pending.append(req)
-        self._charge(nbytes, t, slow_s, cross)
+        self._charge(t, slow_s)
         tr = _tracer()
         if tr.enabled:
             req.launch_span = tr.instant_event(
@@ -254,7 +247,6 @@ class P2PTransport:
         """
         completed, self.pending = self.pending, []
         tr = _tracer()
-        mx = _metrics()
         for req in completed:
             req.done = True
             if tr.enabled:
@@ -272,10 +264,6 @@ class P2PTransport:
                     barrier_s=barrier_s,
                     launch=req.launch_span,
                 )
-            if barrier_s is not None and mx.enabled:
-                hidden = req.hidden_before(barrier_s)
-                mx.count("comm.p2p_hidden_s", hidden)
-                mx.count("comm.p2p_exposed_s", req.dur_s - hidden)
         return completed
 
 

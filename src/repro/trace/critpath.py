@@ -45,7 +45,6 @@ from operator import itemgetter
 from typing import Any, Mapping
 
 from repro.errors import CritPathError
-from repro.metrics.registry import active as _metrics
 from repro.trace.tracer import Span, Tracer
 
 #: Leaf span category -> what-if resource class.
@@ -518,13 +517,6 @@ def critical_path(
         n_edges=len(graph.edges),
         segments=segments,
     )
-    mx = _metrics()
-    if mx.enabled:
-        mx.count("trace.critpath.nodes", report.n_nodes)
-        mx.count("trace.critpath.edges", report.n_edges)
-        mx.gauge("trace.critpath.end_to_end_s", report.end_to_end_s)
-        for res, t in sorted(report.by_resource.items()):
-            mx.count("trace.critpath.on_path_s", t, resource=res)
     return report
 
 

@@ -4,7 +4,7 @@ The what-if engine (:mod:`repro.trace.whatif`) projects a scaled scenario
 by re-walking the trace's dependency graph. Its *validation mode* re-runs
 the actual simulator with the same factors applied at the cost-model
 sites; this module is the ambient channel those sites consult, mirroring
-the tracer/metrics/fault patterns (a shared null object when disabled,
+the tracer and fault patterns (a shared null object when disabled,
 ``if sc.enabled`` guards, a context manager to install a real scaling).
 
 Scale classes match the critical-path resource classes:

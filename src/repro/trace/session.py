@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernels.plan import PlanCost
-from repro.metrics.registry import active as _metrics
 from repro.parallel.ssgd import SSGDIterationModel
 from repro.simmpi.collectives.rhd import rhd_schedule
 from repro.simmpi.comm import CollectiveResult, SimComm, reduce_gamma
@@ -42,14 +41,12 @@ def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> Collective
     :func:`~repro.simmpi.collectives.rhd.rhd_allreduce` charges for a
     payload of ``nbytes`` (``nbytes / itemsize`` elements), including the
     non-power-of-two fold/unfold and MPICH's near-equal block splits — but
-    moves no data, so arbitrarily large gradients trace cheaply. Its
-    ``comm.*`` counters carry the same ``collective="rhd"`` label.
+    moves no data, so arbitrarily large gradients trace cheaply.
     """
     n = max(1, int(round(float(nbytes) / itemsize)))
     result = CollectiveResult()
-    with _metrics().labelled(collective="rhd"):
-        for step in rhd_schedule(comm.p, n, itemsize):
-            comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
+    for step in rhd_schedule(comm.p, n, itemsize):
+        comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
     return result
 
 
@@ -127,7 +124,10 @@ class SessionSummary:
     ``allreduce_s`` and ``update_s``. ``total_s`` is the traced end: the
     same terms accumulated along the timeline, so it equals
     ``tracer.end_time()`` and the critical-path end bitwise.
-    ``node_dma_bytes`` is what the local reduces and updates stream.
+    ``node_dma_bytes`` is what the local reduces and updates stream; the
+    allreduce's per-rank wire bytes split by link (``wire_bytes_intra``,
+    ``wire_bytes_cross``) and its locally reduced ``reduce_bytes`` sum
+    the :class:`~repro.simmpi.comm.CollectiveResult` of every iteration.
     """
 
     model: str
@@ -144,6 +144,7 @@ class SessionSummary:
     scheme: str
     wire_bytes_intra: float
     wire_bytes_cross: float
+    reduce_bytes: float
 
 
 def trace_training_step(
@@ -204,7 +205,7 @@ def trace_training_step(
 
     compute_s = local_reduce_s = allreduce_s = update_s = 0.0
     steps = 0
-    intra = cross = 0.0
+    intra = cross = reduced_bytes = 0.0
     with tracing(tr):
         for _ in range(iterations):
             reduced = []
@@ -236,6 +237,7 @@ def trace_training_step(
                 steps += res.steps
                 intra += res.bytes_intra
                 cross += res.bytes_cross
+                reduced_bytes += res.reduce_bytes
             for r in range(ranks):
                 with tr.context(f"rank{r}"):
                     updated = emit_cost_spans(tr, "sgd update", update, start=ready)
@@ -257,5 +259,6 @@ def trace_training_step(
         scheme=scheme,
         wire_bytes_intra=intra,
         wire_bytes_cross=cross,
+        reduce_bytes=reduced_bytes,
     )
     return tr, summary

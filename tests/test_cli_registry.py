@@ -141,6 +141,11 @@ class TestBadValuesExit2:
             "whatif lenet --ranks 0",
             "chaos lenet --ranks 0",
             "pipeline lenet --stages 0",
+            "pipeline lenet --batch 0",
+            "pipeline lenet --bucket-mb 0",
+            "pipeline lenet --bucket-mb -1",
+            "train 0",
+            "train abc",
         ],
     )
     def test_one_error_line(self, capsys, argv):

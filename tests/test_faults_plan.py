@@ -2,8 +2,7 @@
 
 Covers the seed-string replay spec, the stateless transient decision, the
 profile-specific plan sampling, and the ambient injector's install /
-null-object contract (the same pattern the tracer and metrics registries
-pin).
+null-object contract (the same pattern the tracer pins).
 """
 
 import numpy as np
@@ -182,6 +181,19 @@ class TestAmbientInjector:
         assert fi.retries == total == fi.injected["dma_corrupt"]
         assert total > 0
 
+    def test_injector_keeps_fault_time_totals(self):
+        plan = FaultPlan.from_seed(seed_string("transient", 0), ranks=2)
+        fi = FaultInjector(plan)
+        retry_s = 0.0
+        for _ in range(100):
+            retry_s += fi.transient("dma", 1e-3)[1]
+        fi.note_slow(0.25)
+        fi.note_slow(0.5)
+        fi.note_timeout(1e-3)
+        assert fi.retry_s == retry_s > 0
+        assert (fi.slow_s, fi.injected["straggler"]) == (0.75, 2)
+        assert (fi.timeouts, fi.timeout_s) == (1, 1e-3)
+
     def test_rank_map_translation(self):
         plan = FaultPlan(
             seed="x", profile="degrade", ranks=4, iterations=1,
@@ -198,6 +210,13 @@ class TestAmbientInjector:
         clock = SimClock()
         assert charge_transient("dma", clock, 1.0, track="dma") == 0
         assert clock.now == 0.0
+
+    def test_zero_retry_charge_leaves_no_fault_category(self):
+        clock = SimClock()
+        with injecting(zero_plan()) as fi:
+            assert charge_transient("dma", clock, 1e-3, track="dma") == 0
+        assert "fault" not in clock.breakdown()
+        assert fi.retry_s == 0.0
 
     def test_charge_transient_charges_fault_category(self):
         plan = FaultPlan(

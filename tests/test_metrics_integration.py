@@ -1,10 +1,11 @@
-"""End-to-end metrics tests: instrumentation, inertness, roofline, CLI.
+"""End-to-end metrics tests: the report, roofline, CLI and export.
 
-Pins the ISSUE acceptance criteria:
+Pins:
 
-* enabling metrics collection changes no simulated-time results (the
-  no-op guarantee, mirroring the tracing inertness pin);
-* trace and metrics agree on total DMA bytes within one session;
+* collecting the metrics report changes no simulated-time result: its
+  gradient allreduce is the plain traced step's, bitwise;
+* the metrics report's DMA counters and the session trace's
+  ``dma_transfer`` spans describe the same bytes;
 * the roofline analyzer pins a stride-degraded/pure-movement plan as
   DMA-bound and a large GEMM as compute-bound;
 * ``python -m repro`` exits 2 with a usable message on unknown input;
@@ -15,109 +16,54 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.__main__ import main as repro_main
 from repro.frame.model_zoo import lenet
-from repro.hw.clock import SimClock
-from repro.hw.dma import DMAEngine
 from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.im2col import Im2colPlan
-from repro.metrics import (
-    classify_cost,
-    collect_training_step,
-    net_roofline,
-    to_chrome_with_metrics,
-)
-from repro.metrics.registry import MetricsRegistry, collecting
-from repro.simmpi import SimComm, block_placement, rhd_allreduce
-from repro.topology import TaihuLightFabric
+from repro.metrics.export import to_chrome_with_metrics
+from repro.metrics.roofline import classify_cost, net_roofline
+from repro.metrics.session import collect_training_step
 from repro.trace.export import validate_chrome
-from repro.trace.tracer import Tracer, tracing
-
-
-def _comm(p: int, q: int | None = None) -> SimComm:
-    q = q if q is not None else p
-    fabric = TaihuLightFabric(n_nodes=p, nodes_per_supernode=q)
-    return SimComm(fabric, block_placement(p, q))
+from repro.trace.session import trace_training_step
+from repro.trace.tracer import Tracer
 
 
 class TestMetricsAreInert:
-    """Enabling metrics collection never changes simulated-time results."""
+    """Collecting the metrics report never changes simulated-time results."""
 
     def test_allreduce_identical_with_metrics(self):
-        bufs_a = [np.ones(1 << 14) for _ in range(8)]
-        bufs_b = [np.ones(1 << 14) for _ in range(8)]
-        bare = rhd_allreduce(_comm(8, 4), bufs_a)
-        with collecting():
-            counted = rhd_allreduce(_comm(8, 4), bufs_b)
-        assert counted.time_s == bare.time_s
-        assert counted.steps == bare.steps
-        np.testing.assert_array_equal(bufs_a[0], bufs_b[0])
-
-    def test_dma_clock_identical_with_metrics(self):
-        src = np.ones((256, 256))
-        bare = DMAEngine(clock=SimClock())
-        bare.get(src)
-        with collecting():
-            counted = DMAEngine(clock=SimClock())
-            counted.get(src)
-        assert counted.clock.now == bare.clock.now
-
-    def test_plan_costs_identical_with_metrics(self):
-        plan = SWGemmPlan(256, 256, 256)
-        bare = plan.cost()
-        with collecting():
-            counted = plan.cost()
-        assert counted.total_s == bare.total_s
-
-
-class TestCounterContents:
-    def test_dma_round_trip_counts_both_directions(self):
-        src = np.ones((64, 64))  # 32 KiB of float64
-        dst = np.empty_like(src)
-        with collecting() as mx:
-            eng = DMAEngine(clock=SimClock())
-            ldm = eng.get(src)
-            eng.put(ldm, dst)
-        assert mx.value("dma.bytes", dir="get") == src.nbytes
-        assert mx.value("dma.bytes", dir="put") == src.nbytes
-        assert mx.value("dma.transfers") == 2
-        assert mx.value("dma.busy_s") == pytest.approx(eng.clock.now)
-
-    def test_collective_labels_reach_comm_counters(self):
-        bufs = [np.ones(1 << 12) for _ in range(4)]
-        with collecting() as mx:
-            rhd_allreduce(_comm(4), bufs)
-        assert mx.value("comm.steps", collective="rhd") > 0
-        assert mx.value("comm.bytes") > 0
+        _, bare = trace_training_step(lenet.build(batch_size=16), ranks=8)
+        report = collect_training_step(lenet.build(batch_size=16), ranks=8)
+        assert bare.allreduce_steps > 0
+        assert report.allreduce_s == bare.allreduce_s
+        assert report.allreduce_steps == bare.allreduce_steps
+        assert report.wire_bytes_intra == bare.wire_bytes_intra
+        assert report.wire_bytes_cross == bare.wire_bytes_cross
+        assert report.wall_s == bare.total_s
+        (steps,) = report.counters["comm.steps"]
+        assert steps["labels"] == {"collective": "rhd"}
+        assert steps["value"] == bare.allreduce_steps
 
 
 class TestTraceMetricsConsistency:
-    """Counters and trace spans must describe the same simulated work."""
-
-    def test_dma_bytes_match_span_payloads(self):
-        src = np.ones((128, 128))
-        dst = np.empty_like(src)
-        tracer = Tracer()
-        with collecting() as mx, tracing(tracer):
-            eng = DMAEngine(clock=SimClock())
-            ldm = eng.get(src)
-            eng.put(ldm, dst)
-        span_bytes = sum(s.args["bytes"] for s in tracer.by_category("dma_transfer"))
-        assert span_bytes == mx.value("dma.bytes")
+    """The report's counters and its trace describe the same simulated work."""
 
     def test_session_dma_bytes_match_span_payloads(self):
         tracer = Tracer()
-        mx = MetricsRegistry()
-        collect_training_step(
-            lenet.build(batch_size=16), ranks=2, registry=mx, tracer=tracer
+        report = collect_training_step(
+            lenet.build(batch_size=16), ranks=2, tracer=tracer
         )
         spans = tracer.by_category("dma_transfer")
         assert spans, "session trace should contain dma_transfer spans"
         span_bytes = sum(s.args["bytes"] for s in spans)
-        assert span_bytes == pytest.approx(mx.value("dma.bytes", dir="model"))
+        counted = sum(
+            entry["value"]
+            for entry in report.counters["dma.bytes"]
+            if entry["labels"]["dir"] == "model"
+        )
+        assert span_bytes == pytest.approx(counted)
 
 
 class TestRooflinePins:

@@ -3,15 +3,13 @@
 Pins the schedule definitions (fill-drain op order, 1F1B warmup depths),
 the walk rules (stage serialism, transfer dependencies, per-direction
 link serialism), the exact GPipe bubble fraction on uniform stages, the
-metric gauges, the what-if scaling hooks, and the validation/deadlock
-guards.
+what-if scaling hooks, and the validation/deadlock guards.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.metrics import MetricsRegistry, collecting
 from repro.pipeline import simulate_pipeline, stage_orders
 from repro.trace.scaling import CostScaling, scaling
 
@@ -133,13 +131,6 @@ class TestValidationAndMetrics:
         with pytest.raises(ValueError, match="boundary arrays"):
             simulate_pipeline([1.0, 1.0], [1.0, 1.0], n_microbatches=1,
                               fwd_xfer_s=[0.1, 0.2])
-
-    def test_gauges_emitted_under_collection(self):
-        reg = MetricsRegistry()
-        with collecting(reg):
-            t = simulate_pipeline([1.0] * 2, [1.0] * 2, n_microbatches=4)
-        assert reg.value("pipeline.bubble_frac") == t.bubble_frac
-        assert reg.value("pipeline.makespan_s") == t.makespan_s
 
 
 class TestScalingHooks:

@@ -8,6 +8,12 @@ CLI's ``EXPERIMENTS``/``NETWORKS`` tables and the packages' lazy export maps
 load modules by name. Tests are not entry points, so code that only its own
 tests reach fails here. ``repro.testing``, the conformance library the tests
 drive, is the one exempt package.
+
+The same parse guards one import boundary: the simulator layers whose hook
+sites record events (``hw``, ``kernels``, ``frame``, ``simmpi``,
+``parallel``, ``pipeline``, ``faults``, ``trace`` and the serving engine)
+import nothing from ``repro.metrics``. They report through trace spans and
+the fault injector; the ``metrics`` report reads its numbers from the run.
 """
 
 import ast
@@ -17,6 +23,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 ENTRY_DIRS = ("benchmarks", "perfbench", "examples", "tools")
 EXEMPT = "repro.testing"
+#: Packages and modules under ``src/repro`` that must not import repro.metrics.
+HOOK_SITES = (
+    "hw", "kernels", "frame", "simmpi", "parallel", "pipeline", "faults",
+    "trace", "serve/engine.py",
+)
 
 
 def _module_name(path: Path) -> str:
@@ -24,8 +35,15 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _references(path: Path, package: str) -> set[str]:
-    """Every dotted name ``path`` imports or spells out, with its parents."""
+def _package(path: Path) -> str:
+    """The package relative imports in ``path`` resolve against."""
+    name = _module_name(path)
+    return name if path.name == "__init__.py" else name.rpartition(".")[0]
+
+
+def _references(path: Path, package: str, *, strings: bool = True) -> set[str]:
+    """Every dotted name ``path`` imports or (with ``strings``) spells out
+    in a string constant, with its parents."""
     names: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -37,7 +55,7 @@ def _references(path: Path, package: str) -> set[str]:
                 base = ".".join(anchor + ([base] if base else []))
             names.add(base)
             names.update(f"{base}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
     # Importing ``a.b.c`` runs ``a`` and ``a.b`` first.
     return {
@@ -49,11 +67,6 @@ def _references(path: Path, package: str) -> set[str]:
 
 def test_every_module_is_reached_from_an_entry_point():
     modules = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
-
-    def package(name: str) -> str:
-        is_pkg = modules[name].name == "__init__.py"
-        return name if is_pkg else name.rpartition(".")[0]
-
     entry_files = [p for d in ENTRY_DIRS for p in sorted((ROOT / d).rglob("*.py"))]
     todo = {"repro.__main__"}
     for path in entry_files:
@@ -62,7 +75,8 @@ def test_every_module_is_reached_from_an_entry_point():
     while todo:
         name = todo.pop()
         reached.add(name)
-        todo |= (_references(modules[name], package(name)) & modules.keys()) - reached
+        path = modules[name]
+        todo |= (_references(path, _package(path)) & modules.keys()) - reached
 
     unreached = sorted(
         name
@@ -70,3 +84,16 @@ def test_every_module_is_reached_from_an_entry_point():
         if name != EXEMPT and not name.startswith(EXEMPT + ".")
     )
     assert unreached == [], f"modules no entry point reaches: {unreached}"
+
+
+def test_hook_sites_do_not_import_metrics():
+    files = []
+    for site in HOOK_SITES:
+        path = SRC / "repro" / site
+        files += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    importers = sorted(
+        _module_name(path)
+        for path in files
+        if "repro.metrics" in _references(path, _package(path), strings=False)
+    )
+    assert importers == [], f"hook-site modules importing repro.metrics: {importers}"

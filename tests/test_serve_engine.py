@@ -3,7 +3,7 @@
 The scheduling contract from the module docstring, pinned: batch bound,
 FIFO order, the idle-dispatch deadline, shedding at the queue bound,
 latency-split accounting, bit-for-bit determinism, graceful degradation
-under a fault plan, and zero collector state when tracing/metrics are off.
+under a fault plan, and zero collector state when tracing is off.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ import pytest
 
 from repro.faults.injector import FaultInjector, injecting
 from repro.faults.plan import FaultPlan
-from repro.metrics.registry import (
-    MetricsRegistry,
-    NULL_METRICS,
-    active as metrics_active,
-    collecting,
-)
 from repro.serve.arrivals import ArrivalPlan, Request
 from repro.serve.costmodel import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
@@ -142,16 +136,13 @@ class TestFaults:
 class TestInertness:
     def test_disabled_collectors_allocate_no_state(self):
         assert tracer_active() is NULL_TRACER
-        assert metrics_active() is NULL_METRICS
-        before = len(NULL_METRICS)
         bare = run(poisson(index=2), max_batch=4)
         assert tracer_active() is NULL_TRACER
-        assert len(NULL_METRICS) == before == 0
         assert len(NULL_TRACER.spans) == 0
-        # ... and the result is bit-identical with collectors installed.
-        tracer, registry = Tracer(), MetricsRegistry()
-        with tracing(tracer), collecting(registry):
+        # ... and the result is bit-identical with a tracer installed.
+        tracer = Tracer()
+        with tracing(tracer):
             observed = run(poisson(index=2), max_batch=4)
         assert observed.records == bare.records
         assert observed.makespan_s == bare.makespan_s
-        assert len(tracer.spans) > 0 and len(registry) > 0
+        assert len(tracer.spans) > 0

@@ -90,6 +90,29 @@ class TestTracingIsInert:
         assert traced.steps == baseline.steps
         assert tr.by_category("collective_step")
 
+    def test_dma_clock_identical_with_tracing(self):
+        from repro.hw.clock import SimClock
+        from repro.hw.dma import DMAEngine
+
+        src = np.ones((256, 256))
+        baseline = DMAEngine(clock=SimClock())
+        baseline.get(src)
+        with trace.tracing() as tr:
+            traced = DMAEngine(clock=SimClock())
+            traced.get(src)
+        assert traced.clock.now == baseline.clock.now
+        assert tr.by_category("dma_transfer")
+
+    def test_plan_cost_identical_with_tracing(self):
+        from repro.kernels.gemm import SWGemmPlan
+
+        plan = SWGemmPlan(256, 256, 256)
+        baseline = plan.cost()
+        with trace.tracing() as tr:
+            traced = plan.traced_cost()
+        assert traced.total_s == baseline.total_s
+        assert tr.by_category("plan_cost")
+
 
 class TestPlanCostSpans:
     def test_traced_cost_emits_breakdown(self):

@@ -5,8 +5,8 @@ re-running the simulator with the same :class:`CostScaling` installed
 produces the projected end-to-end time exactly (serial-fabric training
 schedules; ``REL_TOL`` otherwise). Also pins the ``--scale`` parser, the
 ``python -m repro whatif`` exit codes, and the consistency between the
-critical path's exposed-collective attribution and the PR-5 overlap
-counters (``comm.overlap_exposed_s``).
+critical path's exposed-collective attribution and the ``exposed_s``
+args of the ``collective_service`` spans.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ class TestTrainingValidation:
 class TestOverlapCounterConsistency:
     def test_on_path_exposure_matches_overlap_exposed_counter(self):
         """The critical path attributes exactly the collective seconds the
-        PR-5 overlap counters report as exposed."""
-        from repro.metrics import collecting
+        service spans report as exposed."""
         from repro.simmpi import (
             IAllreduceQueue,
             SimComm,
@@ -121,7 +120,7 @@ class TestOverlapCounterConsistency:
         from repro.trace.tracer import tracing
 
         fabric = TaihuLightFabric(n_nodes=4, nodes_per_supernode=4)
-        with tracing() as tr, collecting() as mx:
+        with tracing() as tr:
             comm = SimComm(fabric, block_placement(4, 4))
             queue = IAllreduceQueue(comm, rhd_allreduce, origin_s=0.0)
             # Back-to-back launches: the fabric never idles, so every
@@ -132,7 +131,9 @@ class TestOverlapCounterConsistency:
             barrier = queue.fabric.free_s * 0.5
             queue.wait_all(barrier_s=barrier)
         report = critical_path(tr)
-        counter = mx.value("comm.overlap_exposed_s")
+        counter = sum(
+            s.args["exposed_s"] for s in tr.by_category("collective_service")
+        )
         assert counter > 0
         assert report.collective_exposed_s == pytest.approx(counter, rel=1e-12)
 
