@@ -1,9 +1,10 @@
 """Vectorized NumPy convolution arithmetic shared by the conv layer.
 
 These are the *functional* kernels (bit-level semantics of the SW26010
-plans, minus the hardware). Forward/backward are implemented as K*K
-strided-slice contractions — mathematically identical to im2col+GEMM and to
-the implicit blocked kernel, but efficient in NumPy for whole batches.
+plans, minus the hardware). Like the implicit kernel (Sec. IV-B2), a layer is
+one channel GEMM per filter tap over the whole batch, accumulated in (i, j) tap
+order. Operands are laid out as NumPy's einsum plans them, so results equal
+the einsum oracle of tests/test_conv_pool_oracle.py bit for bit when Ho*Wo > 1.
 """
 
 from __future__ import annotations
@@ -32,14 +33,28 @@ def conv_forward(
     ho = conv_out_dim(h, k, stride, pad)
     wo = conv_out_dim(w, k, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    out = np.zeros((b, no, ho, wo), dtype=np.result_type(x, weight))
-    for i in range(k):
-        for j in range(k):
-            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            out += np.einsum("bchw,oc->bohw", patch, weight[:, :, i, j], optimize=True)
+    acc = np.zeros((no, b, ho, wo), dtype=np.result_type(x, weight))
+    prod = np.empty_like(acc)
+    w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # No = 1 then runs einsum's gemv
+    product = np.multiply if ni == 1 else np.matmul  # Ni = 1: an outer product per tap
+    for i, j, _, cols in _taps(xp, k, stride, ho, wo):
+        product(w_taps[i, j], cols, out=prod.reshape(no, -1))
+        acc += prod
+    out = np.ascontiguousarray(acc.transpose(1, 0, 2, 3))
     if bias is not None:
         out += bias.reshape(1, no, 1, 1)
     return out
+
+
+def _taps(xp, k, stride, ho, wo):
+    """Per tap in accumulation order: ``(i, j, window, cols)``, the window into
+    padded ``xp`` and its patch as (Ni, B*Ho*Wo) columns in one reused buffer."""
+    patch = np.empty((xp.shape[1], xp.shape[0], ho, wo), dtype=xp.dtype)
+    for i in range(k):
+        for j in range(k):
+            window = np.s_[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            patch[...] = xp.transpose(1, 0, 2, 3)[window]
+            yield i, j, window, patch.reshape(len(patch), -1)
 
 
 def _grouped(fn, x, weight, third, stride, pad, groups, **kwargs):
@@ -118,14 +133,17 @@ def conv_backward(
         if need_input_grad
         else None
     )
-    for i in range(k):
-        for j in range(k):
-            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            dw[:, :, i, j] = np.einsum("bohw,bchw->oc", dy, patch, optimize=True)
-            if need_input_grad:
-                dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                    np.einsum("bohw,oc->bchw", dy, weight[:, :, i, j], optimize=True)
-                )
+    # Both dy layouts once, as einsum laid them out: at B=1 dy_rows stays a
+    # transposed view, and a copy would change the BLAS call and the bits.
+    dy_rows = np.reshape(dy.transpose(0, 2, 3, 1), (-1, no))  # (B*Ho*Wo, No)
+    dy_cols = np.reshape(dy.transpose(1, 0, 2, 3), (no, -1))  # (No, B*Ho*Wo)
+    dx_tap = np.empty((ni, b, ho, wo), dtype=np.result_type(weight, dy))
+    w_taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1))  # as in forward
+    for i, j, window, cols in _taps(xp, k, stride, ho, wo):
+        dw[:, :, i, j] = np.matmul(cols, dy_rows).T
+        if need_input_grad:
+            np.matmul(w_taps[i, j].T, dy_cols, out=dx_tap.reshape(ni, -1))
+            dxp[window] += dx_tap.transpose(1, 0, 2, 3)
     db = dy.sum(axis=(0, 2, 3))
     dx = None
     if need_input_grad:

@@ -95,6 +95,18 @@ class TestPooling:
         with pytest.raises(PlanError):
             PoolingPlan(1, 1, 4, 4, 2, mode="median")
 
+    @pytest.mark.parametrize(
+        "stride, pad",
+        [(0, 0), (-1, 0), (2, -1), (2, 2), (1, 3)],
+        ids=["zero-stride", "negative-stride", "negative-pad", "pad-eq-k", "pad-gt-k"],
+    )
+    def test_bad_geometry_rejected_at_construction(self, stride, pad):
+        # Unchecked, stride 0 divides by zero, a negative pad fails inside
+        # np.pad at forward, and pad >= k outputs -inf where a window lies
+        # wholly in the padding.
+        with pytest.raises(PlanError):
+            PoolingPlan(1, 1, 4, 4, 2, stride=stride, pad=pad)
+
 
 class TestTransform:
     def test_round_trip_identity(self):
