@@ -14,6 +14,11 @@ The model is multiplicative-efficiency: ``bw = peak * f_size * f_cpes *
 f_stride`` with saturating half-max curves. The constants live in
 :class:`~repro.hw.spec.SW26010Params` and are calibrated so the quoted
 operating points hold (see ``tests/test_hw_dma.py``).
+
+The pricing methods also take NumPy arrays of byte counts and block sizes
+and price them elementwise, with the same floating-point operations as
+the scalar call, so a kernel can score a whole blocking space in one pass.
+Array entries must be positive: the ``<= 0`` guards apply to scalars only.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.trace.tracer import active as _tracer
+
+
+def _real(x: float | np.ndarray) -> float | np.ndarray:
+    """A scalar as a Python ``float``; an array as float64, priced elementwise."""
+    return x.astype(np.float64, copy=False) if isinstance(x, np.ndarray) else float(x)
 
 
 class DMAEngine:
@@ -45,10 +55,10 @@ class DMAEngine:
     # ------------------------------------------------------------------ #
     # cost model
     # ------------------------------------------------------------------ #
-    def _size_efficiency(self, bytes_per_cpe: float) -> float:
+    def _size_efficiency(self, bytes_per_cpe: float | np.ndarray) -> float | np.ndarray:
         """Saturating efficiency in the per-CPE transfer size."""
-        n = float(bytes_per_cpe)
-        if n <= 0:
+        n = _real(bytes_per_cpe)
+        if isinstance(n, float) and n <= 0:
             return 0.0
         return n / (n + self.params.dma_size_half_bytes)
 
@@ -59,7 +69,7 @@ class DMAEngine:
             return 0.0
         return c / (c + self.params.dma_cpe_half)
 
-    def _stride_efficiency(self, block_bytes: float | None) -> float:
+    def _stride_efficiency(self, block_bytes: float | np.ndarray | None) -> float | np.ndarray:
         """Efficiency of strided access as a function of the block size.
 
         ``None`` means fully continuous access (efficiency 1). The paper's
@@ -68,18 +78,18 @@ class DMAEngine:
         """
         if block_bytes is None:
             return 1.0
-        b = float(block_bytes)
-        if b <= 0:
+        b = _real(block_bytes)
+        if isinstance(b, float) and b <= 0:
             return 0.0
         return b / (b + self.params.dma_stride_overhead_bytes)
 
     def aggregate_bandwidth(
         self,
-        bytes_per_cpe: float,
+        bytes_per_cpe: float | np.ndarray,
         n_cpes: int = 64,
         *,
-        block_bytes: float | None = None,
-    ) -> float:
+        block_bytes: float | np.ndarray | None = None,
+    ) -> float | np.ndarray:
         """Achieved aggregate bandwidth (bytes/s) across ``n_cpes`` CPEs.
 
         Parameters
@@ -108,25 +118,30 @@ class DMAEngine:
 
     def transfer_time(
         self,
-        bytes_per_cpe: float,
+        bytes_per_cpe: float | np.ndarray,
         n_cpes: int = 64,
         *,
-        block_bytes: float | None = None,
-    ) -> float:
+        block_bytes: float | np.ndarray | None = None,
+    ) -> float | np.ndarray:
         """Seconds to move ``bytes_per_cpe`` on each of ``n_cpes`` CPEs.
 
         Includes one LDM-transfer latency (the transfers are issued
         concurrently, so latency is paid once, not per CPE).
         """
-        total = float(bytes_per_cpe) * n_cpes
-        if total <= 0:
+        total = _real(bytes_per_cpe) * n_cpes
+        if isinstance(total, float) and total <= 0:
             return 0.0
         bw = self.aggregate_bandwidth(bytes_per_cpe, n_cpes, block_bytes=block_bytes)
         return self.params.dma_latency_s + total / bw
 
-    def bulk_time(self, total_bytes: float, *, block_bytes: float | None = None) -> float:
+    def bulk_time(
+        self,
+        total_bytes: float | np.ndarray,
+        *,
+        block_bytes: float | np.ndarray | None = None,
+    ) -> float | np.ndarray:
         """Seconds for a full-cluster (64-CPE) transfer of ``total_bytes``."""
-        per_cpe = float(total_bytes) / self.params.n_cpes_per_cg
+        per_cpe = _real(total_bytes) / self.params.n_cpes_per_cg
         return self.transfer_time(per_cpe, self.params.n_cpes_per_cg, block_bytes=block_bytes)
 
     # ------------------------------------------------------------------ #

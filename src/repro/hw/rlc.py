@@ -10,9 +10,14 @@ Only 256-bit (4 x double) transfers exist; there is no single-precision RLC
 instruction, which is why swCaffe performs RLC in double precision and
 converts inline with SIMD shuffles — the model exposes that constraint via
 :attr:`RegisterComm.word_bytes`.
+
+Like the DMA model, the transfer times also price a NumPy array of
+positive byte counts elementwise, with the scalar call's operations.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import SimClock
@@ -48,9 +53,11 @@ class RegisterComm:
                 f"RLC only connects CPEs in the same row or column: {src} -> {dst}"
             )
 
-    def _message_time(self, nbytes: float, aggregate_bw: float, n_concurrent: int) -> float:
+    def _message_time(
+        self, nbytes: float | np.ndarray, aggregate_bw: float, n_concurrent: int
+    ) -> float | np.ndarray:
         """Pipeline-fill latency plus transfer at the per-lane share of bandwidth."""
-        if nbytes <= 0:
+        if not isinstance(nbytes, np.ndarray) and nbytes <= 0:
             return 0.0
         startup = self.params.rlc_startup_cycles / self.params.clock_hz
         lane_bw = aggregate_bw / max(1, n_concurrent) * n_concurrent
@@ -58,11 +65,13 @@ class RegisterComm:
         # per-lane completion time is total bytes / aggregate bandwidth.
         return startup + (nbytes * n_concurrent) / lane_bw
 
-    def p2p_time(self, nbytes: float, n_concurrent: int = 1) -> float:
+    def p2p_time(self, nbytes: float | np.ndarray, n_concurrent: int = 1) -> float | np.ndarray:
         """Seconds for ``n_concurrent`` simultaneous P2P transfers of ``nbytes``."""
         return self._message_time(nbytes, self.params.rlc_p2p_bw, n_concurrent)
 
-    def broadcast_time(self, nbytes: float, n_concurrent: int = 1) -> float:
+    def broadcast_time(
+        self, nbytes: float | np.ndarray, n_concurrent: int = 1
+    ) -> float | np.ndarray:
         """Seconds for ``n_concurrent`` simultaneous row/col broadcasts of ``nbytes``."""
         return self._message_time(nbytes, self.params.rlc_bcast_bw, n_concurrent)
 

@@ -89,11 +89,11 @@ class GemmBlocking:
         return 2.0 * self.mb * self.nb * self.kb / traffic
 
 
-#: Memoized blocking choices. One search scores up to 729 candidate
-#: blockings (the paper nets average ~280 LDM-feasible ones) with the full
-#: cost model; layer shapes repeat heavily (every conv in a net maps to a
-#: handful of GEMM shapes), so the search runs once per distinct
-#: (params, m, n, k, dtype) tuple per process.
+#: Memoized blocking choices. One search scores a grid of up to 729
+#: candidate blockings (the paper nets average ~280 LDM-feasible ones) in
+#: one array pass of the full cost model; layer shapes repeat heavily
+#: (every conv in a net maps to a handful of GEMM shapes), so the search
+#: runs once per distinct (params, m, n, k, dtype) tuple per process.
 _BLOCKING_CACHE: dict[tuple, GemmBlocking] = {}
 _BLOCKING_CACHE_MAX = 65536
 
@@ -147,6 +147,8 @@ class SWGemmPlan(KernelPlan):
         super().__init__(params)
         if min(m, n, k) <= 0:
             raise PlanError(f"GEMM dims must be positive, got {(m, n, k)}")
+        if dtype_bytes <= 0:
+            raise PlanError(f"dtype_bytes must be positive, got {dtype_bytes}")
         self.m, self.n, self.k = int(m), int(n), int(k)
         self.dtype_bytes = int(dtype_bytes)
         self.blocking = self._choose_blocking()
@@ -154,11 +156,14 @@ class SWGemmPlan(KernelPlan):
     # ------------------------------------------------------------------ #
     # blocking
     # ------------------------------------------------------------------ #
-    def _ldm_fit(self, mb: int, nb: int, kb: int) -> bool:
+    def _ldm_fit(
+        self, mb: int | np.ndarray, nb: int | np.ndarray, kb: int | np.ndarray
+    ) -> bool | np.ndarray:
         """Whether per-CPE tiles of a candidate block fit in LDM.
 
         Tiles live in LDM in double precision (RLC granularity), double
-        buffered on the A/B panels so DMA overlaps compute.
+        buffered on the A/B panels so DMA overlaps compute. Elementwise
+        over arrays of block sizes.
         """
         mesh = self.params.cpe_rows
         per_cpe = 8.0 * (
@@ -178,82 +183,77 @@ class SWGemmPlan(KernelPlan):
         which the efficiency model then prices far below a slightly
         smaller block that divides the problem evenly. Ties break toward
         higher intensity, keeping the historical choice for shapes the
-        model prices identically.
-
-        The score is ``_cost_for(blk).total_s`` evaluated inline with the
-        same operands in the same order, so every score is bit-identical;
-        terms that depend on one or two block dims are computed once per
-        candidate size, and a block is only built when its score ties or
-        beats the best so far.
+        model prices identically, then toward the first in (mb, nb, kb)
+        order.
         """
         key = (self.params, self.m, self.n, self.k, self.dtype_bytes)
         cached = _BLOCKING_CACHE.get(key)
         if cached is not None:
             return cached
-        m, n, k, dtype_bytes = self.m, self.n, self.k, self.dtype_bytes
-        mesh = self.params.cpe_rows
-        candidates = [mesh * x for x in (1, 2, 4, 8, 16, 24, 32, 48, 64)]
-
-        def clamp(dim: int, fill) -> list[tuple[int, int, float, float]]:
-            """(block, block count, fringe utilisation, pipeline fill) per
-            candidate block size of one dimension."""
-            # Blocks stay within one mesh row of the dim: the library does
-            # not pad a dim far beyond its extent, and the calibrated
-            # small-shape collapse (Table II / Fig. 8) depends on that.
-            out = []
-            for b in [c for c in candidates if c < dim + mesh] or [mesh]:
-                blocks = math.ceil(dim / b)
-                out.append((b, blocks, dim / (blocks * b), fill(max(1.0, b / mesh))))
-            return out
-
-        flops = 2.0 * m * n * k
-        peak = self._cg.peak_flops
-        base = self.base_efficiency
-        # Multiplying by 1.0 is exact, so doubles take the same path.
-        precision = 1.0 - self.single_precision_tax if dtype_bytes < 8 else 1.0
-        latency_s = self.params.dma_latency_s
-        bulk_time = self._cg.dma.bulk_time
-        broadcast_time = self._cg.rlc.broadcast_time
-        dma_memo: dict[tuple[int, int, int], float] = {}
-        depth = clamp(k, _depth_fill)
-        best: GemmBlocking | None = None
-        best_s = best_fpb = 0.0
-        for mb, m_blocks, util_m, fill_m in clamp(m, _row_fill):
-            for nb, n_blocks, util_n, fill_n in clamp(n, _col_fill):
-                fill_mn = fill_m * fill_n
-                util_mn = util_m * util_n
-                mn_blocks = m_blocks * n_blocks
-                dma_bytes = float(
-                    n_blocks * m * k * dtype_bytes
-                    + m_blocks * k * n * dtype_bytes
-                    + 2 * m * n * dtype_bytes
-                )
-                for kb, k_blocks, util_k, fill_k in depth:
-                    if not self._ldm_fit(mb, nb, kb):
-                        break  # LDM use only grows with kb
-                    eff = base * (fill_mn * fill_k) * (util_mn * util_k) * precision
-                    compute_s = flops / (peak * max(eff, 1e-3))
-                    row_bytes = min(kb, nb) * dtype_bytes
-                    dma_s = dma_memo.get((mb, nb, row_bytes))
-                    if dma_s is None:
-                        dma_s = bulk_time(dma_bytes, block_bytes=row_bytes)
-                        dma_memo[mb, nb, row_bytes] = dma_s
-                    n_outer = mn_blocks * k_blocks
-                    rlc_s = broadcast_time(n_outer * (8.0 * (mb * kb + kb * nb)))
-                    total_s = max(compute_s, dma_s, rlc_s) + n_outer * latency_s
-                    if best is None or total_s < best_s:
-                        best = GemmBlocking(mb, nb, kb)
-                        best_s, best_fpb = total_s, best.flop_per_byte
-                    elif total_s == best_s:
-                        blk = GemmBlocking(mb, nb, kb)
-                        if blk.flop_per_byte > best_fpb:
-                            best, best_fpb = blk, blk.flop_per_byte
-        if best is None:
+        mb, nb, kb, total_s = self._candidate_scores()
+        best_s = total_s.min()
+        if best_s == np.inf:
             raise PlanError("no LDM-feasible GEMM blocking found")
+        tied = np.unravel_index(np.flatnonzero(total_s == best_s), total_s.shape)
+        blocks = [GemmBlocking(int(mb.flat[i]), int(nb.flat[j]), int(kb.flat[l]))
+                  for i, j, l in zip(*tied)]
+        best = max(blocks, key=lambda blk: blk.flop_per_byte)  # first of equals
         if len(_BLOCKING_CACHE) >= _BLOCKING_CACHE_MAX:
             _BLOCKING_CACHE.clear()
         _BLOCKING_CACHE[key] = best
         return best
+
+    def _candidate_scores(self) -> tuple[np.ndarray, ...]:
+        """Modeled seconds of every candidate blocking, in one NumPy pass.
+
+        Returns the candidate ``mb``, ``nb`` and ``kb`` laid along the
+        three axes of a grid, and that grid's ``_cost_for(blk).total_s``,
+        ``inf`` where the tiles do not fit in LDM. Each dimension's block
+        sizes, block counts, fringe utilisations and fills are computed in
+        scalar Python and broadcast along its axis; the grid is scored with
+        ``_cost_for``'s operations in the same order, the DMA and RLC terms
+        by the engines' own formulas. NumPy rounds each elementwise
+        operation as Python does, so every score is bit-identical.
+        """
+        m, n, k, dtype_bytes = self.m, self.n, self.k, self.dtype_bytes
+        mesh = self.params.cpe_rows
+        candidates = [mesh * x for x in (1, 2, 4, 8, 16, 24, 32, 48, 64)]
+
+        def axis(dim: int, fill, along: int) -> list[np.ndarray]:
+            """(block, block count, fringe utilisation, pipeline fill) of
+            each candidate block size of one dimension, laid along grid
+            axis ``along``."""
+            # Blocks stay within one mesh row of the dim: the library does
+            # not pad a dim far beyond its extent, and the calibrated
+            # small-shape collapse (Table II / Fig. 8) depends on that.
+            rows = []
+            for b in [c for c in candidates if c < dim + mesh] or [mesh]:
+                blocks = math.ceil(dim / b)
+                rows.append((b, blocks, dim / (blocks * b), fill(max(1.0, b / mesh))))
+            shape = [1, 1, 1]
+            shape[along] = len(rows)
+            return [np.array(col).reshape(shape) for col in zip(*rows)]
+
+        mb, m_blocks, util_m, fill_m = axis(m, _row_fill, 0)
+        nb, n_blocks, util_n, fill_n = axis(n, _col_fill, 1)
+        kb, k_blocks, util_k, fill_k = axis(k, _depth_fill, 2)
+        flops = 2.0 * m * n * k
+        # Multiplying by 1.0 is exact, so doubles take the same path.
+        precision = 1.0 - self.single_precision_tax if dtype_bytes < 8 else 1.0
+        eff = self.base_efficiency * (fill_m * fill_n * fill_k)
+        eff = eff * (util_m * util_n * util_k) * precision
+        compute_s = flops / (self._cg.peak_flops * np.maximum(eff, 1e-3))
+        # Exact in int64, as in Python, while the traffic stays below 2**63 bytes.
+        dma_bytes = n_blocks * m * k * dtype_bytes + m_blocks * k * n * dtype_bytes
+        dma_bytes = (dma_bytes + 2 * m * n * dtype_bytes).astype(np.float64)
+        row_bytes = np.minimum(kb, nb) * dtype_bytes
+        dma_s = self._cg.dma.bulk_time(dma_bytes, block_bytes=row_bytes)
+        n_outer = m_blocks * n_blocks * k_blocks
+        rlc_s = self._cg.rlc.broadcast_time(n_outer * (8.0 * (mb * kb + kb * nb)))
+        total_s = np.maximum(np.maximum(compute_s, dma_s), rlc_s)
+        total_s = total_s + n_outer * self.params.dma_latency_s
+        total_s[~self._ldm_fit(mb, nb, kb)] = np.inf
+        return mb, nb, kb, total_s
 
     # ------------------------------------------------------------------ #
     # cost model

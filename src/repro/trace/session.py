@@ -28,7 +28,7 @@ from repro.simmpi.comm import CollectiveResult, SimComm, reduce_gamma
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.trace.scaling import active as _scaling
-from repro.trace.tracer import Tracer, active, emit_cost_spans, suspended, tracing
+from repro.trace.tracer import Tracer, emit_cost_spans, suspended, tracing
 
 #: ``scheme`` -> rank placement; its ``name`` is the iteration model's.
 PLACEMENTS = {"improved": round_robin_placement, "original": block_placement}
@@ -50,60 +50,39 @@ def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> Collective
     return result
 
 
-def trace_net_iteration(net, tracer: Tracer | None = None) -> float:
+def trace_net_iteration(net, costs: list, tracer: Tracer) -> float:
     """Emit one simulated training iteration of ``net`` as spans.
 
-    Under the tracer's current track context: ``layer_fwd`` spans in layer
-    order, ``layer_bwd`` spans in reverse order (each with compute/DMA/RLC
-    component children on the resource tracks), and one ``solver_iter``
-    span covering the sweep. Returns the iteration's simulated seconds.
-
-    Layer costs are computed with ambient tracing *suspended* so the plan
-    search inside the cost hooks does not spam the trace with candidate
-    LDM-allocation events.
+    ``costs`` is the net's priced per-layer walk
+    (:meth:`~repro.frame.net.Net.sw_layer_costs`), priced once by the
+    caller for every rank and iteration. Under the tracer's current track
+    context: ``layer_fwd`` spans in layer order, ``layer_bwd`` spans in
+    reverse order (each with compute/DMA/RLC component children on the
+    resource tracks), and one ``solver_iter`` span covering the sweep.
+    Returns the iteration's simulated seconds.
     """
-    tr = tracer if tracer is not None else active()
-    if not tr.enabled:
-        return float(net.sw_iteration_time())
-    start = tr.cursor("layers")
-    with suspended():
-        costs = net.sw_layer_costs()
-    sc = _scaling()
-    if sc.enabled:
-        # What-if validation: scale each layer's component costs exactly
-        # as the projection does, then let total_s re-derive the
-        # dual-pipeline bound from the scaled components.
-        costs = [
-            (
-                layer,
-                cost.__class__(
-                    sc.scale_plan_cost(cost.forward, layer.name),
-                    sc.scale_plan_cost(cost.backward, layer.name),
-                ),
-            )
-            for layer, cost in costs
-        ]
+    start = tracer.cursor("layers")
     prev = None
     for layer, cost in costs:
         parent = emit_cost_spans(
-            tr, f"{layer.name} fwd", cost.forward,
+            tracer, f"{layer.name} fwd", cost.forward,
             cat="layer_fwd", args={"layer_type": layer.type},
         )
         if parent is not None:
             if prev is not None:
-                tr.edge(prev, parent)
+                tracer.edge(prev, parent)
             prev = parent
     for layer, cost in reversed(costs):
         parent = emit_cost_spans(
-            tr, f"{layer.name} bwd", cost.backward,
+            tracer, f"{layer.name} bwd", cost.backward,
             cat="layer_bwd", args={"layer_type": layer.type},
         )
         if parent is not None:
             if prev is not None:
-                tr.edge(prev, parent)
+                tracer.edge(prev, parent)
             prev = parent
-    dur = tr.cursor("layers") - start
-    tr.emit(
+    dur = tracer.cursor("layers") - start
+    tracer.emit(
         f"{net.name} iteration",
         "solver_iter",
         track="solver",
@@ -195,8 +174,27 @@ def trace_training_step(
     sync = PlanCost(overhead_s=node.sync_s)
     local_reduce = PlanCost(dma_s=node.local_reduce_s, dma_bytes=5.0 * payload)
     update = PlanCost(dma_s=model.update_time(), dma_bytes=5.0 * payload)
+    # Every rank and iteration runs the same layer passes, so the net is
+    # priced once, with ambient tracing suspended so the plan search inside
+    # the cost hooks does not spam the trace with candidate LDM-allocation
+    # events.
+    with suspended():
+        costs = net.sw_layer_costs()
     sc = _scaling()
     if sc.enabled:
+        # What-if validation: scale each layer's component costs exactly
+        # as the projection does, then let total_s re-derive the
+        # dual-pipeline bound from the scaled components.
+        costs = [
+            (
+                layer,
+                cost.__class__(
+                    sc.scale_plan_cost(cost.forward, layer.name),
+                    sc.scale_plan_cost(cost.backward, layer.name),
+                ),
+            )
+            for layer, cost in costs
+        ]
         sync, local_reduce, update = (
             sc.scale_plan_cost(c) for c in (sync, local_reduce, update)
         )
@@ -211,7 +209,7 @@ def trace_training_step(
             reduced = []
             for r in range(ranks):
                 with tr.context(f"rank{r}"):
-                    layers_s = trace_net_iteration(net, tr)
+                    layers_s = trace_net_iteration(net, costs, tr)
                     emit_cost_spans(tr, "cg sync", sync)
                     reduced.append(emit_cost_spans(tr, "local reduce", local_reduce))
             compute_s += layers_s + sync.total_s

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw import DMAEngine, SimClock
+from repro.hw import DMAEngine, RegisterComm, SimClock
 
 
 @pytest.fixture()
@@ -104,6 +104,47 @@ class TestTransferTime:
     def test_bulk_time_uses_full_cluster(self, dma):
         total = 64 * 2048
         assert dma.bulk_time(total) == pytest.approx(dma.transfer_time(2048, 64))
+
+
+class TestArrayPricing:
+    """One call prices an array of transfers, as the GEMM blocking search
+    does for its whole candidate grid."""
+
+    rng = np.random.default_rng(0xD3A)
+    nbytes = rng.uniform(1.0, 1e9, size=(3, 4, 5))
+    blocks = rng.integers(1, 8192, size=(3, 4, 5))
+
+    def test_bulk_time_equals_scalar_calls_bitwise(self, dma):
+        got = dma.bulk_time(self.nbytes, block_bytes=self.blocks)
+        assert got.shape == self.nbytes.shape
+        assert got.ravel().tolist() == [
+            dma.bulk_time(float(n), block_bytes=int(b))
+            for n, b in zip(self.nbytes.flat, self.blocks.flat)
+        ]
+        continuous = dma.bulk_time(self.nbytes)
+        assert continuous.ravel().tolist() == [dma.bulk_time(float(n)) for n in self.nbytes.flat]
+
+    def test_broadcast_time_equals_scalar_calls_bitwise(self):
+        rlc = RegisterComm()
+        for n_concurrent in (1, 4):
+            got = rlc.broadcast_time(self.nbytes, n_concurrent)
+            want = [rlc.broadcast_time(float(n), n_concurrent) for n in self.nbytes.flat]
+            assert got.ravel().tolist() == want
+
+    def test_scalar_calls_return_python_floats(self, dma):
+        rlc = RegisterComm()
+        for nbytes in (4096, 4096.0, np.float64(4096.0)):
+            assert type(dma.bulk_time(nbytes)) is float
+            assert type(dma.bulk_time(nbytes, block_bytes=256)) is float
+        for nbytes in (4096, 4096.0):
+            assert type(rlc.broadcast_time(nbytes)) is float
+
+    def test_nonpositive_scalar_bytes_are_free(self, dma):
+        rlc = RegisterComm()
+        for nbytes in (0, 0.0, -1, -4096.0):
+            assert dma.bulk_time(nbytes) == 0.0
+            assert dma.bulk_time(nbytes, block_bytes=256) == 0.0
+            assert rlc.broadcast_time(nbytes) == 0.0
 
 
 class TestFunctionalTransfers:

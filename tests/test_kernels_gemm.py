@@ -62,6 +62,12 @@ class TestPlanFunctional:
         with pytest.raises(PlanError):
             SWGemmPlan(0, 4, 4)
 
+    def test_nonpositive_dtype_bytes_rejected(self):
+        # Such a GEMM would move no memory (dma_s == 0).
+        for dtype_bytes in (0, -4):
+            with pytest.raises(PlanError, match="dtype_bytes"):
+                SWGemmPlan(64, 64, 64, dtype_bytes=dtype_bytes)
+
 
 class TestPlanCostModel:
     def test_blocking_fits_ldm(self):

@@ -199,6 +199,17 @@ class TestTraceSession:
         trace_training_step(lenet.build(batch_size=4), ranks=2)
         assert trace.active() is trace.NULL_TRACER
 
+    def test_net_priced_once_per_step(self, monkeypatch):
+        from repro.frame.model_zoo import lenet
+        from repro.frame.net import Net
+
+        priced = []
+        price = Net.sw_layer_costs
+        monkeypatch.setattr(Net, "sw_layer_costs", lambda net: priced.append(net) or price(net))
+        net = lenet.build(batch_size=4)
+        trace_training_step(net, ranks=16, iterations=2)
+        assert priced == [net]
+
 
 class TestCLI:
     def test_trace_command_end_to_end(self, tmp_path, capsys, monkeypatch):
