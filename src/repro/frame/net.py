@@ -44,7 +44,7 @@ class Net:
         not overwrite an existing blob — no in-place layers, so gradient
         fan-in stays unambiguous).
         """
-        if any(l.name == layer.name for l in self.layers):
+        if layer.name in self._tops:
             raise ShapeError(f"duplicate layer name {layer.name!r}")
         for b in bottoms:
             if b not in self.blobs:

@@ -5,6 +5,14 @@ first two iterations to determine the best strategy used for remaining
 iterations." The autotuner reproduces that: it prices (or, in a live net,
 times) each direction of each candidate plan once per layer configuration
 and caches the winner.
+
+:func:`select_conv_plan` keeps that winner for the rest of the process,
+one frozen :class:`PlanChoice` per distinct (config, direction, params),
+the way a TVM-style tuner records one schedule per operator workload.
+Pricing reads nothing but that key (no fault plan, cost scaling or
+tracer), so every layer, harness and command that meets a configuration
+again gets the same choice back. :class:`PlanAutotuner` still counts its
+own probes per layer.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from repro.errors import PlanError
 from repro.kernels.conv_explicit import ExplicitConvPlan
 from repro.kernels.conv_implicit import ImplicitConvPlan
 from repro.kernels.plan import PlanCost
-from repro.hw.spec import SW26010Params
+from repro.hw.spec import SW26010Params, SW_PARAMS
 
 #: Directions a convolution layer needs plans for.
 DIRECTIONS = ("forward", "backward_weight", "backward_input")
@@ -49,12 +57,39 @@ def _direction_cost(plan, direction: str) -> PlanCost:
     return getattr(plan, f"cost_{direction}")()
 
 
+#: Plan choices priced in this process, one per distinct (config,
+#: direction, params). The paper artifacts rebuild the same nets and
+#: repeat block shapes, so a cold pass over them meets each key ~2.5
+#: times. Bounded and cleared like ``gemm._BLOCKING_CACHE``.
+_CHOICE_CACHE: dict[tuple[ConvConfig, str, SW26010Params], PlanChoice] = {}
+_CHOICE_CACHE_MAX = 65536
+
+
 def select_conv_plan(
     config: ConvConfig, direction: str, params: SW26010Params | None = None
 ) -> PlanChoice:
-    """Price every available plan for one direction and keep the winner."""
+    """Price every available plan for one direction and keep the winner.
+
+    The winner is memoized per process: a repeated (config, direction,
+    params) returns the identical :class:`PlanChoice`. A configuration no
+    plan can price raises every time it is asked.
+    """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    key = (config, direction, params or SW_PARAMS)
+    choice = _CHOICE_CACHE.get(key)
+    if choice is None:
+        choice = _price_conv_plans(*key)
+        if len(_CHOICE_CACHE) >= _CHOICE_CACHE_MAX:
+            _CHOICE_CACHE.clear()
+        _CHOICE_CACHE[key] = choice
+    return choice
+
+
+def _price_conv_plans(
+    config: ConvConfig, direction: str, params: SW26010Params
+) -> PlanChoice:
+    """The uncached selection: build each candidate plan and price it."""
     candidates = []
     explicit = ExplicitConvPlan(
         config.batch, config.ni, config.no, config.height, config.width,

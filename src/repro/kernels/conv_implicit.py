@@ -79,6 +79,8 @@ class ImplicitConvPlan(KernelPlan):
         super().__init__(params)
         if min(batch, ni, no, height, width, k, stride) <= 0:
             raise PlanError("conv dims must be positive")
+        if pad < 0:
+            raise PlanError(f"conv pad must be >= 0, got {pad}")
         self.batch = int(batch)
         self.ni = int(ni)
         self.no = int(no)

@@ -29,7 +29,7 @@ from repro.harness import (
     table3_throughput,
 )
 from repro.hw.spec import SW_PARAMS
-from repro.kernels import gemm
+from repro.kernels import autotune, gemm
 from repro.kernels.gemm import GemmBlocking, SWGemmPlan
 
 HEAVY = bool(int(os.environ.get("REPRO_HEAVY", "0") or "0"))
@@ -98,6 +98,7 @@ def check(m, n, k, dtype_bytes, params=None) -> GemmBlocking:
 @pytest.fixture(scope="module")
 def paper_shapes():
     """Every (params, m, n, k, dtype) key one cold paper pass searches."""
+    autotune._CHOICE_CACHE.clear()  # a warm plan choice builds no GEMM plan
     gemm._BLOCKING_CACHE.clear()
     fig10_scalability._iteration_model.cache_clear()
     for module in (

@@ -152,6 +152,10 @@ class TestExplicitConvPlan:
             assert c.total_s > 0
             assert c.flops > 0
 
+    def test_negative_pad_rejected(self):
+        with pytest.raises(PlanError, match="pad"):
+            ExplicitConvPlan(2, 64, 64, 8, 8, 3, 1, -1)
+
 
 class TestImplicitConvPlan:
     def test_forward_matches_explicit(self):
@@ -199,6 +203,10 @@ class TestImplicitConvPlan:
         e512 = ImplicitConvPlan(1, 512, 512, 28, 28, 3, pad=1)._efficiency()
         assert e64 < e256 < e512
 
+    def test_negative_pad_rejected(self):
+        with pytest.raises(PlanError, match="pad"):
+            ImplicitConvPlan(2, 64, 64, 8, 8, 3, 1, -1)
+
 
 class TestAutotuner:
     def test_conv1_1_falls_back_to_explicit(self):
@@ -235,3 +243,9 @@ class TestAutotuner:
         cfg = ConvConfig(batch=1, ni=8, no=8, height=8, width=8, k=3, pad=1)
         with pytest.raises(ValueError):
             select_conv_plan(cfg, "sideways")
+
+    def test_unpriceable_config_raises_on_every_call(self):
+        cfg = ConvConfig(batch=2, ni=3, no=8, height=8, width=8, k=3, pad=-1)
+        for _ in range(2):  # the first failure is not cached
+            with pytest.raises(PlanError, match="pad"):
+                select_conv_plan(cfg, "forward")
