@@ -30,6 +30,7 @@ realized value, which the ``pipeline.bubble_frac`` metric and the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from repro.hw.clock import SerialResource
@@ -82,8 +83,9 @@ class PipelineTimeline:
     ops: tuple[OpRecord, ...]
     xfers: tuple[XferRecord, ...]
 
-    @property
+    @cached_property
     def makespan_s(self) -> float:
+        """Latest op or transfer end, scanned once per timeline."""
         return max(
             [op.end_s for op in self.ops] + [x.end_s for x in self.xfers],
             default=0.0,

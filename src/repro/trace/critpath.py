@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Mapping
 
 from repro.errors import CritPathError
@@ -86,13 +84,22 @@ def _layer_of(span: Span) -> str | None:
     return name if sep and suffix in ("fwd", "bwd") else span.name
 
 
+#: Span category -> (node kind as an interval, as an instant, resource class).
+_CLASSIFY = {
+    **{cat: ("leaf", "marker", res) for cat, res in RESOURCE_CLASS.items()},
+    **{cat: ("container", "container", None) for cat in CONTAINER_CATS},
+}
+_UNCLASSIFIED = ("leaf", "marker", None)
+
+
 @dataclass(frozen=True)
 class CritGraph:
     """The dependency graph of one trace, compiled into per-node columns.
 
     Node ``i`` is ``spans[i]``; every other column is a tuple indexed the
-    same way. :func:`build_graph` also fixes the Kahn order once, so each
-    schedule is one duration pass plus one walk over ``order``.
+    same way. :func:`build_graph` also fixes the Kahn order and walks the
+    identity schedule in the same pass, so each scaled schedule is one
+    walk over ``order``.
     """
 
     spans: tuple[Span, ...]
@@ -104,36 +111,26 @@ class CritGraph:
     #: Release floor: the recorded start of markers and roots, ``ready_s``
     #: of serially-served windows, else 0.0 (predecessor-bound).
     floors: tuple[float, ...]
+    #: Scheduling neighbours of each node, in ascending index order.
     preds: tuple[tuple[int, ...], ...]
     succs: tuple[tuple[int, ...], ...]
     #: Member component node indices (containers only).
     members: tuple[tuple[int, ...], ...]
-    #: Scheduled (dep + inferred-chain) edges as (src, dst) node indices.
-    edges: list[tuple[int, int]]
     #: Member spans (by node index) — priced inside containers, not scheduled.
     member_nodes: frozenset[int]
     #: Topological order over scheduled nodes (short of them on a cycle).
     order: tuple[int, ...]
+    #: The unscaled schedule's (start, end, dur), walked with the order.
+    identity: tuple[tuple[float, ...], ...]
 
     @property
     def n_scheduled(self) -> int:
         return len(self.spans) - len(self.member_nodes)
 
     @cached_property
-    def identity(self) -> tuple[tuple[float, ...], ...]:
-        """The unscaled schedule's (start, end, dur), walked once."""
-        dur = _durations(self, {})
-        start, end = _walk(self, dur)
-        return tuple(start), tuple(end), tuple(dur)
-
-
-def _adjacency(n: int, edges: list, side: int) -> tuple[tuple[int, ...], ...]:
-    """Per-node neighbour tuples from ``edges`` grouped on ``edge[side]``."""
-    out: list[tuple[int, ...]] = [()] * n
-    other = itemgetter(1 - side)
-    for node, group in groupby(edges, itemgetter(side)):
-        out[node] = tuple(map(other, group))
-    return tuple(out)
+    def edges(self) -> list[tuple[int, int]]:
+        """Scheduled (dep + inferred-chain) edges as sorted (src, dst) pairs."""
+        return [(i, j) for i, succ in enumerate(self.succs) for j in succ]
 
 
 def build_graph(tracer: Tracer | list[Span]) -> CritGraph:
@@ -142,40 +139,16 @@ def build_graph(tracer: Tracer | list[Span]) -> CritGraph:
     Accepts a :class:`Tracer` (explicit edges included) or a bare span
     list (same-track inference only).
     """
-    if isinstance(tracer, Tracer):
-        recorded = tracer.spans
-        raw_edges = tracer.edges
-    else:
-        recorded = list(tracer)
-        raw_edges = []
-
-    spans: list[Span] = []
-    kinds: list[str] = []
-    resources: list[str | None] = []
-    layers: list[str | None] = []
-    # None: roots fall back to the recorded start, others to predecessors.
-    floors: list[float | None] = []
-    for span in recorded:
-        _, cat, _, start, _, args, instant = span
-        if cat in EXCLUDED_CATS:
-            continue
-        spans.append(span)
-        resources.append(RESOURCE_CLASS.get(cat))
-        container = cat in CONTAINER_CATS
-        kinds.append("container" if container else "marker" if instant else "leaf")
-        layers.append(_layer_of(span) if container else None)
-        if instant and not container:
-            floors.append(start)
-        elif args and "ready_s" in args:
-            floors.append(float(args["ready_s"]))
-        else:
-            floors.append(None)
+    recorded, raw_edges = (
+        (tracer.spans, tracer.edges) if isinstance(tracer, Tracer) else (tracer, ())
+    )
+    spans = [span for span in recorded if span[1] not in EXCLUDED_CATS]
     n = len(spans)
     node_of = dict(zip(map(id, spans), range(n))).get
 
     members: list[tuple[int, ...]] = [()] * n
     member_nodes: set[int] = set()
-    dep_edges: list[tuple[int, int]] = []
+    deps: list[tuple[int, int]] = []
     for src, dst, kind in raw_edges:
         si, di = node_of(id(src)), node_of(id(dst))
         if si is None or di is None or si == di:
@@ -184,53 +157,75 @@ def build_graph(tracer: Tracer | list[Span]) -> CritGraph:
             members[di] += (si,)
             member_nodes.add(si)
         else:
-            dep_edges.append((si, di))
+            deps.append((si, di))
+    # Explicit predecessors by destination; edges touching a (priced,
+    # unscheduled) member drop out.
+    preds: list[tuple[int, ...]] = [()] * n
+    for si, di in deps:
+        if si not in member_nodes and di not in member_nodes:
+            preds[di] += (si,)
+    del deps, node_of  # the largest temporaries: free them before the node pass
 
-    # Same-track ordering: non-member interval spans emitted on one track
-    # chain when the next one starts at/after the previous end (clock- and
-    # cursor-driven emission are both monotone per track; spans that
-    # overlap are concurrent and stay unchained).
-    last_on_track: dict[str, tuple[int, float]] = {}
-    for i, (span, kind) in enumerate(zip(spans, kinds)):
-        if kind == "marker" or i in member_nodes:
-            continue
-        _, _, track, start, dur, _, _ = span
-        end = start + dur
-        prev = last_on_track.get(track)
-        if prev is not None and start >= prev[1] - _CHAIN_EPS:
-            dep_edges.append((prev[0], i))
-        # ``>=``: a zero-duration span ending exactly where its predecessor
-        # did must still become the chain head, or the next span would
-        # bypass it (and any explicit dependency riding on it).
-        if prev is None or end >= prev[1]:
-            last_on_track[track] = (i, end)
-    # Emission order leaves long sorted runs for the sort to merge; drop
-    # duplicates, then explicit edges touching a (priced, unscheduled) member.
-    dep_edges.sort()
-    edges = [e for e in dict.fromkeys(dep_edges)
-             if e[0] not in member_nodes and e[1] not in member_nodes]
-    succs = _adjacency(n, edges, 0)
-    # A stable sort by destination keeps each node's predecessors ascending.
-    preds = _adjacency(n, sorted(edges, key=itemgetter(1)), 1)
+    # One pass classifies each node and infers same-track ordering:
+    # non-member interval spans emitted on one track chain when the next
+    # one starts at/after the previous end (clock- and cursor-driven
+    # emission are both monotone per track; spans that overlap are
+    # concurrent and stay unchained).
+    kinds: list[str] = []
+    resources: list[str | None] = []
+    layers: list[str | None] = []
+    floors: list[float] = []
+    succs: list[tuple[int, ...]] = [()] * n
+    heads: dict[str, int] = {}  # track -> chain head node
+    head_ends: dict[str, float] = {}
+    for i, span in enumerate(spans):
+        _, cat, track, start, dur, args, instant = span
+        interval, point, res = _CLASSIFY.get(cat, _UNCLASSIFIED)
+        kind = point if instant else interval
+        kinds.append(kind)
+        resources.append(res)
+        layers.append(_layer_of(span) if kind == "container" else None)
+        pred = preds[i]
+        if kind != "marker" and i not in member_nodes:
+            end = start + dur
+            head = heads.get(track)
+            if head is None:
+                heads[track], head_ends[track] = i, end
+            else:
+                head_end = head_ends[track]
+                if start >= head_end - _CHAIN_EPS:
+                    pred += (head,)
+                # ``>=``: a zero-duration span ending exactly where its
+                # predecessor did must still become the chain head, or the
+                # next span would bypass it (and any explicit dependency
+                # riding on it).
+                if end >= head_end:
+                    heads[track], head_ends[track] = i, end
+        if len(pred) > 1:
+            pred = tuple(sorted(set(pred)))
+        preds[i] = pred
+        for j in pred:
+            succs[j] += (i,)
+        if kind == "marker":
+            floors.append(start)
+        elif args and "ready_s" in args:
+            floors.append(float(args["ready_s"]))
+        else:
+            floors.append(0.0 if pred else start)
 
-    # Kahn's algorithm; ``order`` doubles as the FIFO of ready nodes.
-    indegree = list(map(len, preds))
-    order = [i for i in range(n) if not indegree[i] and i not in member_nodes]
-    for i in order:
-        for j in succs[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                order.append(j)
-
-    floors = [
-        (span.start_s if not preds[i] else 0.0) if floor is None else floor
-        for i, (span, floor) in enumerate(zip(spans, floors))
-    ]
-    return CritGraph(
+    # Kahn's algorithm from the roots walks the identity schedule; the
+    # provisional graph's ``order`` grows as nodes are released.
+    graph = CritGraph(
         spans=tuple(spans), kinds=tuple(kinds), resources=tuple(resources),
-        layers=tuple(layers), floors=tuple(floors), preds=preds, succs=succs,
-        members=tuple(members), edges=edges,
-        member_nodes=frozenset(member_nodes), order=tuple(order),
+        layers=tuple(layers), floors=tuple(floors), preds=tuple(preds),
+        succs=tuple(succs), members=tuple(members),
+        member_nodes=frozenset(member_nodes),
+        order=[i for i in range(n) if not preds[i] and i not in member_nodes],
+        identity=(),
+    )
+    identity = _walk(graph, {}, list(map(len, preds)))
+    return replace(
+        graph, order=tuple(graph.order), identity=tuple(map(tuple, identity))
     )
 
 
@@ -253,40 +248,58 @@ def _binding_member(
     return bound, bound_res, lf
 
 
-def _durations(graph: CritGraph, factors: Mapping[str, float]) -> list[float]:
-    """Each scheduled node's duration under ``factors`` (0.0 elsewhere).
+def _walk(
+    graph: CritGraph, factors: Mapping[str, float], indegree: list[int] | None = None
+) -> tuple[list[float], list[float], list[float]]:
+    """One forward pass in topological order under ``factors``.
 
-    Mirrors, operation for operation, what the simulator recomputes under
-    :class:`~repro.trace.scaling.CostScaling` — containers re-apply the
-    dual-pipeline ``max(members) + overhead`` rule to scaled components.
+    Each node's duration mirrors, operation for operation, what the
+    simulator recomputes under :class:`~repro.trace.scaling.CostScaling`
+    — containers re-apply the dual-pipeline ``max(members) + overhead``
+    rule to scaled components — and ``start = max(floor, pred ends)``.
+    With ``indegree``, the pass is also Kahn's algorithm: ``graph.order``
+    holds the roots and doubles as the FIFO of ready nodes, and a node is
+    walked once its predecessors are final.
     """
-    get = factors.get
+    get, order = factors.get, graph.order
+    # Only factors other than 1.0: ``d * 1.0 == d`` bit for bit.
+    scale = {res: f for res in RESOURCE_CLASS.values() if (f := get(res, 1.0)) != 1.0}
     spans, kinds, resources = graph.spans, graph.kinds, graph.resources
-    dur = [0.0] * len(spans)
-    for i in graph.order:
+    layers, floors, members = graph.layers, graph.floors, graph.members
+    preds, succs = graph.preds, graph.succs
+    n = len(spans)
+    start, end, dur = [0.0] * n, [0.0] * n, [0.0] * n
+    for i in order:
         kind = kinds[i]
         if kind == "leaf":
-            res, d = resources[i], spans[i].dur_s
-            dur[i] = d if res is None else d * get(res, 1.0)
+            res, d = resources[i], spans[i][4]
+            if res in scale:
+                d *= scale[res]
         elif kind == "container":
-            bound, _, lf = _binding_member(graph, i, get)
-            overhead = float((spans[i].args or {}).get("overhead_s", 0.0))
-            dur[i] = bound + overhead * (get("overhead", 1.0) * lf)
-    return dur
-
-
-def _walk(graph: CritGraph, dur: list[float]) -> tuple[list[float], list[float]]:
-    """Forward pass in topological order: ``start = max(floor, pred ends)``."""
-    start, end = [0.0] * len(dur), [0.0] * len(dur)
-    floors, preds = graph.floors, graph.preds
-    end_of = end.__getitem__
-    for i in graph.order:
-        # ``max`` keeps the first of equal values: the floor, then the
+            layer = layers[i]
+            lf = get(f"layer:{layer}", 1.0) if layer else 1.0
+            bound = 0.0
+            for m in members[i]:
+                md = spans[m][4] * (get(resources[m] or "", 1.0) * lf)
+                if md > bound:
+                    bound = md
+            overhead = float((spans[i][5] or {}).get("overhead_s", 0.0))
+            d = bound + overhead * (get("overhead", 1.0) * lf)
+        else:
+            d = 0.0
+        # As ``max``: the first of equal values wins, the floor, then the
         # earliest-listed predecessor.
-        s = max(floors[i], *map(end_of, preds[i])) if preds[i] else floors[i]
-        start[i] = s
-        end[i] = s + dur[i]
-    return start, end
+        s = floors[i]
+        for p in preds[i]:
+            if end[p] > s:
+                s = end[p]
+        start[i], end[i], dur[i] = s, s + d, d
+        if indegree is not None:
+            for j in succs[i]:
+                indegree[j] -= 1
+                if not indegree[j]:
+                    order.append(j)
+    return start, end, dur
 
 
 @dataclass
@@ -313,8 +326,7 @@ def schedule(
             f"{graph.n_scheduled} nodes"
         )
     if factors:
-        dur = _durations(graph, factors)
-        start, end = _walk(graph, dur)
+        start, end, dur = _walk(graph, factors)
     else:
         start, end, dur = map(list, graph.identity)
     return ScheduleResult(start_s=start, end_s=end, dur_s=dur, order=list(graph.order))
@@ -423,11 +435,16 @@ def extract_path(
     if not sched.order:
         return [], -1
     start, end = sched.start_s, sched.end_s
-    terminal = max(sched.order, key=lambda i: (end[i], i))
+    terminal = max(zip(map(end.__getitem__, sched.order), sched.order))[1]
     path = [terminal]
     node = terminal
     while graph.preds[node]:
-        binding = max(graph.preds[node], key=lambda p: (end[p], -p))
+        # The latest-ending predecessor, ties to the lowest index (the
+        # first listed, as ``preds`` ascend).
+        binding = graph.preds[node][0]
+        for p in graph.preds[node]:
+            if end[p] > end[binding]:
+                binding = p
         if end[binding] < start[node]:
             break  # release-bound: the path starts here
         node = binding
@@ -455,17 +472,9 @@ def critical_path(
     for i in path_idx:
         span, res, layer = graph.spans[i], graph.resources[i], graph.layers[i]
         dur = sched.dur_s[i]
-        entries.append(
-            PathEntry(
-                name=span.name,
-                cat=span.cat,
-                track=span.track,
-                start_s=sched.start_s[i],
-                dur_s=dur,
-                resource=res,
-                layer=layer,
-            )
-        )
+        entries.append(PathEntry(
+            span.name, span.cat, span.track, sched.start_s[i], dur, res, layer
+        ))
         if graph.kinds[i] == "container":
             bound, bound_res, _ = _binding_member(graph, i, get)
             if bound_res is not None:
@@ -482,18 +491,26 @@ def critical_path(
 
     # Slack: classic CPM late-finish backward pass over the projection;
     # ``late_start[j] = late[j] - dur[j]`` is set before j's predecessors.
-    end_to_end, end = sched.end_to_end_s, sched.end_s
+    end_to_end, end, dur = sched.end_to_end_s, sched.end_s, sched.dur_s
     late = [end_to_end] * len(graph.spans)
     late_start = late[:]
+    succs = graph.succs
     for i in reversed(sched.order):
-        if graph.succs[i]:
-            late[i] = min(map(late_start.__getitem__, graph.succs[i]))
-        late_start[i] = late[i] - sched.dur_s[i]
+        succ = succs[i]
+        lt = late_start[succ[0]] if succ else end_to_end
+        for j in succ:  # as ``min``: the first of equal values wins
+            if late_start[j] < lt:
+                lt = late_start[j]
+        late[i], late_start[i] = lt, lt - dur[i]
+    # Largest slack first, ties by node index: ``end - late`` is exactly
+    # ``-(late - end)``, so native tuples order the rows.
     on_path = set(path_idx)
-    rows = ((late[i] - end[i], i) for i in sched.order
-            if i not in on_path and not graph.spans[i].instant)
-    slack_rows = heapq.nsmallest(top_slack, rows, key=lambda t: (-t[0], t[1]))
-    slack = [(graph.spans[i].name, graph.spans[i].track, s) for s, i in slack_rows]
+    spans = graph.spans
+    rows = heapq.nsmallest(top_slack, (
+        (end[i] - late[i], i) for i in sched.order
+        if i not in on_path and not spans[i][6]
+    ))
+    slack = [(spans[i].name, spans[i].track, late[i] - end[i]) for _, i in rows]
 
     segments: list[dict[str, Any]] = []
     for e in entries:
@@ -504,7 +521,7 @@ def critical_path(
         else:
             segments.append({"phase": phase, "dur_s": e.dur_s, "spans": 1})
 
-    report = CritPathReport(
+    return CritPathReport(
         end_to_end_s=end_to_end,
         terminal=graph.spans[terminal].name if terminal >= 0 else "",
         terminal_track=graph.spans[terminal].track if terminal >= 0 else "",
@@ -514,10 +531,9 @@ def critical_path(
         collective_exposed_s=exposed,
         top_slack=slack,
         n_nodes=graph.n_scheduled,
-        n_edges=len(graph.edges),
+        n_edges=sum(map(len, graph.succs)),
         segments=segments,
     )
-    return report
 
 
 def path_spans(

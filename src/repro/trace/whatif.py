@@ -112,8 +112,11 @@ def project(
     Works on any trace the critical-path graph understands (training
     sessions, serving runs, fault replays). The baseline is the identity
     re-walk of the same graph — bitwise equal to the recorded end time on
-    well-formed traces, so ``speedup`` compares like with like.
+    well-formed traces, so ``speedup`` compares like with like. Factors
+    are checked as :class:`~repro.trace.scaling.CostScaling` checks them
+    (known classes, values > 0); a bad one raises ``ValueError``.
     """
+    CostScaling(factors)
     graph = trace if isinstance(trace, CritGraph) else build_graph(trace)
     baseline = schedule(graph).end_to_end_s
     factors = dict(factors)

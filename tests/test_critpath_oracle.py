@@ -413,3 +413,99 @@ def test_compiled_graph_matches_object_walk(tr, factors):
     projection = project(graph, factors)
     assert same(projection.baseline_s, max(oracle_schedule(oracle, None)[1], default=0.0))
     assert same(projection.report.to_json(), oracle_report(oracle, factors, 5))
+
+
+# --------------------------------------------------------------------------- #
+# traces from the real emitters
+# --------------------------------------------------------------------------- #
+#: Emitted trace sizes; ``REPRO_HEAVY=1`` uses the wall-clock benchmark's
+#: (``perfbench/workloads.py``, the ``trace_timelines`` workload).
+SERVE_REQUESTS = 6000 if HEAVY else 400
+DP_RANKS = 256 if HEAVY else 4
+PIPE_STAGES, PIPE_MICROBATCHES = (8, 256) if HEAVY else (4, 8)
+
+
+def served_trace() -> Tracer:
+    """Bursty arrivals past a six-deep admission queue: some are shed."""
+    from repro.serve.arrivals import ArrivalPlan
+    from repro.serve.costmodel import TableCostModel
+    from repro.serve.engine import ServeConfig, ServingEngine
+    from repro.trace.tracer import tracing
+
+    requests = ArrivalPlan.from_seed(
+        "bursty:0xc0ffee:3", rate_rps=1500.0, n_requests=SERVE_REQUESTS
+    ).generate()
+    engine = ServingEngine(
+        TableCostModel({b: 0.001 + 0.0007 * b for b in range(1, 9)}),
+        ServeConfig(max_batch=8, max_wait_s=0.002, queue_bound=6),
+    )
+    with tracing() as tr:
+        report = engine.run(requests)
+    assert 0 < report.n_shed < report.n_requests
+    return tr
+
+
+def data_parallel_trace() -> Tracer:
+    """One traced LeNet step: member spans, the barrier, the RHD replay."""
+    from repro.frame.model_zoo import lenet
+    from repro.trace.session import trace_training_step
+
+    tr, _ = trace_training_step(lenet.build(batch_size=16), ranks=DP_RANKS)
+    return tr
+
+
+def pipeline_trace(schedule_name: str) -> Tracer:
+    """A walked pipeline iteration with uneven stages and links."""
+    from repro.pipeline import emit_pipeline_trace, simulate_pipeline
+
+    S = PIPE_STAGES
+    timeline = simulate_pipeline(
+        [0.5 + 0.25 * (s % 3) for s in range(S)],
+        [1.0 + 0.375 * ((2 * s) % 3) for s in range(S)],
+        n_microbatches=PIPE_MICROBATCHES,
+        schedule=schedule_name,
+        fwd_xfer_s=[0.125 + 0.0625 * (i % 2) for i in range(S - 1)],
+        bwd_xfer_s=[0.3 - 0.05 * (i % 3) for i in range(S - 1)],
+    )
+    tr = Tracer()
+    emit_pipeline_trace(tr, timeline)
+    return tr
+
+
+def check_against_oracle(tr: Tracer, factors: dict[str, float]) -> None:
+    """The compiled graph against the object walk on one emitted trace,
+    identity and under ``factors`` (classes the trace responds to)."""
+    oracle = oracle_graph(tr)
+    graph = build_graph(tr)
+    assert same(graph.edges, oracle.edges)
+    assert graph.member_nodes == oracle.member_nodes
+    for f in (None, factors):
+        want = oracle_schedule(oracle, f)
+        got = schedule(graph, f)
+        assert same((got.start_s, got.end_s, got.dur_s, got.order), want)
+        assert same(extract_path(graph, got), oracle_path(oracle, want))
+        assert same(request_completions(graph, got), oracle_completions(oracle, want[1]))
+        for k in (0, 1, 5):
+            assert same(critical_path(graph, f, top_slack=k).to_json(),
+                        oracle_report(oracle, f, k))
+    projection = project(graph, factors)
+    assert same(projection.baseline_s, max(oracle_schedule(oracle, None)[1], default=0.0))
+    assert same(projection.report.to_json(), oracle_report(oracle, factors, 5))
+
+
+def test_served_trace_matches_object_walk():
+    check_against_oracle(served_trace(), {"batch": 0.625})
+
+
+def test_data_parallel_trace_matches_object_walk():
+    check_against_oracle(
+        data_parallel_trace(), {"cpe": 0.5, "dma": 2.0, "rlc": 0.7, "collective": 1.3}
+    )
+
+
+def test_1f1b_pipeline_trace_matches_object_walk():
+    check_against_oracle(pipeline_trace("1f1b"), {"stage": 0.5, "p2p": 2.0})
+
+
+def test_fill_drain_pipeline_trace_matches_object_walk():
+    check_against_oracle(pipeline_trace("fill_drain"), {"stage": 1.7, "p2p": 0.3})

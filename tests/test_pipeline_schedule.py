@@ -8,6 +8,8 @@ what-if scaling hooks, and the validation/deadlock guards.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.pipeline import simulate_pipeline, stage_orders
@@ -113,6 +115,31 @@ class TestWalk:
                               fwd_xfer_s=[0.5], bwd_xfer_s=[0.5])
         for x in t.xfers:
             assert x.start_s == x.ready_s
+
+    @pytest.mark.parametrize("schedule", ["fill_drain", "1f1b"])
+    def test_makespan_and_gaps_match_a_brute_force_scan(self, schedule):
+        t = simulate_pipeline([1.0, 2.5, 0.5, 1.25], [1.5, 1.0, 2.0, 0.75],
+                              n_microbatches=6, schedule=schedule,
+                              fwd_xfer_s=[0.25, 0.5, 0.125],
+                              bwd_xfer_s=[0.5, 0.25, 0.375])
+        ends = [op.end_s for op in t.ops] + [x.end_s for x in t.xfers]
+        assert t.makespan_s == max(ends)
+        for s in range(t.n_stages):
+            ops = [op for op in t.ops if op.stage == s]
+            cuts = sorted({0.0, t.makespan_s, *(o.start_s for o in ops),
+                           *(o.end_s for o in ops)})
+            idle: list[list[float]] = []  # maximal uncovered [start, end]
+            for a, b in zip(cuts, cuts[1:]):
+                if any(o.start_s <= a and b <= o.end_s for o in ops):
+                    continue
+                if idle and idle[-1][1] == a:
+                    idle[-1][1] = b
+                else:
+                    idle.append([a, b])
+            assert t.stage_gaps(s) == [(a, b - a) for a, b in idle]
+        # The cached makespan is no field: equality and hashing ignore it.
+        fresh = dataclasses.replace(t)
+        assert fresh == t and hash(fresh) == hash(t)
 
     def test_stage_gaps_partition_the_makespan(self):
         t = simulate_pipeline([1.0, 2.0, 0.5], [1.5, 1.0, 2.0],

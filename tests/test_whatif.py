@@ -55,6 +55,39 @@ class TestParseScales:
             parse_scales(["dma=0"])
 
 
+class TestProjectFactors:
+    """``project`` checks factors the way ``parse_scales`` does."""
+
+    @staticmethod
+    def two_spans():
+        from repro.trace.tracer import Tracer
+
+        tr = Tracer()
+        tr.emit("get", "dma_transfer", track="cg0", dur=1.0)
+        tr.emit("gemm", "cpe_compute", track="cg0", dur=1.0)
+        return tr
+
+    def test_valid_factors_project(self):
+        proj = project(self.two_spans(), {"dma": 0.5})
+        assert (proj.baseline_s, proj.projected_s) == (2.0, 1.5)
+
+    def test_unknown_class_rejected(self):
+        with pytest.raises(ValueError, match="unknown scale class 'dmaa'"):
+            project(self.two_spans(), {"dmaa": 0.5})
+
+    def test_zero_factor_rejected(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            project(self.two_spans(), {"dma": 0.0})
+
+    def test_negative_factor_rejected(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            project(self.two_spans(), {"dma": -1.0})
+
+    def test_nan_factor_rejected(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            project(self.two_spans(), {"dma": float("nan")})
+
+
 class TestTrainingValidation:
     def test_acceptance_case_is_exact(self):
         """lenet, 8 ranks, dma=0.5: projected == simulated, bit for bit."""
