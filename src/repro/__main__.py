@@ -121,6 +121,12 @@ def _require_positive(**flags: int | None) -> None:
             )
 
 
+def _no_more(args: list[str], n: int) -> None:
+    """Reject anything past a hand-parsed command's ``n`` arguments."""
+    if len(args) > n:
+        raise _BadArgument(f"unexpected argument {args[n]!r}")
+
+
 def _step_parser(command: str, description: str):
     """Argument parser for a command that simulates the training step.
 
@@ -168,7 +174,8 @@ def _step_session(ns):
     }
 
 
-def cmd_report(_: list[str]) -> int:
+def cmd_report(args: list[str]) -> int:
+    _no_more(args, 0)
     from repro.harness import report
 
     report.run()
@@ -176,6 +183,7 @@ def cmd_report(_: list[str]) -> int:
 
 
 def cmd_experiment(args: list[str]) -> int:
+    _no_more(args, 1)
     if not args:
         print("error: experiment needs a name", file=sys.stderr)
         print(f"known experiments: {', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
@@ -190,6 +198,7 @@ def cmd_experiment(args: list[str]) -> int:
 
 
 def cmd_profile(args: list[str]) -> int:
+    _no_more(args, 2)
     if not args:
         print("error: profile needs a network name", file=sys.stderr)
         print(f"known networks: {', '.join(sorted(NETWORKS))}", file=sys.stderr)
@@ -276,14 +285,19 @@ def cmd_whatif(args: list[str]) -> int:
                         help="also write the machine-readable report")
     ns = parser.parse_args(args)
 
-    from repro.trace.whatif import parse_scales, render_whatif, whatif_training
-
-    try:
-        factors = parse_scales(ns.scale)
-    except ValueError as exc:
-        raise _BadArgument(exc) from None
+    from repro.trace.whatif import (
+        check_layers,
+        parse_scales,
+        render_whatif,
+        whatif_training,
+    )
 
     net, session = _step_session(ns)
+    try:
+        factors = parse_scales(ns.scale)
+        check_layers(net, factors)
+    except ValueError as exc:
+        raise _BadArgument(exc) from None
     result = whatif_training(net, factors, validate=ns.validate, **session)
     if ns.json:
         print(json.dumps(result.to_json(), indent=1, sort_keys=True))
@@ -648,6 +662,7 @@ def cmd_train(args: list[str]) -> int:
     from repro.frame.solver import SGDSolver
     from repro.utils.units import format_time
 
+    _no_more(args, 1)
     try:
         iters = int(args[0]) if args else 50
     except ValueError:
@@ -665,7 +680,8 @@ def cmd_train(args: list[str]) -> int:
     return 0
 
 
-def cmd_list(_: list[str]) -> int:
+def cmd_list(args: list[str]) -> int:
+    _no_more(args, 0)
     print("experiments:", ", ".join(sorted(EXPERIMENTS)))
     print("networks:", ", ".join(sorted(NETWORKS)))
     return 0

@@ -1,9 +1,9 @@
 """Experiment harnesses: one module per paper table/figure.
 
 Every module exposes ``generate()`` returning structured rows/series and
-``main()`` printing the paper-style output. The benchmark suite under
-``benchmarks/`` wraps these, and EXPERIMENTS.md records paper-vs-measured
-values for each.
+``main()`` printing the paper-style output. ``tests/golden/harness_numbers.json``
+pins their simulated numbers bit for bit, and EXPERIMENTS.md records
+paper-vs-measured values for each.
 
 | Module | Reproduces |
 |---|---|

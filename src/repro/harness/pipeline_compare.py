@@ -14,7 +14,8 @@ weak-scaling frame and the same calibrated cost curves:
   bucketed allreduces overlapped with the drain.
 
 The table reports iteration seconds and the exposed-communication
-fraction. The committed expectation (pinned by the bubble benchmark):
+fraction. The committed expectation (pinned by
+``tests/test_harness_goldens.py``):
 hybrid VGG-16 at 16 nodes exposes a *lower* comm fraction than the
 bucketed DP baseline, and beats fused DP end-to-end — while pure
 pipeline at large S is throttled by stage imbalance (the fattest conv

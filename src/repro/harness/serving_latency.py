@@ -9,8 +9,8 @@ batch=1 server falls behind, sheds, and blows through the latency SLO.
 The harness serves one seeded Poisson arrival stream twice through
 :func:`repro.serve.session.run_serving` — once with ``max_batch=1``, once
 with the default dynamic batcher — and compares percentiles, goodput and
-SLO attainment. ``benchmarks/bench_serving_latency.py`` regression-gates
-the same operating point.
+SLO attainment. ``tests/test_harness_goldens.py`` pins this operating
+point's numbers bit for bit.
 """
 
 from __future__ import annotations

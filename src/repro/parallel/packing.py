@@ -8,8 +8,8 @@ backward propagation, so both the network and the memory system see one
 large, efficient operation.
 
 :class:`GradientPacker` provides both the functional pack/unpack (used by
-the distributed trainer) and the cost comparison (used by the ablation
-bench).
+the distributed trainer) and the cost comparison (used by the packing
+ablation).
 
 :class:`BucketedPacker` is the overlap-aware refinement: parameters are
 partitioned into size-bounded buckets in *reverse layer order* (the order

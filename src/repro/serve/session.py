@@ -30,7 +30,7 @@ def auto_rate(cost_model, config: ServeConfig) -> float:
     The engine serves at most ``max_batch / compute_s(max_batch)`` requests
     per second; driving it at a fraction of that keeps the session in the
     regime where batching wins but latency stays finite — the "default
-    operating point" of the serving benchmarks.
+    operating point" of the ``serve`` command.
     """
     capacity = config.max_batch / cost_model.compute_s(config.max_batch)
     return AUTO_RATE_UTILIZATION * capacity

@@ -30,6 +30,7 @@ re-simulated one bit for bit (pinned by ``tests/test_whatif.py``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
@@ -53,8 +54,10 @@ class CostScaling:
                     f"unknown scale class {cls!r} "
                     f"(choose from {SCALE_CLASSES} or 'layer:<name>')"
                 )
-            if not (float(f) > 0.0):
-                raise ValueError(f"scale factor for {cls!r} must be > 0, got {f!r}")
+            if not (0.0 < float(f) < math.inf):
+                raise ValueError(
+                    f"scale factor for {cls!r} must be > 0 and finite, got {f!r}"
+                )
         self.factors = {cls: float(f) for cls, f in factors.items()}
 
     def factor(self, cls: str) -> float:

@@ -43,7 +43,7 @@ def parse_scales(items: Iterable[str]) -> dict[str, float]:
     """Parse ``class=factor`` CLI arguments into a factor mapping.
 
     Classes are validated against :data:`~repro.trace.scaling.SCALE_CLASSES`
-    (plus ``layer:<name>``); factors must parse as floats > 0.
+    (plus ``layer:<name>``); factors must parse as finite floats > 0.
     """
     factors: dict[str, float] = {}
     for item in items:
@@ -61,6 +61,14 @@ def parse_scales(items: Iterable[str]) -> dict[str, float]:
             ) from None
     CostScaling(factors)  # validates class names and positivity
     return factors
+
+
+def check_layers(net, factors: Mapping[str, float]) -> None:
+    """Reject a ``layer:<name>`` factor that names no layer of ``net``."""
+    names = {layer.name for layer in net.layers}
+    for cls in factors:
+        if cls.startswith("layer:") and cls[len("layer:"):] not in names:
+            raise ValueError(f"scale class {cls!r} names no layer of {net.name!r}")
 
 
 @dataclass(frozen=True)
@@ -179,10 +187,12 @@ def whatif_training(
     Traces the baseline step, projects the scaled schedule over its
     graph, and — with ``validate=True`` — re-runs the identical session
     under :func:`~repro.trace.scaling.scaling` so the simulator itself
-    prices the scaled scenario.
+    prices the scaled scenario. A ``layer:<name>`` factor must name a
+    layer of ``net`` (:func:`check_layers`).
     """
     from repro.trace.session import trace_training_step
 
+    check_layers(net, factors)
     kwargs = dict(
         ranks=ranks,
         iterations=iterations,

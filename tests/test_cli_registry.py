@@ -146,6 +146,14 @@ class TestBadValuesExit2:
             "pipeline lenet --bucket-mb -1",
             "train 0",
             "train abc",
+            "whatif lenet --scale dma=inf",
+            "whatif lenet --scale layer:nosuch=0.5",
+            "report --bogus",
+            "experiment fig11 --bucket-mb 96",
+            "list extra",
+            "profile lenet 16 extra",
+            "train 1 extra",
+            "train 2 --lr -1",
         ],
     )
     def test_one_error_line(self, capsys, argv):

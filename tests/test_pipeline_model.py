@@ -5,8 +5,8 @@ the cost-curve unification satellite is pinned directly — the shared
 :func:`~repro.parallel.comm_cost.allreduce_cost` helper must price
 exactly what :class:`~repro.parallel.ssgd.SSGDIterationModel` charges
 per allreduce, so the DP and hybrid models cannot drift onto different
-curves. The headline hybrid-vs-DP economics on real VGG-16 live in
-``benchmarks/bench_pipeline_bubble.py`` (committed baseline).
+curves. The headline hybrid-vs-DP economics on real VGG-16 are pinned
+in ``tests/test_harness_goldens.py``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The import graph is read with :mod:`ast`; nothing is imported. The entry
 points are the CLI (``repro.__main__``) and every script under
-``benchmarks/``, ``perfbench/``, ``examples/`` and ``tools/``. An import
-statement is an edge, and so is a string constant that names a module: the
+``perfbench/``, ``examples/`` and ``tools/``. An import statement is an
+edge, and so is a string constant that names a module: the
 CLI's ``EXPERIMENTS``/``NETWORKS`` tables and the packages' lazy export maps
 load modules by name. Tests are not entry points, so code that only its own
 tests reach fails here. ``repro.testing``, the conformance library the tests
@@ -21,7 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-ENTRY_DIRS = ("benchmarks", "perfbench", "examples", "tools")
+ENTRY_DIRS = ("perfbench", "examples", "tools")
 EXEMPT = "repro.testing"
 #: Packages and modules under ``src/repro`` that must not import repro.metrics.
 HOOK_SITES = (

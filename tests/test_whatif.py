@@ -87,6 +87,10 @@ class TestProjectFactors:
         with pytest.raises(ValueError, match="must be > 0"):
             project(self.two_spans(), {"dma": float("nan")})
 
+    def test_inf_factor_rejected(self):
+        with pytest.raises(ValueError, match="must be > 0 and finite"):
+            project(self.two_spans(), {"dma": float("inf")})
+
 
 class TestTrainingValidation:
     def test_acceptance_case_is_exact(self):
@@ -116,6 +120,10 @@ class TestTrainingValidation:
         assert result.validation.ok
         # Each iteration lays out on one chain, so the fold is exact too.
         assert result.validation.abs_error_s == 0.0
+
+    def test_misspelt_layer_rejected(self):
+        with pytest.raises(ValueError, match="'layer:nosuch' names no layer"):
+            whatif_training(_lenet(), {"layer:nosuch": 0.5}, ranks=2)
 
     def test_identity_projection_is_noop(self):
         result = whatif_training(_lenet(), {}, ranks=4)
