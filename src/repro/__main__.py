@@ -9,7 +9,7 @@ from the commands that actually dispatch (pinned by
 Commands
 --------
 report
-    Regenerate every paper table/figure (minutes; builds the model zoo).
+    Regenerate every paper table/figure (about a second; builds the model zoo).
 experiment NAME
     Run one harness by name (``table2``, ``fig10``, ``serving``, ...).
 profile NET [BATCH]

@@ -111,9 +111,9 @@ class ConvolutionLayer(Layer):
             need_input_grad=self.propagate_down,
             groups=self.groups,
         )
-        self.weight.diff = self.weight.diff + dw
+        np.add(self.weight.diff, dw, out=self.weight.diff)
         if self.bias is not None:
-            self.bias.diff = self.bias.diff + db
+            np.add(self.bias.diff, db, out=self.bias.diff)
         if self.propagate_down and dx is not None:
             bottom[0].diff = bottom[0].diff + dx
 

@@ -82,9 +82,9 @@ class InnerProductLayer(Layer):
             bottom[0].shape[0], -1
         )
         dy = top[0].diff
-        self.weight.diff = self.weight.diff + dy.T @ x
+        np.add(self.weight.diff, dy.T @ x, out=self.weight.diff)
         if self.bias is not None:
-            self.bias.diff = self.bias.diff + dy.sum(axis=0)
+            np.add(self.bias.diff, dy.sum(axis=0), out=self.bias.diff)
         if self.propagate_down:
             dx = (dy @ self.weight.data).reshape(bottom[0].shape)
             bottom[0].diff = bottom[0].diff + dx

@@ -105,19 +105,31 @@ class SGDSolver:
         frac = min(it / self.max_iter, 1.0)
         return self.base_lr * (1.0 - frac) ** self.power
 
+    def decayed_grad(self, p) -> np.ndarray:
+        """A fresh float64 ``diff + weight_decay * decay_mult * data`` of ``p``
+        (``dtype=np.float64``: float32 data times a Python float is float32)."""
+        if not (self.weight_decay and p.decay_mult):
+            return p.diff.astype(np.float64)
+        g = np.multiply(p.data, self.weight_decay * p.decay_mult, dtype=np.float64)
+        return np.add(p.diff, g, out=g)
+
     def apply_update(self, lr: float | None = None) -> None:
-        """Apply one SGD update from the accumulated parameter diffs."""
+        """Apply one SGD update from the accumulated parameter diffs.
+
+        Velocity and weights are updated where they live, one float64
+        temporary per parameter, in the formula's operation order: the
+        result is the out-of-place formula's bit for bit.
+        """
         lr = self.learning_rate() if lr is None else lr
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            g = self.decayed_grad(p)
             v = self._velocity.get(id(p))
             if v is None:
-                v = np.zeros(p.shape, dtype=np.float64)
-            v = self.momentum * v + lr * p.lr_mult * grad
-            self._velocity[id(p)] = v
-            p.data = (p.data.astype(np.float64) - v).astype(p.dtype)
+                v = self._velocity[id(p)] = np.zeros(p.shape, dtype=np.float64)
+            v *= self.momentum
+            g *= lr * p.lr_mult
+            v += g
+            np.subtract(p.data, v, out=p.data, casting="unsafe")
 
     def step(self, n_iters: int = 1) -> SolverStats:
         """Run ``n_iters`` full iterations (forward, backward, update).
@@ -146,7 +158,7 @@ class SGDSolver:
                 )
             if self.iter_size > 1:
                 for p in self.net.params:
-                    p.diff = p.diff / self.iter_size
+                    p.diff /= self.iter_size
             lr = self.learning_rate()
             self.apply_update(lr)
             stats.iterations += 1

@@ -4,7 +4,8 @@ Caffe ships several parameter-update rules beyond plain momentum SGD; the
 paper's conclusion also points at large-batch methods (its reference [12]
 is You, Gitman & Ginsburg's layer-wise adaptive rate scaling). This module
 implements them all on top of :class:`~repro.frame.solver.SGDSolver`'s
-loop/learning-rate machinery by overriding :meth:`apply_update`:
+loop/learning-rate machinery by overriding :meth:`apply_update`, each rule
+starting from the float64 :meth:`~repro.frame.solver.SGDSolver.decayed_grad`:
 
 * :class:`NesterovSolver` — Nesterov accelerated gradient (Caffe semantics);
 * :class:`AdaGradSolver` — per-element adaptive rates;
@@ -29,9 +30,7 @@ class NesterovSolver(SGDSolver):
     def apply_update(self, lr: float | None = None) -> None:
         lr = self.learning_rate() if lr is None else lr
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            grad = self.decayed_grad(p)
             v_prev = self._velocity.get(id(p))
             if v_prev is None:
                 v_prev = np.zeros(p.shape, dtype=np.float64)
@@ -56,9 +55,7 @@ class AdaGradSolver(SGDSolver):
     def apply_update(self, lr: float | None = None) -> None:
         lr = self.learning_rate() if lr is None else lr
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            grad = self.decayed_grad(p)
             h = self._hist.get(id(p))
             if h is None:
                 h = np.zeros(p.shape, dtype=np.float64)
@@ -85,9 +82,7 @@ class RMSPropSolver(SGDSolver):
     def apply_update(self, lr: float | None = None) -> None:
         lr = self.learning_rate() if lr is None else lr
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            grad = self.decayed_grad(p)
             ms = self._ms.get(id(p))
             if ms is None:
                 ms = np.zeros(p.shape, dtype=np.float64)
@@ -125,9 +120,7 @@ class AdamSolver(SGDSolver):
         b1t = 1 - self.beta1**self._t
         b2t = 1 - self.beta2**self._t
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            grad = self.decayed_grad(p)
             m = self._m.get(id(p), np.zeros(p.shape, dtype=np.float64))
             v = self._v2.get(id(p), np.zeros(p.shape, dtype=np.float64))
             m = self.beta1 * m + (1 - self.beta1) * grad
@@ -165,9 +158,7 @@ class LARSSolver(SGDSolver):
     def apply_update(self, lr: float | None = None) -> None:
         lr = self.learning_rate() if lr is None else lr
         for p in self.net.params:
-            grad = p.diff.astype(np.float64)
-            if self.weight_decay and p.decay_mult:
-                grad = grad + self.weight_decay * p.decay_mult * p.data.astype(np.float64)
+            grad = self.decayed_grad(p)
             local = self.local_rate(p)
             v = self._velocity.get(id(p))
             if v is None:

@@ -72,17 +72,18 @@ class GradientPacker:
     def unpack_diffs(self, flat: np.ndarray) -> None:
         """Scatter a flat buffer back into the parameter gradients.
 
-        Each gradient is an explicit *copy* of its slice: ``p.diff`` must
-        never alias the packed buffer, or a later in-place mutation of the
-        flat buffer (an in-place collective, a reused scratch buffer) would
-        silently corrupt the per-parameter gradients.
+        Each slice is *copied* into the blob's own ``p.diff`` array, which
+        already exists, so unpacking allocates nothing. ``p.diff`` never
+        aliases the packed buffer: a later in-place mutation of the flat
+        buffer (an in-place collective, a reused scratch buffer) cannot
+        reach the per-parameter gradients.
         """
         if flat.size != self.total_count:
             raise ShapeError(
                 f"packed buffer has {flat.size} elements, expected {self.total_count}"
             )
         for p, lo, hi in zip(self.params, self._offsets[:-1], self._offsets[1:]):
-            p.diff = flat[lo:hi].reshape(p.shape).astype(p.dtype, copy=True)
+            np.copyto(p.diff, flat[lo:hi].reshape(p.shape))
 
     def pack_data(self) -> np.ndarray:
         """Gather parameter *values* (used for replica-consistency checks)."""

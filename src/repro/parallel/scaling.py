@@ -60,8 +60,3 @@ class ScalingStudy:
                     )
                 )
         return points
-
-    def curve(self, label: str) -> list[ScalingPoint]:
-        """One config's points across all node counts."""
-        model = self.configs[label]
-        return [p for p in self.run() if p.label == label]

@@ -323,7 +323,7 @@ class PipelineTrainer:
                     self._staged_backward(net, replica)
                 if self.n_microbatches > 1:
                     for p in net.params:
-                        p.diff = p.diff / self.n_microbatches
+                        p.diff /= self.n_microbatches
                 iter_losses.append(loss_sum / self.n_microbatches)
             if self.replicas > 1:
                 self._sync_replicas(stats, timeline)

@@ -42,10 +42,16 @@ def block_offsets(n: int, k: int) -> np.ndarray:
 def finalize(
     buffers: list[np.ndarray], reduced: list[np.ndarray], average: bool
 ) -> None:
-    """Write per-rank reduced vectors back into the caller's buffers."""
+    """Write per-rank reduced vectors back into the caller's buffers.
+
+    Results are cast straight into ``dst`` with ``casting="unsafe"``, as
+    ``astype`` casts (integer buffers get the truncated mean). ``reduced``
+    is only read, so an aliased work vector is never divided twice.
+    """
     p = len(buffers)
     for dst, src in zip(buffers, reduced):
-        out = src.reshape(dst.shape)
+        src = src.reshape(dst.shape)
         if average:
-            out = out / p
-        np.copyto(dst, out.astype(dst.dtype, copy=False))
+            np.divide(src, p, out=dst, casting="unsafe")
+        else:
+            np.copyto(dst, src, casting="unsafe")

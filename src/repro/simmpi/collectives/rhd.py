@@ -145,15 +145,13 @@ def _rhd_allreduce(
     result = CollectiveResult()
     work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
     for step in rhd_schedule(p, n, itemsize):
-        # Every exchange of a round reads pre-round data.
-        received = [
-            (dst, lo, hi, work[src][lo:hi].copy()) for dst, src, lo, hi in step.moves
-        ]
-        for dst, lo, hi, data in received:
+        # Every exchange of a round reads pre-round data: no move reads a
+        # range another move of its round writes, so none needs a copy.
+        for dst, src, lo, hi in step.moves:
             if step.reduce:
-                work[dst][lo:hi] += data
+                work[dst][lo:hi] += work[src][lo:hi]
             else:
-                work[dst][lo:hi] = data
+                work[dst][lo:hi] = work[src][lo:hi]
         comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
     finalize(buffers, work, average)
     return result

@@ -38,34 +38,30 @@ def ring_allreduce(
     def chunk(rank_owner: int) -> slice:
         return slice(off[rank_owner], off[rank_owner + 1])
 
+    # In every step a rank receives a different chunk from the one it
+    # sends, so no move reads what another writes and none needs a copy.
+
     # Reduce-scatter around the ring.
     for t in range(p - 1):
         pairs = []
-        moves_rs: list[tuple[int, int, np.ndarray]] = []  # (dst, chunk_id, data)
         for r in range(p):
             send_chunk = (r - t) % p
             nbytes = (off[send_chunk + 1] - off[send_chunk]) * itemsize
             dst = (r + 1) % p
             pairs.append((r, dst, float(nbytes)))
-            moves_rs.append((dst, send_chunk, work[r][chunk(send_chunk)].copy()))
+            work[dst][chunk(send_chunk)] += work[r][chunk(send_chunk)]
         max_chunk_bytes = max(nb for _, _, nb in pairs)
-        # All ranks reduce their received chunk concurrently.
-        for dst, c, data in moves_rs:
-            work[dst][chunk(c)] += data
         comm.account_step(result, pairs, reduce_bytes=max_chunk_bytes)
 
     # Allgather around the ring: rank r owns finished chunk (r + 1) mod p.
     for t in range(p - 1):
         pairs = []
-        moves: list[tuple[int, int, np.ndarray]] = []
         for r in range(p):
             send_chunk = (r + 1 - t) % p
             nbytes = (off[send_chunk + 1] - off[send_chunk]) * itemsize
             dst = (r + 1) % p
             pairs.append((r, dst, float(nbytes)))
-            moves.append((dst, send_chunk, work[r][chunk(send_chunk)].copy()))
-        for dst, c, data in moves:
-            work[dst][chunk(c)] = data
+            work[dst][chunk(send_chunk)] = work[r][chunk(send_chunk)]
         comm.account_step(result, pairs)
 
     finalize(buffers, work, average)
