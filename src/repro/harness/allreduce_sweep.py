@@ -5,22 +5,22 @@ the gradient payload from 1 KB to 64 MB and reports each algorithm's
 simulated time — showing the latency-vs-bandwidth regimes (ring's p*alpha
 penalty, the tree's log(p)-times-n bandwidth penalty, RHD's balance) and
 the constant factor the round-robin renumbering removes at every size.
+
+Each point replays the algorithm's schedule on a fresh communicator, the
+accounting the executed collective charges before it moves any data, so
+the times equal the executed ones bit for bit while no rank buffer is
+allocated (``tests/test_trace_integration.py`` pins the equality).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.simmpi import (
-    SimComm,
-    binomial_allreduce,
-    block_placement,
-    rhd_allreduce,
-    ring_allreduce,
-    round_robin_placement,
-)
+from repro.simmpi import SimComm, block_placement, round_robin_placement
+from repro.simmpi.collectives.binomial import binomial_schedule
+from repro.simmpi.collectives.reduce_ops import replay
+from repro.simmpi.collectives.rhd import rhd_schedule
+from repro.simmpi.collectives.ring import ring_schedule
 from repro.topology import LinearCostModel, TaihuLightFabric
 from repro.utils.tables import Table
 
@@ -29,10 +29,10 @@ MODEL = LinearCostModel(alpha=1e-6, beta1=1 / 10e9, beta2=4 / 10e9, gamma=3e-11)
 SIZES = tuple(1024 * 4**i for i in range(9))  # 1 KB .. 64 MB
 
 ALGOS = (
-    ("ring", ring_allreduce, "block"),
-    ("binomial", binomial_allreduce, "block"),
-    ("rhd (block)", rhd_allreduce, "block"),
-    ("rhd (round-robin)", rhd_allreduce, "round-robin"),
+    ("ring", ring_schedule, "block"),
+    ("binomial", binomial_schedule, "block"),
+    ("rhd (block)", rhd_schedule, "block"),
+    ("rhd (round-robin)", rhd_schedule, "round-robin"),
 )
 
 
@@ -44,22 +44,23 @@ class SweepPoint:
 
 
 def generate(sizes: tuple[int, ...] = SIZES) -> list[SweepPoint]:
-    """Time every algorithm at every payload size (executed, not analytic)."""
+    """Time every algorithm at every payload size of float64 elements.
+
+    Replays each algorithm's schedule (the rounds, pairs and bytes the
+    executed collective charges) rather than moving data.
+    """
     fabric = TaihuLightFabric(n_nodes=P, nodes_per_supernode=Q)
-    rng = np.random.default_rng(0)
     points = []
     for nbytes in sizes:
         n_elems = max(P, nbytes // 8)
-        base = [rng.normal(size=n_elems) for _ in range(P)]
-        for name, algo, placement in ALGOS:
+        for name, schedule, placement in ALGOS:
             pl = (
                 block_placement(P, Q)
                 if placement == "block"
                 else round_robin_placement(P, Q)
             )
             comm = SimComm(fabric, pl, cost=MODEL)
-            bufs = [b.copy() for b in base]
-            result = algo(comm, bufs)
+            result = replay(comm, schedule(P, n_elems, 8))
             points.append(SweepPoint(name, nbytes, result.time_s))
     return points
 

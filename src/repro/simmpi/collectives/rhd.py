@@ -17,16 +17,17 @@ algorithm (see :mod:`repro.simmpi.collectives.topo_aware`).
 Non-power-of-two rank counts use the standard MPICH fold: the first
 ``2 * (p - 2^k)`` ranks pre-combine pairwise so a power-of-two subset runs
 the core algorithm, and the folded ranks receive the result afterwards.
+:func:`rhd_schedule` lists the rounds, which ``reduce_ops`` executes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.reduce_ops import block_offsets, check_buffers, finalize
+from repro.simmpi.collectives.reduce_ops import Round, block_offsets, execute
 
 
 def _largest_pow2_leq(p: int) -> int:
@@ -36,21 +37,7 @@ def _largest_pow2_leq(p: int) -> int:
     return k
 
 
-class RHDStep(NamedTuple):
-    """One lockstep round of the RHD schedule."""
-
-    #: ``(rank_a, rank_b, nbytes)`` exchanges, as charged to the communicator.
-    pairs: list[tuple[int, int, float]]
-    #: ``(dst, src, lo, hi)``: logical rank ``dst`` receives ``src``'s
-    #: elements ``[lo, hi)``.
-    moves: list[tuple[int, int, int, int]]
-    #: Whether received elements are summed into ``dst`` (else copied).
-    reduce: bool
-    #: Per-rank bytes locally reduced in this round.
-    reduce_bytes: float
-
-
-def rhd_schedule(p: int, n: int, itemsize: int) -> Iterator[RHDStep]:
+def rhd_schedule(p: int, n: int, itemsize: int) -> Iterator[Round]:
     """The rounds of an RHD allreduce of ``n`` elements over ``p`` ranks.
 
     The fold, the recursive-halving reduce-scatter, the recursive-doubling
@@ -68,7 +55,7 @@ def rhd_schedule(p: int, n: int, itemsize: int) -> Iterator[RHDStep]:
     folded = [(2 * i, 2 * i + 1, nbytes_full) for i in range(r)]
     if r > 0:
         moves = [(2 * i, 2 * i + 1, 0, n) for i in range(r)]
-        yield RHDStep(folded, moves, True, nbytes_full)
+        yield Round(folded, moves, True, nbytes_full)
     active = [2 * i for i in range(r)] + list(range(2 * r, p))
 
     off = [int(o) for o in block_offsets(n, k)]
@@ -97,7 +84,7 @@ def rhd_schedule(p: int, n: int, itemsize: int) -> Iterator[RHDStep]:
             moves.append((active[w], active[v], off[mid], off[hi[v]]))
             max_reduce = max(max_reduce, send_v, send_w)
             lo[w], hi[v] = mid, mid
-        yield RHDStep(pairs, moves, True, max_reduce)
+        yield Round(pairs, moves, True, max_reduce)
         d //= 2
 
     # --- allgather: recursive doubling ------------------------------------
@@ -116,42 +103,17 @@ def rhd_schedule(p: int, n: int, itemsize: int) -> Iterator[RHDStep]:
             moves.append((active[w], active[v], off[lo[v]], off[hi[v]]))
             lo[v] = lo[w] = min(lo[v], lo[w])
             hi[v] = hi[w] = max(hi[v], hi[w])
-        yield RHDStep(pairs, moves, False, 0.0)
+        yield Round(pairs, moves, False, 0.0)
         d *= 2
 
     # --- unfold ------------------------------------------------------------
     if r > 0:
         moves = [(2 * i + 1, 2 * i, 0, n) for i in range(r)]
-        yield RHDStep(folded, moves, False, 0.0)
+        yield Round(folded, moves, False, 0.0)
 
 
 def rhd_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
     """In-place recursive halving/doubling allreduce."""
-    return _rhd_allreduce(comm, buffers, average=average)
-
-
-def _rhd_allreduce(
-    comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
-) -> CollectiveResult:
-    """The body of :func:`rhd_allreduce`, shared with
-    :func:`~repro.simmpi.collectives.topo_aware.topo_aware_allreduce` so
-    one topology-aware allreduce stays one collective call."""
-    p = comm.p
-    if len(buffers) != p:
-        raise ValueError(f"expected {p} buffers, got {len(buffers)}")
-    n, itemsize = check_buffers(buffers)
-    result = CollectiveResult()
-    work = [np.array(b, dtype=np.float64, copy=True).ravel() for b in buffers]
-    for step in rhd_schedule(p, n, itemsize):
-        # Every exchange of a round reads pre-round data: no move reads a
-        # range another move of its round writes, so none needs a copy.
-        for dst, src, lo, hi in step.moves:
-            if step.reduce:
-                work[dst][lo:hi] += work[src][lo:hi]
-            else:
-                work[dst][lo:hi] = work[src][lo:hi]
-        comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
-    finalize(buffers, work, average)
-    return result
+    return execute(comm, buffers, rhd_schedule, average=average)

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.collectives.rhd import _rhd_allreduce
+from repro.simmpi.collectives.reduce_ops import execute
+from repro.simmpi.collectives.rhd import rhd_schedule
 from repro.simmpi.reorder import round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.topology.cost_model import LinearCostModel
@@ -51,13 +52,14 @@ def topo_aware_allreduce(
     If ``comm`` already carries a round-robin placement it is used as-is;
     otherwise a renumbered clone (same fabric, same cost model) is created,
     matching how swCaffe installs its communicator once at startup. The
-    clone's simulated time is folded back into ``comm.clock``.
+    clone's simulated time is folded back into ``comm.clock``. It executes
+    the RHD schedule itself, so it stays one collective call.
     """
     if comm.placement.name == "round-robin":
-        return _rhd_allreduce(comm, buffers, average=average)
+        return execute(comm, buffers, rhd_schedule, average=average)
     renumbered = make_topo_aware_comm(
         comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
     )
-    result = _rhd_allreduce(renumbered, buffers, average=average)
+    result = execute(renumbered, buffers, rhd_schedule, average=average)
     comm.clock.advance(renumbered.clock.now, category="comm")
     return result

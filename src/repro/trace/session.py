@@ -8,13 +8,16 @@ plans), the CG sync and CG0's local gradient reduce; the ranks allreduce
 the gradients with recursive halving/doubling over the TaihuLight fabric;
 every rank applies the SGD update, and the next iteration starts after it.
 
-The collective is traced through :func:`replay_rhd`, an *accounting
-replay* that walks :func:`~repro.simmpi.collectives.rhd.rhd_schedule` —
-the schedule :func:`~repro.simmpi.collectives.rhd.rhd_allreduce` executes
-— through ``SimComm.account_step`` without materializing the gradient
+The collective is traced through :func:`replay_rhd`, which hands
+:func:`~repro.simmpi.collectives.rhd.rhd_schedule` — the schedule
+:func:`~repro.simmpi.collectives.rhd.rhd_allreduce` executes — to the
+collectives' one accounting replay,
+:func:`~repro.simmpi.collectives.reduce_ops.replay`. It charges every round
+through ``SimComm.account_step`` without materializing the gradient
 buffers (a VGG-16 payload is 0.5 GB per rank; the replay prices it in
-microseconds). ``tests/test_trace_integration.py`` pins replay-vs-executed
-equality.
+microseconds). The executor charges through the same replay, and
+``tests/test_trace_integration.py`` pins replay-vs-executed equality for
+every algorithm.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.kernels.plan import PlanCost
 from repro.parallel.ssgd import SSGDIterationModel
+from repro.simmpi.collectives.reduce_ops import replay
 from repro.simmpi.collectives.rhd import rhd_schedule
 from repro.simmpi.comm import CollectiveResult, SimComm, reduce_gamma
 from repro.simmpi.reorder import block_placement, round_robin_placement
@@ -44,10 +48,7 @@ def replay_rhd(comm: SimComm, nbytes: float, *, itemsize: int = 4) -> Collective
     moves no data, so arbitrarily large gradients trace cheaply.
     """
     n = max(1, int(round(float(nbytes) / itemsize)))
-    result = CollectiveResult()
-    for step in rhd_schedule(comm.p, n, itemsize):
-        comm.account_step(result, step.pairs, reduce_bytes=step.reduce_bytes)
-    return result
+    return replay(comm, rhd_schedule(comm.p, n, itemsize))
 
 
 def trace_net_iteration(net, costs: list, tracer: Tracer) -> float:

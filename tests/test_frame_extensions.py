@@ -162,6 +162,35 @@ class TestSnapshot:
         with pytest.raises(ShapeError):
             load_solver(SGDSolver(net), path)
 
+    def test_compressed_snapshots_still_load(self, tmp_path):
+        import zipfile
+
+        net = self.make_net()
+        solver = SGDSolver(net, base_lr=0.05, momentum=0.9)
+        solver.step(2)
+        path = str(tmp_path / "solver.npz")
+        save_solver(solver, path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        # A file written compressed, as snapshots once were, loads the same.
+        with np.load(path) as data:
+            stored = {k: data[k] for k in data.files}
+        old = str(tmp_path / "old.npz")
+        np.savez_compressed(old, **stored)
+        resumed = SGDSolver(self.make_net(), base_lr=0.05, momentum=0.9)
+        load_solver(resumed, old)
+        assert resumed.iter == 2
+        for a, b in zip(net.params, resumed.net.params):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert (solver._velocity[id(a)].tobytes()
+                    == resumed._velocity[id(b)].tobytes())
+        weights = str(tmp_path / "w_old.npz")
+        np.savez_compressed(weights, **{p.name: p.data for p in net.params})
+        fresh = self.make_net()
+        assert load_weights(fresh, weights) == [p.name for p in fresh.params]
+        for a, b in zip(net.params, fresh.params):
+            assert a.data.tobytes() == b.data.tobytes()
+
 
 class TestSolverFamily:
     def run_solver(self, cls, **kwargs):

@@ -2,8 +2,8 @@
 
 Pins the ISSUE acceptance criteria:
 
-* the accounting replay used by trace sessions charges *exactly* what the
-  executed recursive halving/doubling allreduce charges;
+* the accounting replay used by trace sessions and the allreduce sweep
+  charges *exactly* what every executed allreduce charges;
 * enabling tracing changes no simulated-time results (the no-op guarantee);
 * the fig7 harness ``--trace`` flag emits ranks x rounds collective spans;
 * the ``python -m repro trace`` CLI produces valid Chrome trace JSON.
@@ -17,7 +17,19 @@ import numpy as np
 import pytest
 
 from repro import trace
-from repro.simmpi import SimComm, block_placement, rhd_allreduce
+from repro.simmpi import (
+    SimComm,
+    binomial_allreduce,
+    block_placement,
+    rhd_allreduce,
+    ring_allreduce,
+    round_robin_placement,
+    topo_aware_allreduce,
+)
+from repro.simmpi.collectives.binomial import binomial_schedule
+from repro.simmpi.collectives.reduce_ops import replay
+from repro.simmpi.collectives.rhd import rhd_schedule
+from repro.simmpi.collectives.ring import ring_schedule
 from repro.topology import TaihuLightFabric
 from repro.trace.session import replay_rhd, trace_training_step
 
@@ -29,29 +41,74 @@ def _comm(p: int, q: int | None = None) -> SimComm:
 
 
 class TestReplayEquivalence:
-    """replay_rhd mirrors rhd_allreduce's accounting exactly."""
+    """Replaying a schedule charges exactly what executing it charges.
+
+    Every executed allreduce charges its schedule's rounds through
+    ``reduce_ops.replay`` before it moves data, so each
+    :class:`~repro.simmpi.comm.CollectiveResult` field and the clock must
+    match the data-free replay bit for bit, for every algorithm.
+    """
+
+    # (executed collective, schedule it runs, placement the replay uses)
+    ALGORITHMS = {
+        "rhd": (rhd_allreduce, rhd_schedule, block_placement),
+        "ring": (ring_allreduce, ring_schedule, block_placement),
+        "binomial": (binomial_allreduce, binomial_schedule, block_placement),
+        # Over a block placement, topo-aware runs RHD on a renumbered clone
+        # and folds the clone's time into the caller's clock.
+        "topo_aware": (topo_aware_allreduce, rhd_schedule, round_robin_placement),
+    }
+
+    @staticmethod
+    def _assert_same(replayed, replay_comm, executed, exec_comm):
+        assert replayed == executed  # every field, step_times included
+        assert replay_comm.clock.now == exec_comm.clock.now
 
     @pytest.mark.parametrize("p", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("nbytes", [1 << 10, 1 << 20])
     def test_time_and_steps_match_executed(self, p, nbytes):
-        bufs = [np.ones(nbytes // 8) for _ in range(p)]
-        executed = rhd_allreduce(_comm(p), bufs)
-        replayed = replay_rhd(_comm(p), nbytes, itemsize=8)
-        assert replayed.steps == executed.steps
-        assert replayed.time_s == pytest.approx(executed.time_s, rel=1e-12)
+        n = nbytes // 8
+        q = 4 if p % 4 == 0 else p
+        fabric = TaihuLightFabric(n_nodes=p, nodes_per_supernode=q)
+        for name, (collective, schedule, placement) in self.ALGORITHMS.items():
+            exec_comm = SimComm(fabric, block_placement(p, q))
+            executed = collective(exec_comm, [np.ones(n) for _ in range(p)])
+            replay_comm = SimComm(fabric, placement(p, q))
+            replayed = replay(replay_comm, schedule(p, n, 8))
+            assert replayed.steps > 0, name
+            self._assert_same(replayed, replay_comm, executed, exec_comm)
 
     def test_matches_with_supernode_crossing(self):
         # 8 nodes in 2 supernodes: cross-supernode hops cost differently.
-        bufs = [np.ones(1 << 17) for _ in range(8)]
-        executed = rhd_allreduce(_comm(8, 4), bufs)
-        replayed = replay_rhd(_comm(8, 4), 1 << 20, itemsize=8)
-        assert replayed.steps == executed.steps
-        assert replayed.time_s == pytest.approx(executed.time_s, rel=1e-12)
-        assert replayed.bytes_cross == pytest.approx(executed.bytes_cross)
+        exec_comm, replay_comm = _comm(8, 4), _comm(8, 4)
+        executed = rhd_allreduce(exec_comm, [np.ones(1 << 17) for _ in range(8)])
+        replayed = replay_rhd(replay_comm, 1 << 20, itemsize=8)
+        assert replayed.bytes_cross > 0
+        self._assert_same(replayed, replay_comm, executed, exec_comm)
 
     def test_single_rank_is_free(self):
         res = replay_rhd(_comm(1), 1 << 20)
         assert res.steps == 0 and res.time_s == 0.0
+
+    @pytest.mark.parametrize("nbytes", [1 << 10, 1 << 20, 1 << 22])
+    def test_allreduce_sweep_equals_executed(self, nbytes):
+        from repro.harness import allreduce_sweep as sw
+
+        executed = {
+            "ring": ring_allreduce,
+            "binomial": binomial_allreduce,
+            "rhd (block)": rhd_allreduce,
+            "rhd (round-robin)": rhd_allreduce,
+        }
+        fabric = TaihuLightFabric(n_nodes=sw.P, nodes_per_supernode=sw.Q)
+        n = max(sw.P, nbytes // 8)
+        bufs = [np.zeros(n) for _ in range(sw.P)]
+        for point in sw.generate((nbytes,)):
+            placement = (round_robin_placement if "round-robin" in point.algorithm
+                         else block_placement)
+            comm = SimComm(fabric, placement(sw.P, sw.Q), cost=sw.MODEL)
+            result = executed[point.algorithm](comm, bufs)
+            assert point.time_s == result.time_s, point
 
 
 class TestTracingIsInert:
