@@ -372,7 +372,9 @@ def cmd_chaos(args: list[str]) -> int:
     )
     parser.add_argument(
         "--algorithm", choices=("rhd", "ring", "topo-aware"), default="rhd",
-        help="allreduce algorithm (default rhd)",
+        help="allreduce algorithm; it also picks the rank placement, block "
+             "for rhd and ring, round-robin across supernodes for "
+             "topo-aware (default rhd)",
     )
     parser.add_argument(
         "--supernode", type=int, default=4, help="nodes per supernode (default 4)"

@@ -1,25 +1,23 @@
 """Elastic-recovery building blocks: shrink, renumber, rewind.
 
 When a rank crash surfaces as a :class:`~repro.errors.CollectiveTimeout`,
-the elastic trainer (``repro.parallel.trainer``) recovers in three moves,
-each of which lives here so the mutation tests can break them one at a
-time:
+the elastic trainer (``repro.parallel.trainer``) recovers in three moves:
 
 1. :func:`survivor_indices` — drop the dead ranks from the active roster;
-2. :func:`rebuild_comm` — build a fresh communicator for the survivors,
-   re-deriving the RHD round-robin renumbering for the shrunken placement;
+2. rebuild the communicator for the survivors with
+   :func:`~repro.simmpi.reorder.supernode_comm` and the trainer's own
+   placement, the call that built its first communicator, so a shrunken
+   ``rhd`` run stays block-placed and a ``topo-aware`` one round-robin;
 3. :func:`rewind_net_sources` — rewind every replica's data source to the
    resume iteration so the post-recovery batch schedule is bit-identical
    to an uninterrupted run at the surviving scale.
+
+Moves 1 and 3 live here so the mutation tests can break them one at a time.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from repro.simmpi.comm import SimComm
-from repro.simmpi.reorder import block_placement, round_robin_placement
-from repro.topology.fabric import TaihuLightFabric
 
 
 def survivor_indices(active: Sequence[int], dead: Iterable[int]) -> list[int]:
@@ -30,28 +28,6 @@ def survivor_indices(active: Sequence[int], dead: Iterable[int]) -> list[int]:
     """
     lost = set(dead)
     return [r for r in active if r not in lost]
-
-
-def rebuild_comm(p: int, nodes_per_supernode: int = 4) -> SimComm:
-    """A fresh communicator renumbered for ``p`` surviving ranks.
-
-    Re-derives the paper's round-robin renumbering for the shrunken rank
-    count when it still tiles the supernodes evenly; otherwise falls back
-    to the trivial one-node-per-supernode placement (where block and
-    round-robin coincide). The clock starts at zero — recovery downtime is
-    accounted by the caller, not smuggled into the new communicator.
-    """
-    if p <= 0:
-        raise ValueError("cannot rebuild a communicator for zero survivors")
-    q = nodes_per_supernode if p % nodes_per_supernode == 0 else 1
-    fabric = TaihuLightFabric(
-        n_nodes=max(p, nodes_per_supernode), nodes_per_supernode=nodes_per_supernode
-    )
-    if q > 1:
-        placement = round_robin_placement(p, q)
-    else:
-        placement = block_placement(p, 1)
-    return SimComm(fabric, placement)
 
 
 def rewind_net_sources(net, iteration: int) -> int:

@@ -71,23 +71,6 @@ class SimClock:
         self._now = 0.0
         self._by_category.clear()
 
-    def merge_max(self, *clocks: "SimClock") -> float:
-        """Advance this clock by the max of other clocks' times.
-
-        Models a fork/join over parallel units (e.g. 4 CGs running
-        concurrently): the parent waits for the slowest child. Returns the
-        amount of time added. Category totals from the slowest child are
-        folded in proportionally.
-        """
-        if not clocks:
-            return 0.0
-        slowest = max(clocks, key=lambda c: c.now)
-        dt = slowest.now
-        for cat, t in slowest.breakdown().items():
-            self._by_category[cat] += t
-        self._now += dt
-        return dt
-
 
 @dataclass(slots=True)
 class Reservation:

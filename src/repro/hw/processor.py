@@ -2,19 +2,15 @@
 
 swCaffe's single-node parallelism (paper Fig. 5 and Algorithm 1) runs one
 pthread per core group; each thread trains on a quarter of the mini-batch
-and CG 0 reduces the four gradient copies. :class:`SW26010` provides the
-fork/join timing rule for that pattern plus processor-level constants.
+and CG 0 reduces the four gradient copies. :class:`SW26010` holds the four
+core groups and the processor-level constants.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
-
 from repro.hw.clock import SimClock
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
-
-T = TypeVar("T")
 
 
 class SW26010:
@@ -36,31 +32,3 @@ class SW26010:
     def peak_flops(self) -> float:
         """Whole-chip peak double-precision FLOP/s (~3.02 TFlops)."""
         return sum(cg.peak_flops + cg.mpe.peak_flops for cg in self.core_groups)
-
-    def fork_join(
-        self,
-        work: Callable[[CoreGroup], T],
-        *,
-        sync_overhead_s: float = 2e-6,
-    ) -> list[T]:
-        """Run ``work`` on each CG "in parallel" and join.
-
-        Each CG runs on its own private clock; the processor clock advances
-        by the slowest CG plus a synchronization handshake (the paper's
-        ``simple_sync`` semaphore barrier). Results are returned in CG order.
-        """
-        results: list[T] = []
-        child_clocks: list[SimClock] = []
-        for cg in self.core_groups:
-            cg.clock.reset()
-            results.append(work(cg))
-            child_clocks.append(cg.clock)
-        self.clock.merge_max(*child_clocks)
-        self.clock.advance(sync_overhead_s, category="sync")
-        return results
-
-    def parallel_time(self, per_cg_times: Sequence[float], sync_overhead_s: float = 2e-6) -> float:
-        """Fork/join duration for precomputed per-CG times."""
-        if len(per_cg_times) == 0:
-            return 0.0
-        return max(per_cg_times) + sync_overhead_s

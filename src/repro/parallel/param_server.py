@@ -16,7 +16,6 @@ executable:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
 
@@ -58,12 +57,3 @@ class ParameterServerModel:
         push = n_workers * per_msg
         pull = n_workers * per_msg
         return push + pull
-
-    def crossover_vs_allreduce(self, allreduce_time: Callable[[int], float], max_workers: int = 4096) -> int | None:
-        """Smallest power-of-two worker count where PS becomes slower."""
-        n = 2
-        while n <= max_workers:
-            if self.sync_time(n) > allreduce_time(n):
-                return n
-            n *= 2
-        return None

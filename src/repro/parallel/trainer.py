@@ -11,7 +11,7 @@ single-process training on the concatenated batch — is what the tests pin.
 The trainer is *elastic*: when fault injection (:mod:`repro.faults`) crashes
 a rank, the collective raises :class:`~repro.errors.CollectiveTimeout`, and
 the trainer shrinks around the dead rank — survivors keep their logical
-order, the communicator is rebuilt (renumbered) for the smaller placement,
+order, the communicator is rebuilt with the trainer's own placement,
 every surviving solver rolls back to the last snapshot and its data sources
 rewind to the resume iteration. The recovered run is bit-identical to an
 uninterrupted run at the same effective schedule: full scale up to the
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import CollectiveTimeout, FaultError
 from repro.faults.injector import active as _faults
-from repro.faults.recovery import rebuild_comm, rewind_net_sources, survivor_indices
+from repro.faults.recovery import rewind_net_sources, survivor_indices
 from repro.frame.net import Net
 from repro.frame.snapshot import load_solver, save_solver, snapshot_path
 from repro.frame.solver import SGDSolver
@@ -35,15 +35,15 @@ from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.simmpi.collectives.rhd import rhd_allreduce
 from repro.simmpi.collectives.ring import ring_allreduce
 from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
-from repro.simmpi.comm import SimComm
 from repro.simmpi.nonblocking import IAllreduceQueue
-from repro.simmpi.reorder import block_placement
-from repro.topology.fabric import TaihuLightFabric
+from repro.simmpi.reorder import block_placement, round_robin_placement, supernode_comm
 
-ALGORITHMS: dict[str, Callable] = {
-    "ring": ring_allreduce,
-    "rhd": rhd_allreduce,
-    "topo-aware": topo_aware_allreduce,
+#: Each algorithm's collective and the rank placement its communicator is
+#: built with: the topology-aware allreduce is RHD over round-robin ranks.
+ALGORITHMS: dict[str, tuple[Callable, Callable]] = {
+    "ring": (ring_allreduce, block_placement),
+    "rhd": (rhd_allreduce, block_placement),
+    "topo-aware": (topo_aware_allreduce, round_robin_placement),
 }
 
 
@@ -77,7 +77,10 @@ class DistributedTrainer:
     n_workers:
         Worker (node) count.
     algorithm:
-        ``"ring"``, ``"rhd"`` or ``"topo-aware"``.
+        ``"ring"``, ``"rhd"`` or ``"topo-aware"``. It also picks the rank
+        placement of the communicator, at start-up and after every
+        shrink: block for ``ring`` and ``rhd``, round-robin across
+        supernodes for ``topo-aware`` (see :data:`ALGORITHMS`).
     nodes_per_supernode:
         Supernode size for the simulated fabric.
     base_lr, momentum, weight_decay:
@@ -143,12 +146,8 @@ class DistributedTrainer:
             for net in self.nets
         ]
         self.packers = [self._make_packer(net) for net in self.nets]
-        fabric = TaihuLightFabric(
-            n_nodes=max(n_workers, nodes_per_supernode),
-            nodes_per_supernode=nodes_per_supernode,
-        )
-        self.comm = SimComm(fabric, block_placement(n_workers, 1))
-        self._collective = ALGORITHMS[algorithm]
+        self._collective, self._placement = ALGORITHMS[algorithm]
+        self.comm = supernode_comm(n_workers, nodes_per_supernode, self._placement)
         # --- elastic state ------------------------------------------------
         #: External worker ids still participating; logical rank i is
         #: ``active[i]``. Starts as the identity roster.
@@ -323,8 +322,11 @@ class DistributedTrainer:
         """Drop every worker not in ``survivors`` and renumber the rest.
 
         ``survivors`` lists external ids (an order-preserving subset of
-        :attr:`active`). Used by recovery after a crash and by fault-free
-        reference runs replaying a recorded :attr:`recoveries` schedule.
+        :attr:`active`; a repeated or reordered id raises
+        :class:`~repro.errors.FaultError`). Used by recovery after a crash
+        and by fault-free reference runs replaying a recorded
+        :attr:`recoveries` schedule. The rebuilt communicator keeps the
+        algorithm's placement.
         """
         if not survivors:
             raise FaultError("cannot shrink to zero survivors")
@@ -333,11 +335,18 @@ class DistributedTrainer:
         if missing:
             raise FaultError(f"survivors {missing} are not active workers")
         keep = [index_of[r] for r in survivors]
+        if any(a >= b for a, b in zip(keep, keep[1:])):
+            raise FaultError(
+                f"survivors {list(survivors)} are not an order-preserving "
+                f"subset of the active workers {self.active}"
+            )
         self.nets = [self.nets[i] for i in keep]
         self.solvers = [self.solvers[i] for i in keep]
         self.packers = [self.packers[i] for i in keep]
         self.active = list(survivors)
-        self.comm = rebuild_comm(len(survivors), self.nodes_per_supernode)
+        self.comm = supernode_comm(
+            len(survivors), self.nodes_per_supernode, self._placement
+        )
 
     def _recover(self, dead_logical: frozenset[int]) -> None:
         """Shrink around crashed ranks and roll back to the last snapshot."""

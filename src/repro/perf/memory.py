@@ -3,16 +3,14 @@
 Each core group owns 8 GB of DDR3. A training iteration must hold the
 parameters (+gradients, +solver state), every activation blob (data +
 diff, since backward consumes forward activations), and the explicit conv
-plan's im2col workspace. This planner accounts those, reports the
-per-CG footprint, and finds the largest feasible sub-mini-batch — the
-constraint behind Table III's per-network batch choices (AlexNet 256 but
-VGG only 64, ResNet-50 only 32).
+plan's im2col workspace. This planner accounts those and reports the
+per-CG footprint, whose fit in DRAM is the constraint behind Table III's
+per-network batch choices (AlexNet 256 but VGG only 64, ResNet-50 only 32).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.frame.layers.convolution import ConvolutionLayer
 from repro.frame.net import Net
@@ -83,22 +81,3 @@ def net_memory_footprint(net: Net) -> MemoryFootprint:
         activation_bytes=activations,
         workspace_bytes=workspace,
     )
-
-
-def max_feasible_batch(
-    builder: Callable[..., Net],
-    capacity_bytes: int | None = None,
-    candidates: tuple[int, ...] = (16, 32, 64, 128, 256, 512, 1024),
-) -> int:
-    """Largest candidate sub-mini-batch whose footprint fits one CG's DRAM.
-
-    Returns 0 if even the smallest candidate does not fit.
-    """
-    best = 0
-    for batch in sorted(candidates):
-        net = builder(batch_size=batch)
-        if net_memory_footprint(net).fits(capacity_bytes):
-            best = batch
-        else:
-            break
-    return best

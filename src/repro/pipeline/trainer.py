@@ -22,7 +22,8 @@ Hybrid mode runs ``R`` replica pipelines on disjoint shards and averages
 each stage's parameter gradients across its replica group with a real
 simulated allreduce (disjoint groups, payload = that stage's parameters
 only — the point of hybrid parallelism: the full-model allreduce of pure
-data parallelism never happens).
+data parallelism never happens). The groups sync with the topology-aware
+allreduce on a round-robin group communicator.
 
 Time is accounted separately from data, as everywhere in the package:
 each iteration walks the microbatch schedule
@@ -47,8 +48,7 @@ from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
 from repro.simmpi.comm import SimComm
 from repro.simmpi.nonblocking import IAllreduceQueue
 from repro.simmpi.p2p import P2PTransport
-from repro.simmpi.reorder import block_placement
-from repro.topology.fabric import TaihuLightFabric
+from repro.simmpi.reorder import block_placement, round_robin_placement, supernode_comm
 from repro.trace.tracer import active as _tracer
 
 
@@ -130,12 +130,9 @@ class PipelineTrainer:
         self.plan: StagePlan = plan_stages(
             self.nets[0], n_stages, method=method, device=device
         )
-        n_nodes = self.plan.n_stages * replicas
-        fabric = TaihuLightFabric(
-            n_nodes=max(n_nodes, nodes_per_supernode),
-            nodes_per_supernode=nodes_per_supernode,
+        self.comm = supernode_comm(
+            self.plan.n_stages * replicas, nodes_per_supernode, block_placement
         )
-        self.comm = SimComm(fabric, block_placement(n_nodes, 1))
         self.transport = P2PTransport(self.comm)
         #: Per-replica, per-stage gradient packers (hybrid sync payloads);
         #: ``None`` for stages owning no learnable parameters.
@@ -154,12 +151,8 @@ class PipelineTrainer:
             for net in self.nets
         ]
         if replicas > 1:
-            group_fabric = TaihuLightFabric(
-                n_nodes=max(replicas, nodes_per_supernode),
-                nodes_per_supernode=nodes_per_supernode,
-            )
-            self.group_comm: SimComm | None = SimComm(
-                group_fabric, block_placement(replicas, 1)
+            self.group_comm: SimComm | None = supernode_comm(
+                replicas, nodes_per_supernode, round_robin_placement
             )
         else:
             self.group_comm = None

@@ -12,7 +12,9 @@ phase, both log(p)-deep:
 Whether a step's partners sit in the same supernode is decided entirely by
 the communicator's :class:`~repro.simmpi.process.Placement`; running this
 exact schedule over the round-robin placement *is* the paper's improved
-algorithm (see :mod:`repro.simmpi.collectives.topo_aware`).
+algorithm (see :mod:`repro.simmpi.collectives.topo_aware`), and a trainer
+installs that placement when it builds its communicator
+(:func:`repro.simmpi.reorder.supernode_comm`).
 
 Non-power-of-two rank counts use the standard MPICH fold: the first
 ``2 * (p - 2^k)`` ranks pre-combine pairwise so a power-of-two subset runs

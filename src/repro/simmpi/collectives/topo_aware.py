@@ -8,6 +8,8 @@ supernode count stay inside a supernode, so the heavy early halving steps
 and only the log(p/q) small-message steps cross the over-subscribed
 central switch. This reduces the beta2 coefficient from ``p - q`` to
 ``p/q - 1`` (Eqs. 3/4 -> 5/6).
+As in swCaffe, the renumbering is installed once, when the communicator is
+built (:func:`~repro.simmpi.reorder.supernode_comm`), not per call.
 """
 
 from __future__ import annotations
@@ -17,56 +19,15 @@ import numpy as np
 from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.collectives.reduce_ops import execute
 from repro.simmpi.collectives.rhd import rhd_schedule
-from repro.simmpi.reorder import round_robin_placement
-from repro.topology.fabric import TaihuLightFabric
-from repro.topology.cost_model import LinearCostModel
-
-
-def make_topo_aware_comm(
-    fabric: TaihuLightFabric,
-    p: int,
-    cost: LinearCostModel | None = None,
-    gamma: float | None = None,
-) -> SimComm:
-    """Build a communicator with the round-robin renumbering applied.
-
-    When ``p`` does not span multiple full supernodes (p <= q, or p not a
-    multiple of q), the renumbering degenerates gracefully: ranks within a
-    single supernode need no reordering, so the effective supernode size is
-    clamped to ``p``.
-    """
-    q = min(fabric.nodes_per_supernode, p)
-    if p % q != 0:
-        # Partial trailing supernode: fall back to packing by supernode of
-        # size gcd so the mapping stays a permutation.
-        q = 1
-    placement = round_robin_placement(p, q)
-    return SimComm(fabric, placement, cost=cost, gamma=gamma)
 
 
 def topo_aware_allreduce(
     comm: SimComm, buffers: list[np.ndarray], *, average: bool = False
 ) -> CollectiveResult:
-    """RHD allreduce over a round-robin placement.
+    """RHD allreduce on ``comm``; the paper's algorithm when ``comm`` is
+    round-robin placed.
 
-    If ``comm`` already carries a round-robin placement it is used as-is;
-    otherwise a renumbered clone (same fabric, same cost model) is created,
-    matching how swCaffe installs its communicator once at startup. The
-    clone inherits ``comm``'s dead ranks and timeout, so a crashed rank
-    still raises :class:`~repro.errors.CollectiveTimeout`, and its clock is
-    folded back into ``comm.clock`` category by category (``comm`` steps,
-    a ``fault`` timeout) even when the call raises. It executes the RHD
-    schedule itself, so it stays one collective call.
+    It executes the RHD schedule itself, so it counts as one collective
+    call, and its rounds, trace spans and timeouts land on ``comm``.
     """
-    if comm.placement.name == "round-robin":
-        return execute(comm, buffers, rhd_schedule, average=average)
-    renumbered = make_topo_aware_comm(
-        comm.fabric, comm.p, cost=comm.cost, gamma=comm.gamma
-    )
-    renumbered.failed_ranks = comm.failed_ranks
-    renumbered.timeout_s = comm.timeout_s
-    try:
-        return execute(renumbered, buffers, rhd_schedule, average=average)
-    finally:
-        for category, seconds in renumbered.clock.breakdown().items():
-            comm.clock.advance(seconds, category=category)
+    return execute(comm, buffers, rhd_schedule, average=average)

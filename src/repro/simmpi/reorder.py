@@ -10,12 +10,18 @@
   logical distance is a multiple of s stay inside a supernode. Since RHD
   step distances are p/2, p/4, ..., 1, only the log(p/q) *smallest-message*
   steps cross supernodes (Eqs. 5-6).
+
+:func:`supernode_comm` builds every trainer communicator with one of them.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.errors import CommunicatorError
+from repro.simmpi.comm import SimComm
 from repro.simmpi.process import Placement
+from repro.topology.fabric import TaihuLightFabric
 
 
 def _check(p: int, q: int) -> int:
@@ -49,3 +55,20 @@ def round_robin_placement(p: int, q: int) -> Placement:
     s = _check(p, q)
     physical = tuple((L % s) * q + (L // s) for L in range(p))
     return Placement(physical=physical, name="round-robin")
+
+
+def supernode_comm(
+    p: int, nodes_per_supernode: int, placement: Callable[[int, int], Placement]
+) -> SimComm:
+    """A communicator for ``p`` ranks on supernodes of ``nodes_per_supernode``.
+
+    The fabric is built first, so a bad supernode size fails there. Ranks
+    are then numbered by ``placement(p, q)``, where ``q`` is the supernode
+    size when ``p`` tiles the supernodes and 1 otherwise: both schemes
+    number whole supernodes, and with ``q = 1`` both are the identity.
+    """
+    fabric = TaihuLightFabric(
+        n_nodes=max(p, nodes_per_supernode), nodes_per_supernode=nodes_per_supernode
+    )
+    q = nodes_per_supernode if p % nodes_per_supernode == 0 else 1
+    return SimComm(fabric, placement(p, q))

@@ -95,17 +95,6 @@ class NetworkModel:
             return self.alpha
         return self.alpha + n / self.bandwidth(n, oversubscribed=oversubscribed)
 
-    def effective_beta(self, nbytes: float, *, oversubscribed: bool = False) -> float:
-        """Per-byte transfer time at a given message size (for Eqs. 2-6)."""
-        return 1.0 / self.bandwidth(max(float(nbytes), 1.0), oversubscribed=oversubscribed)
-
-    def to_linear(self, nbytes: float, gamma: float) -> LinearCostModel:
-        """Freeze this curve at one message size into a linear model."""
-        beta1 = self.effective_beta(nbytes)
-        return LinearCostModel(
-            alpha=self.alpha, beta1=beta1, beta2=beta1 * OVERSUBSCRIPTION, gamma=gamma
-        )
-
 
 #: The Sunway TaihuLight network, calibrated to Sec. II-B / Fig. 6:
 #: theoretical 16 GB/s per link, ~12 GB/s achieved with MPI for very large

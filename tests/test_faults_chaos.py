@@ -30,6 +30,7 @@ from repro.frame.net import Net
 from repro.parallel.trainer import DistributedTrainer
 from repro.simmpi.collectives.rhd import rhd_allreduce
 from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
+from repro.simmpi.reorder import round_robin_placement, supernode_comm
 from repro.testing.registry import make_fuzz_comm
 from repro.utils.rng import seeded_rng
 
@@ -168,9 +169,10 @@ def test_crash_recovery_matches_fault_free_reference(seed, tmp_path):
 
 def test_topo_aware_crash_recovers_like_rhd(tmp_path):
     """The topology-aware allreduce sees a crashed rank: the run shrinks
-    4 -> 3 and recovers bitwise exactly as the RHD run does, although the
-    trainer's block-placed communicator makes it run on a renumbered
-    clone (the ``python -m repro chaos ... --algorithm topo-aware`` case)."""
+    4 -> 3 and recovers bitwise exactly as the RHD run does, on the
+    trainer's own round-robin communicator, rebuilt round-robin for the
+    survivors (the ``python -m repro chaos ... --algorithm topo-aware``
+    case)."""
     reports = {}
     for algorithm in ("rhd", "topo-aware"):
         (tmp_path / algorithm).mkdir()
@@ -187,8 +189,9 @@ def test_topo_aware_crash_recovers_like_rhd(tmp_path):
 
 
 def test_topo_aware_clone_charges_the_timeout_to_the_caller():
-    comm = make_fuzz_comm(8)
-    assert comm.placement.name != "round-robin"  # the renumbered-clone path
+    """A dead rank times the topology-aware allreduce out on the caller's
+    round-robin communicator; no other clock sees the wait."""
+    comm = supernode_comm(8, 4, round_robin_placement)
     comm.failed_ranks = frozenset({5})
     with pytest.raises(CollectiveTimeout):
         topo_aware_allreduce(comm, [np.ones(16) for _ in range(8)])

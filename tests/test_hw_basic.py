@@ -73,15 +73,6 @@ class TestSimClock:
         assert clk.category_total("rlc") == pytest.approx(1.0)
         assert clk.category_total("dma") == 0.0
 
-    def test_merge_max_takes_slowest(self):
-        parent, a, b = SimClock(), SimClock(), SimClock()
-        a.advance(1.0, category="compute")
-        b.advance(3.0, category="dma")
-        dt = parent.merge_max(a, b)
-        assert dt == pytest.approx(3.0)
-        assert parent.now == pytest.approx(3.0)
-        assert parent.category_total("dma") == pytest.approx(3.0)
-
     def test_reset(self):
         clk = SimClock()
         clk.advance(1.0)

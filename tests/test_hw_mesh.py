@@ -150,21 +150,3 @@ class TestProcessor:
     def test_peak_near_3_tflops(self):
         chip = SW26010()
         assert chip.peak_flops == pytest.approx(3.016e12, rel=0.01)
-
-    def test_fork_join_takes_slowest(self):
-        chip = SW26010()
-
-        def work(cg):
-            # CG index determines how much work it gets (imbalance).
-            cg.run_phase(flops=(cg.index + 1) * 1e9, compute_efficiency=1.0)
-            return cg.index
-
-        results = chip.fork_join(work)
-        assert results == [0, 1, 2, 3]
-        slowest = 4e9 / 742.4e9
-        assert chip.clock.now == pytest.approx(slowest + 2e-6, rel=1e-6)
-
-    def test_parallel_time_helper(self):
-        chip = SW26010()
-        assert chip.parallel_time([1.0, 3.0, 2.0], sync_overhead_s=0.5) == 3.5
-        assert chip.parallel_time([]) == 0.0

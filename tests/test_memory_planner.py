@@ -11,7 +11,7 @@ from repro.frame.net import Net
 from repro.frame.solver import SGDSolver
 from repro.hw.spec import SW_PARAMS
 from repro.io.dataset import SyntheticImageNet
-from repro.perf.memory import MemoryFootprint, max_feasible_batch, net_memory_footprint
+from repro.perf.memory import MemoryFootprint, net_memory_footprint
 from repro.utils.rng import seeded_rng
 
 
@@ -44,17 +44,6 @@ class TestMemoryFootprint:
         fp = MemoryFootprint(1, 1, 1, 1)
         assert fp.fits(4)
         assert not fp.fits(3)
-
-    def test_max_feasible_batch(self):
-        best = max_feasible_batch(
-            lenet.build, capacity_bytes=64 * 1024 * 1024, candidates=(16, 64, 256, 1024)
-        )
-        assert best in (16, 64, 256, 1024)
-        # Tighter budget cannot allow a larger batch.
-        tighter = max_feasible_batch(
-            lenet.build, capacity_bytes=16 * 1024 * 1024, candidates=(16, 64, 256, 1024)
-        )
-        assert tighter <= best
 
 
 class TestIterSize:

@@ -55,12 +55,6 @@ class TestNetworkModel:
         lo, hi = sorted((a, b))
         assert SW_NETWORK.ptp_time(lo) <= SW_NETWORK.ptp_time(hi) + 1e-15
 
-    def test_to_linear_freezes_curve(self):
-        lin = SW_NETWORK.to_linear(1024 * 1024, gamma=1e-10)
-        assert lin.alpha == SW_NETWORK.alpha
-        assert lin.beta2 == pytest.approx(lin.beta1 * OVERSUBSCRIPTION)
-        assert lin.beta1 == pytest.approx(1.0 / SW_NETWORK.bandwidth(1024 * 1024))
-
     def test_zero_bytes(self):
         assert SW_NETWORK.bandwidth(0) == 0.0
         assert SW_NETWORK.ptp_time(0) == SW_NETWORK.alpha

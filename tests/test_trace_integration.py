@@ -44,13 +44,12 @@ class TestReplayEquivalence:
     match the data-free replay bit for bit, for every algorithm.
     """
 
-    # (executed collective, schedule it runs, placement the replay uses)
+    # (executed collective, schedule it runs, placement both sides use)
     ALGORITHMS = {
         "rhd": (rhd_allreduce, rhd_schedule, block_placement),
         "ring": (ring_allreduce, ring_schedule, block_placement),
         "binomial": (binomial_allreduce, binomial_schedule, block_placement),
-        # Over a block placement, topo-aware runs RHD on a renumbered clone
-        # and folds the clone's time into the caller's clock.
+        # Topo-aware is RHD on the round-robin communicator it is given.
         "topo_aware": (topo_aware_allreduce, rhd_schedule, round_robin_placement),
     }
 
@@ -66,7 +65,7 @@ class TestReplayEquivalence:
         q = 4 if p % 4 == 0 else p
         fabric = TaihuLightFabric(n_nodes=p, nodes_per_supernode=q)
         for name, (collective, schedule, placement) in self.ALGORITHMS.items():
-            exec_comm = SimComm(fabric, block_placement(p, q))
+            exec_comm = SimComm(fabric, placement(p, q))
             executed = collective(exec_comm, [np.ones(n) for _ in range(p)])
             replay_comm = SimComm(fabric, placement(p, q))
             replayed = replay(replay_comm, schedule(p, n, 8))
