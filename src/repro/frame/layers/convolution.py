@@ -11,7 +11,7 @@ from repro.frame.layer import Layer, check_filler, filler_std
 from repro.hw.spec import SW26010Params
 from repro.kernels.autotune import ConvConfig, PlanAutotuner
 from repro.kernels.im2col import conv_out_dim
-from repro.kernels.plan import PlanCost
+from repro.kernels.plan import PlanCost, repeat_sequential
 from repro.utils.rng import FillLedger, fill_ledger
 
 
@@ -136,9 +136,7 @@ class ConvolutionLayer(Layer):
     def _times_groups(self, cost: PlanCost) -> PlanCost:
         if self.groups == 1:
             return cost
-        from repro.kernels.plan import combine_sequential
-
-        return combine_sequential([cost] * self.groups)
+        return repeat_sequential(cost, self.groups)
 
     def sw_forward_cost(self) -> PlanCost:
         return self._times_groups(

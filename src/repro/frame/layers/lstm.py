@@ -16,7 +16,7 @@ from repro.frame.blob import Blob
 from repro.frame.layer import Layer
 from repro.hw.spec import SW26010Params
 from repro.kernels.gemm import SWGemmPlan
-from repro.kernels.plan import PlanCost, combine_sequential
+from repro.kernels.plan import PlanCost, combine_sequential, repeat_sequential
 from repro.utils.rng import FillLedger, fill_ledger
 
 
@@ -156,7 +156,7 @@ class LSTMLayer(Layer):
                 SWGemmPlan(4 * h, bc, h, params=self.hw).cost(),
             ]
         )
-        return combine_sequential([per_step] * t)
+        return repeat_sequential(per_step, t)
 
     def sw_backward_cost(self) -> PlanCost:
         b, t, d = self._shape
@@ -170,4 +170,4 @@ class LSTMLayer(Layer):
                 SWGemmPlan(bc, h, 4 * h, params=self.hw).cost(),
             ]
         )
-        return combine_sequential([per_step] * t)
+        return repeat_sequential(per_step, t)

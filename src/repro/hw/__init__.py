@@ -12,6 +12,10 @@ NumPy buffers (so kernels built on top are bit-exact), while every operation
 charges simulated time to a :class:`~repro.hw.clock.SimClock` according to
 bandwidth/latency models calibrated against the measurements in the paper
 (Fig. 2 for DMA, the IPDPSW'17 benchmark for RLC, Table I for peaks).
+
+The largest unit built is the core group: the chip is a spec constant,
+``SW26010Params.n_core_groups``, and kernel plans share one pricing core
+group per parameter set (:mod:`repro.kernels.plan`).
 """
 
 # Only tests run the cycle-level mesh simulator; this import is what keeps

@@ -36,11 +36,9 @@ class CoreGroup:
 
     def __init__(
         self,
-        index: int = 0,
         params: SW26010Params | None = None,
         clock: SimClock | None = None,
     ) -> None:
-        self.index = index
         self.params = params or SW_PARAMS
         self.clock = clock or SimClock()
         self.mpe = MPE(params=self.params, clock=self.clock)

@@ -31,7 +31,10 @@ class SyntheticImageNet:
         On-disk size of one record, used by the I/O model. The paper's
         numbers imply ~750 KB/record (a 256-sample mini-batch is ~192 MB).
     seed:
-        RNG seed; two sources with the same seed replay identically.
+        RNG seed; two sources with the same seed replay identically. The
+        sample stream's generator is seeded on the first
+        :meth:`next_batch` or :meth:`seek`, so a source that a priced net
+        only holds builds none.
     """
 
     def __init__(
@@ -51,8 +54,7 @@ class SyntheticImageNet:
         self.noise = float(noise)
         self.record_bytes = float(record_bytes)
         self.seed = seed
-        self._rng = seeded_rng(seed)
-        self._proto_rng = seeded_rng(hash(("prototypes", seed)) & 0x7FFFFFFF)
+        self._rng: np.random.Generator | None = None
         self._prototypes: dict[int, np.ndarray] = {}
 
     def prototype(self, label: int) -> np.ndarray:
@@ -71,6 +73,8 @@ class SyntheticImageNet:
         prefetches via random sampling)."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self._rng is None:
+            self._rng = seeded_rng(self.seed)
         labels = self._rng.integers(0, self.num_classes, size=batch_size)
         images = np.empty((batch_size, *self.sample_shape), dtype=np.float32)
         for i, lab in enumerate(labels):

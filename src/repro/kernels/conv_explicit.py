@@ -15,7 +15,13 @@ import numpy as np
 from repro.errors import PlanError, ShapeError
 from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.im2col import Col2imPlan, Im2colPlan, conv_out_dim, im2col, col2im
-from repro.kernels.plan import KernelPlan, PlanCost, combine_sequential, work_saturation
+from repro.kernels.plan import (
+    KernelPlan,
+    PlanCost,
+    combine_sequential,
+    repeat_sequential,
+    work_saturation,
+)
 from repro.hw.spec import SW26010Params
 
 
@@ -139,7 +145,7 @@ class ExplicitConvPlan(KernelPlan):
         if not self.is_1x1:
             phases.insert(0, self._im2col_plan().cost())
         per_image = combine_sequential(phases)
-        total = combine_sequential([per_image] * self.batch) + self._spawn_cost()
+        total = repeat_sequential(per_image, self.batch) + self._spawn_cost()
         return self._saturate(total)
 
     def cost_backward_weight(self) -> PlanCost:
@@ -151,7 +157,7 @@ class ExplicitConvPlan(KernelPlan):
         if not self.is_1x1:
             phases.insert(0, self._im2col_plan().cost())
         per_image = combine_sequential(phases)
-        total = combine_sequential([per_image] * self.batch) + self._spawn_cost()
+        total = repeat_sequential(per_image, self.batch) + self._spawn_cost()
         return self._saturate(total)
 
     def cost_backward_input(self) -> PlanCost:
@@ -164,7 +170,7 @@ class ExplicitConvPlan(KernelPlan):
             phases.append(self._col2im_plan().cost())
         per_image = combine_sequential(phases)
         total = self._saturate(
-            combine_sequential([per_image] * self.batch) + self._spawn_cost()
+            repeat_sequential(per_image, self.batch) + self._spawn_cost()
         )
         return PlanCost(
             compute_s=total.compute_s * self.input_grad_penalty,

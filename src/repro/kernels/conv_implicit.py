@@ -222,7 +222,7 @@ class ImplicitConvPlan(KernelPlan):
         out = np.zeros(
             (self.out_h, self.out_w, self.no, self.batch), dtype=x_rcnb.dtype
         )
-        dma = self._cg.dma
+        dma = self.core_group.dma
         no_block = min(self.no, 128)
         w_block = max(1, min(self.out_w, 64))
         s, p = self.stride, self.pad

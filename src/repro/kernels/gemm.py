@@ -97,6 +97,20 @@ class GemmBlocking:
 _BLOCKING_CACHE: dict[tuple, GemmBlocking] = {}
 _BLOCKING_CACHE_MAX = 65536
 
+#: Read-only per-dimension candidate tables, keyed ``(dim, mesh, axis)``,
+#: and LDM-overflow masks of the grid, keyed ``(params, len_m, len_n,
+#: len_k)``: the paper nets' GEMM shapes share dimensions and grid sizes.
+_AXIS_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
+_OVERFLOW_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _remember(cache: dict, key: tuple, value):
+    """Store ``value`` under ``key``, clearing a full cache first."""
+    if len(cache) >= _BLOCKING_CACHE_MAX:
+        cache.clear()
+    cache[key] = value
+    return value
+
 
 # Pipeline/SIMD fill per dimension, from the per-CPE tile extent
 # (see SWGemmPlan._compute_efficiency for the calibration).
@@ -110,6 +124,34 @@ def _col_fill(nt: float) -> float:
 
 def _depth_fill(kt: float) -> float:
     return kt * kt / (kt * kt + 37.0)
+
+
+_AXIS_FILLS = (_row_fill, _col_fill, _depth_fill)
+
+
+def _axis_table(dim: int, mesh: int, along: int) -> tuple[np.ndarray, ...]:
+    """(block, block count, fringe utilisation, pipeline fill) of each
+    candidate block size of one dimension, laid along grid axis ``along``
+    (0 for m, 1 for n, 2 for k), computed in scalar Python once per key."""
+    key = (dim, mesh, along)
+    table = _AXIS_CACHE.get(key)
+    if table is not None:
+        return table
+    fill = _AXIS_FILLS[along]
+    candidates = [mesh * x for x in (1, 2, 4, 8, 16, 24, 32, 48, 64)]
+    # Blocks stay within one mesh row of the dim: the library does not pad
+    # a dim far beyond its extent, and the calibrated small-shape collapse
+    # (Table II / Fig. 8) depends on that.
+    rows = []
+    for b in [c for c in candidates if c < dim + mesh] or [mesh]:
+        blocks = math.ceil(dim / b)
+        rows.append((b, blocks, dim / (blocks * b), fill(max(1.0, b / mesh))))
+    shape = [1, 1, 1]
+    shape[along] = len(rows)
+    table = tuple(np.array(col).reshape(shape) for col in zip(*rows))
+    for column in table:
+        column.flags.writeable = False
+    return _remember(_AXIS_CACHE, key, table)
 
 
 class SWGemmPlan(KernelPlan):
@@ -198,10 +240,7 @@ class SWGemmPlan(KernelPlan):
         blocks = [GemmBlocking(int(mb.flat[i]), int(nb.flat[j]), int(kb.flat[l]))
                   for i, j, l in zip(*tied)]
         best = max(blocks, key=lambda blk: blk.flop_per_byte)  # first of equals
-        if len(_BLOCKING_CACHE) >= _BLOCKING_CACHE_MAX:
-            _BLOCKING_CACHE.clear()
-        _BLOCKING_CACHE[key] = best
-        return best
+        return _remember(_BLOCKING_CACHE, key, best)
 
     def _candidate_scores(self) -> tuple[np.ndarray, ...]:
         """Modeled seconds of every candidate blocking, in one NumPy pass.
@@ -209,34 +248,20 @@ class SWGemmPlan(KernelPlan):
         Returns the candidate ``mb``, ``nb`` and ``kb`` laid along the
         three axes of a grid, and that grid's ``_cost_for(blk).total_s``,
         ``inf`` where the tiles do not fit in LDM. Each dimension's block
-        sizes, block counts, fringe utilisations and fills are computed in
-        scalar Python and broadcast along its axis; the grid is scored with
+        sizes, block counts, fringe utilisations and fills come from
+        :func:`_axis_table` and broadcast along its axis; the grid is scored with
         ``_cost_for``'s operations in the same order, the DMA and RLC terms
         by the engines' own formulas. NumPy rounds each elementwise
-        operation as Python does, so every score is bit-identical.
+        operation as Python does, so every score is bit-identical. The
+        candidate arrays and ``_ldm_fit``'s mask are memoized read-only; a
+        dimension's candidates are a prefix of one list, so the mask
+        depends only on the grid's size.
         """
         m, n, k, dtype_bytes = self.m, self.n, self.k, self.dtype_bytes
         mesh = self.params.cpe_rows
-        candidates = [mesh * x for x in (1, 2, 4, 8, 16, 24, 32, 48, 64)]
-
-        def axis(dim: int, fill, along: int) -> list[np.ndarray]:
-            """(block, block count, fringe utilisation, pipeline fill) of
-            each candidate block size of one dimension, laid along grid
-            axis ``along``."""
-            # Blocks stay within one mesh row of the dim: the library does
-            # not pad a dim far beyond its extent, and the calibrated
-            # small-shape collapse (Table II / Fig. 8) depends on that.
-            rows = []
-            for b in [c for c in candidates if c < dim + mesh] or [mesh]:
-                blocks = math.ceil(dim / b)
-                rows.append((b, blocks, dim / (blocks * b), fill(max(1.0, b / mesh))))
-            shape = [1, 1, 1]
-            shape[along] = len(rows)
-            return [np.array(col).reshape(shape) for col in zip(*rows)]
-
-        mb, m_blocks, util_m, fill_m = axis(m, _row_fill, 0)
-        nb, n_blocks, util_n, fill_n = axis(n, _col_fill, 1)
-        kb, k_blocks, util_k, fill_k = axis(k, _depth_fill, 2)
+        mb, m_blocks, util_m, fill_m = _axis_table(m, mesh, 0)
+        nb, n_blocks, util_n, fill_n = _axis_table(n, mesh, 1)
+        kb, k_blocks, util_k, fill_k = _axis_table(k, mesh, 2)
         flops = 2.0 * m * n * k
         # Multiplying by 1.0 is exact, so doubles take the same path.
         precision = 1.0 - self.single_precision_tax if dtype_bytes < 8 else 1.0
@@ -252,7 +277,12 @@ class SWGemmPlan(KernelPlan):
         rlc_s = self._cg.rlc.broadcast_time(n_outer * (8.0 * (mb * kb + kb * nb)))
         total_s = np.maximum(np.maximum(compute_s, dma_s), rlc_s)
         total_s = total_s + n_outer * self.params.dma_latency_s
-        total_s[~self._ldm_fit(mb, nb, kb)] = np.inf
+        key = (self.params, mb.size, nb.size, kb.size)
+        overflow = _OVERFLOW_CACHE.get(key)
+        if overflow is None:
+            overflow = _remember(_OVERFLOW_CACHE, key, ~self._ldm_fit(mb, nb, kb))
+            overflow.flags.writeable = False
+        total_s[overflow] = np.inf
         return mb, nb, kb, total_s
 
     # ------------------------------------------------------------------ #
@@ -373,8 +403,8 @@ class SWGemmPlan(KernelPlan):
         c = np.zeros((self.m, self.n), dtype=np.float64)
         # One representative CPE's LDM stands in for the whole mesh (tiles
         # are the same size everywhere).
-        ldm = self._cg.cpes[0].ldm
-        dma = self._cg.dma
+        ldm = self.core_group.cpes[0].ldm
+        dma = self.core_group.dma
         for i0 in range(0, self.m, blk.mb):
             i1 = min(i0 + blk.mb, self.m)
             for j0 in range(0, self.n, blk.nb):

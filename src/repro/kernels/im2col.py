@@ -174,8 +174,8 @@ class Im2colPlan(_TransformPlanBase):
         out = np.zeros(
             (self.channels * k * k, self.out_h * self.out_w), dtype=x.dtype
         )
-        dma = self._cg.dma
-        ldm = self._cg.cpes[0].ldm
+        dma = self.core_group.dma
+        ldm = self.core_group.cpes[0].ldm
         padded_w = self.width + 2 * p
         row_buf_bytes = padded_w * self.dtype_bytes
         ldm.require("im2col/row", row_buf_bytes)

@@ -9,7 +9,10 @@ the functional NumPy execution.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import attrgetter
 
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
@@ -81,14 +84,25 @@ def combine_sequential(costs: list[PlanCost]) -> PlanCost:
 
     Each phase keeps its own internal compute/DMA overlap; the total is the
     sum of per-phase totals. The returned object reports component sums for
-    reporting and encodes the exact total via ``overhead_s``.
+    reporting and encodes the exact total via ``overhead_s``. Each field is
+    one built-in ``sum`` over the phases, read at C level.
     """
-    compute = sum(c.compute_s for c in costs)
-    dma = sum(c.dma_s for c in costs)
-    rlc = sum(c.rlc_s for c in costs)
-    flops = sum(c.flops for c in costs)
-    dbytes = sum(c.dma_bytes for c in costs)
-    total = sum(c.total_s for c in costs)
+    return _sequential([sum(map(field, costs)) for field in _SUMMED])
+
+
+def repeat_sequential(cost: PlanCost, n: int) -> PlanCost:
+    """``combine_sequential([cost] * n)``, bit for bit, without the list."""
+    return _sequential([sum(repeat(field(cost), n)) for field in _SUMMED])
+
+
+# The built-in sum stays the accumulator: from Python 3.12 it compensates
+# float sums, so a hand-written loop would change results there.
+_SUMMED = tuple(map(attrgetter, ("compute_s", "dma_s", "rlc_s", "flops", "dma_bytes", "total_s")))
+
+
+def _sequential(sums: list[float]) -> PlanCost:
+    """The cost of phases with these field sums, run one after another."""
+    compute, dma, rlc, flops, dbytes, total = sums
     overhead = total - max(compute, dma, rlc)
     # A sequence of phases can never be faster than any single component
     # stream, so the correction is non-negative up to float rounding.
@@ -103,8 +117,22 @@ def combine_sequential(costs: list[PlanCost]) -> PlanCost:
     )
 
 
+@lru_cache(maxsize=64)
+def pricing_core_group(params: SW26010Params) -> CoreGroup:
+    """The one core group every plan of ``params`` prices against.
+
+    Pricing reads only ``peak_flops`` and the DMA and RLC time formulas,
+    which advance no clock and record no trace state.
+    """
+    return CoreGroup(params=params)
+
+
 class KernelPlan(abc.ABC):
     """Base class for SW26010 kernel plans.
+
+    A plan prices against the process-wide :func:`pricing_core_group` of
+    its parameters (``self._cg``), which no plan executes on. A plan that
+    executes data builds its own :attr:`core_group` the first time it runs.
 
     Parameters
     ----------
@@ -117,12 +145,16 @@ class KernelPlan(abc.ABC):
 
     def __init__(self, params: SW26010Params | None = None) -> None:
         self.params = params or SW_PARAMS
-        self._cg = CoreGroup(params=self.params)
+        self._cg = pricing_core_group(self.params)
 
-    @property
+    @cached_property
     def core_group(self) -> CoreGroup:
-        """The core group the plan prices against."""
-        return self._cg
+        """The core group the plan's executed paths run on, built on first use.
+
+        Each plan has its own, so its clock, LDM high-water mark and DMA
+        trace edges record only this plan's runs. Pricing never reads it.
+        """
+        return CoreGroup(params=self.params)
 
     @abc.abstractmethod
     def cost(self) -> PlanCost:

@@ -2,15 +2,14 @@
 
 Each node has a single FDR network port (the reason the paper rejects the
 parameter-server scheme: one port cannot absorb gradients from thousands of
-workers simultaneously).
+workers simultaneously). The fabric only needs a node's place in the
+two-level network; the processor is modelled per core group by
+:mod:`repro.hw` and priced through :mod:`repro.kernels`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.hw.clock import SimClock
-from repro.hw.processor import SW26010
+from dataclasses import dataclass
 
 
 @dataclass
@@ -19,19 +18,7 @@ class ComputeNode:
 
     node_id: int
     supernode_id: int
-    clock: SimClock = field(default_factory=SimClock)
 
     def __post_init__(self) -> None:
         if self.node_id < 0 or self.supernode_id < 0:
             raise ValueError("node and supernode ids must be non-negative")
-        self._processor: SW26010 | None = None
-
-    @property
-    def processor(self) -> SW26010:
-        """The node's SW26010 processor (created lazily; it is heavyweight)."""
-        if self._processor is None:
-            self._processor = SW26010(clock=self.clock)
-        return self._processor
-
-    def __repr__(self) -> str:
-        return f"ComputeNode(node_id={self.node_id}, supernode_id={self.supernode_id})"

@@ -6,9 +6,11 @@ simulations replay bit-identically.
 
 Weight initialisation goes through a :class:`FillLedger`, which queues the
 random fills of one generator and draws them in queue order. When the
-ledger created the generator itself, nobody else can observe it, so the
+ledger creates the generator itself, nobody else can observe it, so the
 fills wait until a weight is first read or the generator is wanted for
 another draw; the values are the same as if they had been drawn at once.
+Such a ledger seeds its generator only then, so a net that is only
+priced builds no generator and never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -53,19 +55,22 @@ Draw = Callable[["np.random.Generator"], np.ndarray]
 class FillLedger:
     """The random fills queued on one generator, drawn in queue order.
 
-    A ledger made without a generator creates its own (the package seed)
-    and lets fills wait: :meth:`flush` draws every pending fill, in the
-    order queued, on first demand. A ledger given a caller's generator
-    flushes on every :meth:`queue` instead, because the caller may draw
-    from that generator between two fills. Either way each fill sees the
-    generator state it would have seen had every fill been drawn when it
-    was queued, so deferring changes no value.
+    A ledger made without a generator lets fills wait: :meth:`flush`
+    draws every pending fill, in the order queued, on first demand. It
+    creates its generator (the package seed) on that first flush; the
+    seed is a constant, so creating it late changes no value. A ledger
+    given a caller's generator flushes on every :meth:`queue` instead,
+    because the caller may draw from that generator between two fills.
+    Either way each fill sees the generator state it would have seen had
+    every fill been drawn when it was queued, so deferring changes no
+    value.
     """
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         #: Whether fills wait for :meth:`flush` (the generator is ours).
         self.deferred = rng is None
-        self._rng = seeded_rng() if rng is None else rng
+        #: The generator; ``None`` until a deferring ledger's first flush.
+        self._rng = rng
         self._pending: deque[tuple[Draw, Callable[[np.ndarray], None]]] = deque()
 
     def queue(self, draw: Draw, deliver: Callable[[np.ndarray], None]) -> None:
@@ -76,6 +81,8 @@ class FillLedger:
 
     def flush(self) -> None:
         """Draw every pending fill, in the order queued."""
+        if self._rng is None:
+            self._rng = seeded_rng()
         while self._pending:
             draw, deliver = self._pending.popleft()
             deliver(draw(self._rng))

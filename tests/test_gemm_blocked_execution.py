@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanError
 from repro.harness import naive_port
+from repro.hw.spec import SW_PARAMS
 from repro.kernels.gemm import SWGemmPlan
+from repro.kernels.im2col import Im2colPlan
+from repro.kernels.plan import pricing_core_group
 
 
 class TestRunBlocked:
@@ -66,6 +69,32 @@ class TestRunBlocked:
         plan = SWGemmPlan(4, 5, 6)
         with pytest.raises(PlanError):
             plan.run_blocked(np.ones((4, 5)), np.ones((5, 5)))
+
+
+class TestExecutingPlansKeepTheirOwnCoreGroups:
+    def test_a_run_charges_only_its_own_plan(self):
+        # Plans price against one shared core group; a run must charge the
+        # running plan's own clock and LDM, never the shared ones.
+        rng = np.random.default_rng(2)
+        gemm = SWGemmPlan(64, 48, 32, dtype_bytes=8)
+        im2col = Im2colPlan(2, 6, 6, 3, 1, 1, dtype_bytes=8)
+        idle = SWGemmPlan(64, 48, 32, dtype_bytes=8)
+        shared = pricing_core_group(SW_PARAMS)
+        assert gemm._cg is im2col._cg is idle._cg is shared
+        priced = [plan.cost() for plan in (gemm, im2col, idle)]
+
+        gemm.run_blocked(rng.normal(size=(64, 32)), rng.normal(size=(32, 48)))
+        gemm_s = gemm.core_group.clock.now
+        assert gemm_s > 0
+        assert im2col.core_group.clock.now == 0.0
+        im2col.run_staged(rng.normal(size=(2, 6, 6)))
+        assert im2col.core_group.clock.now > 0
+        assert gemm.core_group.clock.now == gemm_s
+
+        assert idle.core_group.clock.now == 0.0
+        assert shared.clock.now == 0.0
+        assert all(cpe.ldm.high_water == 0 for cpe in shared.cpes)
+        assert [plan.cost() for plan in (gemm, im2col, idle)] == priced
 
 
 class TestNaivePortHarness:

@@ -24,6 +24,14 @@ class TestSpecs:
         assert SW_PARAMS.ldm_bytes == 64 * 1024
         assert SW_PARAMS.n_core_groups == 4
 
+    def test_core_groups_reach_table1_peak(self):
+        # Four core groups, each a CPE cluster plus its MPE: ~3.016 TFlops.
+        per_cg = SW_PARAMS.cg_cpe_peak_flops + SW_PARAMS.cg_mpe_peak_flops
+        assert SW_PARAMS.n_core_groups == 4
+        assert SW_PARAMS.n_core_groups * per_cg == pytest.approx(
+            SW26010_SPEC.peak_double, rel=0.01
+        )
+
     def test_cpe_peak_is_cluster_fraction(self):
         assert SW_PARAMS.cpe_peak_flops == pytest.approx(742.4e9 / 64)
 

@@ -1,4 +1,4 @@
-"""Tests for RLC, CPE, MPE, CoreGroup and SW26010 processor models."""
+"""Tests for the RLC, CPE, MPE and CoreGroup models."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.hw.clock import SimClock
 from repro.hw.core_group import CoreGroup
 from repro.hw.cpe import CPE
 from repro.hw.mpe import MPE
-from repro.hw.processor import SW26010
 from repro.hw.rlc import RegisterComm
 from repro.hw.spec import SW_PARAMS
 
@@ -140,13 +139,3 @@ class TestCoreGroup:
         cg.dma.get.__self__.clock.advance(0)  # same object
         assert cg.dma.clock is cg.clock
         assert cg.rlc.clock is cg.clock
-
-
-class TestProcessor:
-    def test_four_core_groups(self):
-        chip = SW26010()
-        assert chip.n_core_groups == 4
-
-    def test_peak_near_3_tflops(self):
-        chip = SW26010()
-        assert chip.peak_flops == pytest.approx(3.016e12, rel=0.01)

@@ -13,7 +13,9 @@ two checks hold the boundary:
 * no ``src/repro/**/__init__.py`` imports from its own package, except
   the packages whose package-level names ``perfbench`` imports
   (``parallel``, ``pipeline``, ``serve``, ``frame.model_zoo``) and
-  ``hw``'s one import of ``mesh_sim``.
+  ``hw``'s one import of ``mesh_sim``;
+* a cold pass over the six paper harnesses never loads ``numpy.random``:
+  the nets it builds are only priced, so they seed no generator.
 """
 
 from __future__ import annotations
@@ -74,11 +76,11 @@ INIT_IMPORTS_ALLOWED = {
 }
 
 
-def _loaded_after(code: str) -> set[str]:
-    """``repro`` modules a fresh interpreter holds after running ``code``."""
+def _loaded_after(code: str, prefix: str = "repro") -> set[str]:
+    """``prefix`` modules a fresh interpreter holds after running ``code``."""
     probe = code + (
         "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
@@ -93,6 +95,17 @@ def test_setup_imports_load_nothing_the_workload_never_runs(workload):
     loaded = _loaded_after(SETUP_IMPORTS[workload])
     assert "repro" in loaded  # the probe saw the imports
     assert sorted(loaded.intersection(NOT_LOADED)) == []
+
+
+def test_paper_pass_never_loads_numpy_random():
+    harnesses = (
+        "table2_vgg_conv", "fig8_alexnet_layers", "fig9_vgg_layers",
+        "fig10_scalability", "fig11_comm_ratio", "table3_throughput",
+    )
+    probe = SETUP_IMPORTS["paper_tables"] + "".join(f"{h}.generate()\n" for h in harnesses)
+    loaded = _loaded_after(probe, prefix="numpy")
+    assert "numpy" in loaded  # the probe saw the imports
+    assert "numpy.random" not in loaded
 
 
 def test_package_inits_import_nothing_from_their_own_package():

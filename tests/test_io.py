@@ -6,6 +6,7 @@ import pytest
 from repro.io.dataset import SyntheticImageNet
 from repro.io.disk import DiskArrayModel, StripingPolicy
 from repro.io.prefetch import PrefetchPipeline
+from repro.utils.rng import seeded_rng
 from repro.utils.units import MB
 
 
@@ -116,6 +117,28 @@ class TestSyntheticImageNet:
         ib, lb = b.next_batch(8)
         np.testing.assert_array_equal(ia, ib)
         np.testing.assert_array_equal(la, lb)
+
+    def test_lazily_seeded_stream_is_the_seeded_generator(self):
+        # The generator is made on the first draw; the stream is still the
+        # seed's, and seek() before any draw replays a fresh source.
+        def source():
+            return SyntheticImageNet(num_classes=5, sample_shape=(3,), seed=7)
+
+        src, rng = source(), seeded_rng(7)
+        batches = []
+        for _ in range(3):
+            images, labels = src.next_batch(4)
+            want = rng.integers(0, 5, size=4)
+            noise = rng.normal(0.0, 0.5, size=(4, 3)).astype(np.float32)
+            np.testing.assert_array_equal(labels, want)
+            np.testing.assert_array_equal(
+                images, np.stack([src.prototype(int(c)) for c in want]) + noise
+            )
+            batches.append((images, labels))
+        rewound = source()
+        rewound.seek(2, 4)
+        for got, want in zip(rewound.next_batch(4), batches[2]):
+            np.testing.assert_array_equal(got, want)
 
     def test_label_correlation(self):
         # Samples of the same class must be closer to their prototype than

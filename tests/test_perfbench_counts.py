@@ -18,11 +18,13 @@ import pytest
 
 RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
-#: Per-layer counts of one traced child at seed 5, round 1.
+#: Per-layer counts of one traced child at seed 5, round 1. Every plan
+#: prices against one shared core group per parameter set, and no workload
+#: runs a plan's executed data path, so each child builds one core group.
 COUNTS = {
     "paper_tables": {
         "frame.builds": 12,
-        "hw.core_groups": 2818,
+        "hw.core_groups": 1,
         "kernels.gemm_plans": 454,
         "kernels.selects": 837,
         "kernels.select_distinct": 332,
@@ -30,7 +32,7 @@ COUNTS = {
     },
     "train_exec": {
         "frame.builds": 6,
-        "hw.core_groups": 382,
+        "hw.core_groups": 1,
         "kernels.gemm_plans": 155,
         "kernels.selects": 10,
         "kernels.select_distinct": 5,
@@ -41,7 +43,7 @@ COUNTS = {
     },
     "trace_timelines": {
         "frame.builds": 4,
-        "hw.core_groups": 557,
+        "hw.core_groups": 1,
         "kernels.gemm_plans": 88,
         "kernels.selects": 104,
         "kernels.select_distinct": 59,

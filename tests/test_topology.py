@@ -99,15 +99,6 @@ class TestFabric:
 
 
 class TestNodeAndSupernode:
-    def test_node_lazy_processor(self):
-        from repro.topology.node import ComputeNode
-
-        node = ComputeNode(node_id=3, supernode_id=0)
-        assert node._processor is None
-        proc = node.processor
-        assert proc.n_core_groups == 4
-        assert node.processor is proc  # cached
-
     def test_node_validation(self):
         from repro.topology.node import ComputeNode
 
