@@ -175,6 +175,7 @@ def _step_session(ns):
 
 
 def cmd_report(args: list[str]) -> int:
+    """``report``: regenerate every paper table and figure."""
     _no_more(args, 0)
     from repro.harness import report
 
@@ -183,6 +184,7 @@ def cmd_report(args: list[str]) -> int:
 
 
 def cmd_experiment(args: list[str]) -> int:
+    """``experiment NAME``: run one paper harness and print its output."""
     _no_more(args, 1)
     if not args:
         print("error: experiment needs a name", file=sys.stderr)
@@ -198,6 +200,7 @@ def cmd_experiment(args: list[str]) -> int:
 
 
 def cmd_profile(args: list[str]) -> int:
+    """``profile NET [BATCH]``: per-layer simulated profile of one net."""
     _no_more(args, 2)
     if not args:
         print("error: profile needs a network name", file=sys.stderr)
@@ -220,6 +223,7 @@ def cmd_profile(args: list[str]) -> int:
 
 
 def cmd_trace(args: list[str]) -> int:
+    """``trace NET``: trace one simulated training step to Perfetto JSON."""
     parser = _step_parser(
         "trace", "Trace one simulated data-parallel training step."
     )
@@ -264,6 +268,7 @@ def cmd_trace(args: list[str]) -> int:
 
 
 def cmd_whatif(args: list[str]) -> int:
+    """``whatif NET``: project the traced step under scaled costs."""
     import json
 
     parser = _step_parser(
@@ -323,6 +328,7 @@ def cmd_whatif(args: list[str]) -> int:
 
 
 def cmd_metrics(args: list[str]) -> int:
+    """``metrics NET``: per-resource utilization and per-layer roofline."""
     parser = _step_parser(
         "metrics",
         "Measure one simulated data-parallel training step: per-resource "
@@ -352,6 +358,7 @@ def cmd_metrics(args: list[str]) -> int:
 
 
 def cmd_chaos(args: list[str]) -> int:
+    """``chaos NET``: fault-injected training, checked against a fault-free run."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -427,6 +434,7 @@ def cmd_chaos(args: list[str]) -> int:
 
 
 def cmd_serve(args: list[str]) -> int:
+    """``serve NET``: replay an arrival stream through the serving engine."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -539,6 +547,7 @@ def cmd_serve(args: list[str]) -> int:
 
 
 def cmd_pipeline(args: list[str]) -> int:
+    """``pipeline NET``: stage plan, microbatch schedule and DP comparison."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -661,6 +670,7 @@ def cmd_pipeline(args: list[str]) -> int:
 
 
 def cmd_train(args: list[str]) -> int:
+    """``train [ITERS]``: the quickstart LeNet training loop."""
     from repro.frame.model_zoo import lenet
     from repro.frame.solver import SGDSolver
     from repro.utils.units import format_time
@@ -684,6 +694,7 @@ def cmd_train(args: list[str]) -> int:
 
 
 def cmd_list(args: list[str]) -> int:
+    """``list``: print the runnable experiments and networks."""
     _no_more(args, 0)
     print("experiments:", ", ".join(sorted(EXPERIMENTS)))
     print("networks:", ", ".join(sorted(NETWORKS)))
@@ -836,6 +847,7 @@ def _usage() -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Dispatch ``argv`` to its subcommand; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv[0] in ("-h", "--help"):
         print(_usage())

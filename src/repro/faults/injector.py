@@ -18,9 +18,9 @@ arithmetic (pinned by ``tests/test_faults_chaos.py``). Enable with
 
 Hook sites live in :mod:`repro.hw.dma` / :mod:`repro.hw.rlc` (transient
 corruption + retry-with-backoff on the :class:`~repro.hw.clock.SimClock`),
-:mod:`repro.hw.mesh_sim` (bus bandwidth degradation), and
-:mod:`repro.simmpi.comm` (straggler slowdown, flaky-link step retries,
-crash timeouts). The shared :func:`charge_transient` helper keeps the
+:mod:`repro.serve.engine` (mesh degradation and stragglers stretch every
+served batch, flaky links retry it), and :mod:`repro.simmpi.comm`
+(straggler slowdown, flaky-link step retries, crash timeouts). The shared :func:`charge_transient` helper keeps the
 DMA/RLC/comm sites identical: decide, emit trace spans, charge the clock.
 The injector itself keeps the run's fault totals (retries, retry,
 straggler and timeout seconds) that ``python -m repro chaos`` reports.
@@ -94,7 +94,7 @@ class FaultInjector:
     # degradations
     # ------------------------------------------------------------------ #
     def mesh_degrade(self) -> float:
-        """Bandwidth-cut multiplier (>= 1) for a mesh-bus schedule."""
+        """Slowdown multiplier (>= 1) of the degraded CPE mesh."""
         factor = self.plan.mesh_factor
         if factor > 1.0:
             self.injected["mesh_degrade"] += 1

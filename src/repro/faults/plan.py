@@ -87,7 +87,7 @@ class FaultPlan:
     dma_rate: float = 0.0
     rlc_rate: float = 0.0
     comm_rate: float = 0.0
-    #: Bandwidth-cut multiplier on mesh bus transfer times (1.0 = intact).
+    #: Slowdown multiplier of the degraded CPE mesh (1.0 = intact).
     mesh_factor: float = 1.0
     #: Logical rank -> slowdown factor (>= 1) on its network exchanges.
     stragglers: Mapping[int, float] = field(default_factory=dict)

@@ -6,15 +6,15 @@ engine, exchanges tiles via register communication, and computes on the CPE
 pipelines. :meth:`CoreGroup.run_phase` prices one such phase with the
 overlap rule the dual pipelines allow: compute and DMA overlap, so phase
 time is the max of the two (plus serialized RLC when it cannot be hidden).
+The mesh is modeled by its peak rate and its DMA and RLC engines, not CPE
+by CPE.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.hw.clock import SimClock
-from repro.hw.cpe import CPE
 from repro.hw.dma import DMAEngine
 from repro.hw.mpe import MPE
 from repro.hw.rlc import RegisterComm
@@ -45,19 +45,6 @@ class CoreGroup:
         self.dma = DMAEngine(params=self.params, clock=self.clock)
         self.rlc = RegisterComm(params=self.params, clock=self.clock)
 
-    @cached_property
-    def cpes(self) -> list[CPE]:
-        """The CPE mesh in row-major order, built on first access.
-
-        Pricing reads only the DMA/RLC engines and the peak rate, so a
-        plan that is only priced never builds its 64 CPEs and their LDMs.
-        """
-        return [
-            CPE(row=r, col=c, params=self.params, clock=self.clock)
-            for r in range(self.params.cpe_rows)
-            for c in range(self.params.cpe_cols)
-        ]
-
     @property
     def n_cpes(self) -> int:
         """Number of CPEs in the mesh (64)."""
@@ -67,10 +54,6 @@ class CoreGroup:
     def peak_flops(self) -> float:
         """CPE-cluster peak double-precision FLOP/s (742.4 GFlops)."""
         return self.params.cg_cpe_peak_flops
-
-    def cpe(self, row: int, col: int) -> CPE:
-        """The CPE at mesh position ``(row, col)``."""
-        return self.cpes[row * self.params.cpe_cols + col]
 
     def compute_time(self, flops: float, efficiency: float = 1.0) -> float:
         """Seconds for ``flops`` spread across the full CPE cluster."""

@@ -1,8 +1,13 @@
-"""SW26010 kernel execution plans (paper Sec. III-IV).
+"""SW26010 kernel plans (paper Sec. III-IV).
 
-Each plan couples a *functional* NumPy implementation with a *temporal*
-cost model derived from the :mod:`repro.hw` architecture simulator. The
-plan family mirrors swCaffe's kernel zoo:
+Each plan prices one kernel invocation with a cost model derived from the
+:mod:`repro.hw` architecture model. The GEMM and convolution plans only
+price: convolution layers execute through :mod:`repro.frame.conv_ops`
+(pooling and the layout transform still run through their plans). The
+blocked kernels (GEMM, im2col /
+col2im, implicit convolution) also describe their schedule as a data-free
+tile walk that :func:`~repro.kernels.plan.replay` prices and the tests pin
+to the cost formula. The plan family mirrors swCaffe's kernel zoo:
 
 * :class:`~repro.kernels.gemm.SWGemmPlan` — blocked GEMM using the 8-step
   row/column register-communication schedule (Sec. IV-A, Fig. 3);

@@ -10,11 +10,9 @@ gets large well-shaped operands (large images *and* large channels).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.errors import PlanError, ShapeError
+from repro.errors import PlanError
 from repro.kernels.gemm import SWGemmPlan
-from repro.kernels.im2col import Col2imPlan, Im2colPlan, conv_out_dim, im2col, col2im
+from repro.kernels.im2col import Col2imPlan, Im2colPlan, conv_out_dim
 from repro.kernels.plan import (
     KernelPlan,
     PlanCost,
@@ -184,65 +182,3 @@ class ExplicitConvPlan(KernelPlan):
     def cost(self) -> PlanCost:
         """Forward cost (the autotuner prices directions separately)."""
         return self.cost_forward()
-
-    # ------------------------------------------------------------------ #
-    # functional
-    # ------------------------------------------------------------------ #
-    def _check_input(self, x: np.ndarray) -> None:
-        expected = (self.batch, self.ni, self.height, self.width)
-        if x.shape != expected:
-            raise ShapeError(f"input shape {x.shape} != {expected}")
-
-    def forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Convolution forward: returns (B, No, Ho, Wo)."""
-        self._check_input(x)
-        if weight.shape != (self.no, self.ni, self.k, self.k):
-            raise ShapeError(
-                f"weight shape {weight.shape} != "
-                f"{(self.no, self.ni, self.k, self.k)}"
-            )
-        w_mat = weight.reshape(self.no, self.gemm_k)
-        out = np.empty((self.batch, self.no, self.out_h, self.out_w), dtype=x.dtype)
-        for b in range(self.batch):
-            cols = im2col(x[b], self.k, self.stride, self.pad)
-            y = w_mat @ cols
-            out[b] = y.reshape(self.no, self.out_h, self.out_w)
-        if bias is not None:
-            out += bias.reshape(1, self.no, 1, 1)
-        return out
-
-    def backward(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray,
-        dy: np.ndarray,
-        *,
-        need_input_grad: bool = True,
-    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-        """Convolution backward: returns (dx, dw, db)."""
-        self._check_input(x)
-        if dy.shape != (self.batch, self.no, self.out_h, self.out_w):
-            raise ShapeError(
-                f"dy shape {dy.shape} != "
-                f"{(self.batch, self.no, self.out_h, self.out_w)}"
-            )
-        w_mat = weight.reshape(self.no, self.gemm_k)
-        dw = np.zeros_like(w_mat)
-        dx = np.zeros_like(x) if need_input_grad else None
-        for b in range(self.batch):
-            cols = im2col(x[b], self.k, self.stride, self.pad)
-            dy_mat = dy[b].reshape(self.no, self.spatial)
-            dw += dy_mat @ cols.T
-            if need_input_grad:
-                dcols = w_mat.T @ dy_mat
-                dx[b] = col2im(
-                    dcols,
-                    (self.ni, self.height, self.width),
-                    self.k,
-                    self.stride,
-                    self.pad,
-                )
-        db = dy.sum(axis=(0, 2, 3))
-        return dx, dw.reshape(weight.shape), db

@@ -3,25 +3,21 @@
 The paper notes that GPU stacks use both time-domain (GEMM) and
 frequency-domain (FFT) convolution, and chooses time-domain for SW26010
 "because GEMM operations can be perfectly optimized on CPE cluster with
-the register-level communication". This plan implements the alternative so
-the choice can be evaluated rather than asserted:
-
-* functionally: exact convolution via FFT (circular convolution on padded
-  images, cropped back — numerically identical to the direct kernels);
-* temporally: an SW26010 cost model for the three phases (forward
-  transforms, pointwise complex multiply-accumulate, inverse transform).
-  FFT butterflies are bandwidth-hungry (O(N log N) passes of low
-  arithmetic intensity) and their working sets (complex, image-sized)
-  blow the 64 KiB LDM, forcing spill traffic — which is why the autotuner
-  never picks this plan for the paper's layer shapes (see
-  ``tests/test_conv_fft.py``).
+the register-level communication". This plan prices the alternative so
+the choice can be evaluated rather than asserted: an SW26010 cost model
+for its three phases (forward transforms, pointwise complex
+multiply-accumulate, inverse transform). FFT butterflies are
+bandwidth-hungry (O(N log N) passes of low arithmetic intensity) and their
+working sets (complex, image-sized) blow the 64 KiB LDM, forcing spill
+traffic — which is why the autotuner never picks this plan for the
+paper's layer shapes (see ``tests/test_conv_fft.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PlanError, ShapeError
+from repro.errors import PlanError
 from repro.kernels.im2col import conv_out_dim
 from repro.kernels.plan import KernelPlan, PlanCost
 
@@ -114,34 +110,3 @@ class FFTConvPlan(KernelPlan):
 
     def cost(self) -> PlanCost:
         return self.cost_forward()
-
-    # ------------------------------------------------------------------ #
-    # functional
-    # ------------------------------------------------------------------ #
-    def forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Exact convolution via 2D FFT (cross-correlation, Caffe-style)."""
-        if x.shape != (self.batch, self.ni, self.height, self.width):
-            raise ShapeError(
-                f"input {x.shape} != {(self.batch, self.ni, self.height, self.width)}"
-            )
-        if weight.shape != (self.no, self.ni, self.k, self.k):
-            raise ShapeError(
-                f"weight {weight.shape} != {(self.no, self.ni, self.k, self.k)}"
-            )
-        p = self.pad
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        s = self.fft_size
-        # Cross-correlation = convolution with the flipped kernel.
-        xf = np.fft.rfft2(xp, s=(s, s))
-        wf = np.fft.rfft2(weight[:, :, ::-1, ::-1], s=(s, s))
-        # (B, 1, Ni, ...) * (1, No, Ni, ...) summed over Ni.
-        yf = np.einsum("bihw,oihw->bohw", xf, wf, optimize=True)
-        full = np.fft.irfft2(yf, s=(s, s))
-        k = self.k
-        out = full[:, :, k - 1 : k - 1 + self.out_h, k - 1 : k - 1 + self.out_w]
-        out = np.ascontiguousarray(out).astype(x.dtype, copy=False)
-        if bias is not None:
-            out = out + bias.reshape(1, self.no, 1, 1).astype(x.dtype)
-        return out

@@ -19,15 +19,22 @@ tensor-transformation layer (Sec. IV-C) converts at the boundaries.
 
 Padding is handled by coordinate mapping, not a physical pad (the paper's
 padding optimization), so no extra traffic is charged for it.
+
+:meth:`ImplicitConvPlan.tile_walk` walks the blocked schedule without data.
+On images up to 256 rows tall it moves at most the bytes the Table
+II-calibrated formula prices (``docs/calibration.md`` says why the two
+differ).
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from repro.errors import PlanError, ShapeError
+from repro.errors import PlanError
 from repro.kernels.im2col import conv_out_dim
-from repro.kernels.plan import KernelPlan, PlanCost, work_saturation
+from repro.kernels.plan import KernelPlan, PlanCost, Transfer, work_saturation
 from repro.hw.spec import SW26010Params
 
 #: Minimum channels for the implicit micro-kernel to run at all (forward).
@@ -194,105 +201,31 @@ class ImplicitConvPlan(KernelPlan):
         return self.cost_forward()
 
     # ------------------------------------------------------------------ #
-    # functional (numerically identical to the explicit plan)
+    # tile walk
     # ------------------------------------------------------------------ #
-    def run_blocked_implicit_layout(
-        self, x_rcnb: np.ndarray, weight_kknc: np.ndarray
-    ) -> np.ndarray:
-        """Execute the blocked direct convolution in the implicit layout.
+    def tile_walk(self) -> Iterator[Transfer]:
+        """The blocked forward schedule's DMA transfers, moving no data.
 
-        Input is ``(R, C, Ni, B)`` and filters ``(K, K, No, Ni)`` — the
-        layouts the tensor-transformation layer produces (Sec. IV-C).
-        Output is ``(Ro, Co, No, B)``. Blocks over output channels and
-        image width stream through the DMA engine (charging the clock),
-        with padding handled by coordinate mapping rather than a physical
-        pad, exactly as the plan's padding optimization describes.
+        Input is laid out (R, C, Ni, B), filters (K, K, No, Ni) and output
+        (Ro, Co, No, B). Per output-channel block the filter tile is read
+        once; per output-width block the input columns it needs are read,
+        halo included (padding is mapped by coordinate, never moved), and
+        the output block is written. Activations move in contiguous runs
+        of the batch, as the formula prices them. The transfers stream
+        through LDM in granules, so none declares a resident tile.
         """
-        r, c, ni, bsz = x_rcnb.shape
-        if (r, c, ni, bsz) != (self.height, self.width, self.ni, self.batch):
-            raise ShapeError(
-                f"input {x_rcnb.shape} != "
-                f"{(self.height, self.width, self.ni, self.batch)}"
-            )
-        if weight_kknc.shape != (self.k, self.k, self.no, self.ni):
-            raise ShapeError(
-                f"filters {weight_kknc.shape} != "
-                f"{(self.k, self.k, self.no, self.ni)}"
-            )
-        out = np.zeros(
-            (self.out_h, self.out_w, self.no, self.batch), dtype=x_rcnb.dtype
-        )
-        dma = self.core_group.dma
+        d, s, p = self.dtype_bytes, self.stride, self.pad
         no_block = min(self.no, 128)
         w_block = max(1, min(self.out_w, 64))
-        s, p = self.stride, self.pad
+        run = self.batch * d
         for no0 in range(0, self.no, no_block):
-            no1 = min(no0 + no_block, self.no)
-            w_tile = dma.get(weight_kknc[:, :, no0:no1, :])
+            nob = min(no_block, self.no - no0)
+            filt_run = None if nob == self.no else nob * self.ni * d
+            yield Transfer(self.k * self.k * nob * self.ni * d, filt_run)
             for ow0 in range(0, self.out_w, w_block):
-                ow1 = min(ow0 + w_block, self.out_w)
-                # Input columns feeding this output-width block.
-                ic0 = ow0 * s - p
-                ic1 = (ow1 - 1) * s + self.k - p
-                lo, hi = max(ic0, 0), min(ic1, self.width)
-                x_tile = dma.get(
-                    x_rcnb[:, lo:hi],
-                    block_bytes=self.batch * self.dtype_bytes,
-                )
-                acc = np.zeros(
-                    (self.out_h, ow1 - ow0, no1 - no0, self.batch), dtype=np.float64
-                )
-                for ki in range(self.k):
-                    for kj in range(self.k):
-                        for ow in range(ow0, ow1):
-                            icol = ow * s + kj - p
-                            if not 0 <= icol < self.width:
-                                continue  # coordinate-mapped padding
-                            col = x_tile[:, icol - lo]  # (R, Ni, B)
-                            # Rows of the input feeding each output row.
-                            rows = np.arange(self.out_h) * s + ki - p
-                            valid = (rows >= 0) & (rows < self.height)
-                            contrib = np.einsum(
-                                "rib,oi->rob",
-                                col[rows[valid]],
-                                w_tile[ki, kj],
-                                optimize=True,
-                            )
-                            acc[valid, ow - ow0] += contrib
-                dma.put(
-                    acc.astype(out.dtype, copy=False),
-                    out[:, ow0:ow1, no0:no1, :],
-                    block_bytes=self.batch * self.dtype_bytes,
-                )
-        return out
-
-    def forward(
-        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Direct convolution forward (B, Ni, H, W) -> (B, No, Ho, Wo).
-
-        Implemented as a K*K sum of strided slices — the same arithmetic as
-        the blocked LDM kernel, without materializing im2col columns.
-        """
-        if x.shape != (self.batch, self.ni, self.height, self.width):
-            raise ShapeError(
-                f"input shape {x.shape} != "
-                f"{(self.batch, self.ni, self.height, self.width)}"
-            )
-        xp = (
-            np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-            if self.pad
-            else x
-        )
-        out = np.zeros((self.batch, self.no, self.out_h, self.out_w), dtype=x.dtype)
-        s = self.stride
-        for i in range(self.k):
-            for j in range(self.k):
-                patch = xp[:, :, i : i + s * self.out_h : s, j : j + s * self.out_w : s]
-                # (B, Ni, Ho, Wo) x (No, Ni) contraction over Ni.
-                out += np.einsum(
-                    "bchw,oc->bohw", patch, weight[:, :, i, j], optimize=True
-                )
-        if bias is not None:
-            out += bias.reshape(1, self.no, 1, 1)
-        return out
+                ow = min(w_block, self.out_w - ow0)
+                lo = max(ow0 * s - p, 0)
+                hi = min((ow0 + ow - 1) * s + self.k - p, self.width)
+                if hi > lo:
+                    yield Transfer(self.height * (hi - lo) * self.ni * run, run)
+                yield Transfer(self.out_h * ow * nob * run, run)

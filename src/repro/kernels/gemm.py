@@ -14,64 +14,22 @@ Because the SW26010 instruction set has no single-precision register
 communication, single-precision GEMMs pay an inline float<->double
 conversion, modeled as a compute-efficiency tax.
 
-Two functional paths exist:
-
-* :meth:`SWGemmPlan.run` — fast NumPy ``A @ B`` (used by the framework);
-* :func:`gemm_register_schedule` — a literal execution of the 8x8 schedule
-  (tile broadcasts and per-step accumulation), property-tested equal to
-  ``A @ B``, which pins the schedule's correctness.
+The schedule is described once more as a data-free tile walk
+(:meth:`SWGemmPlan.tile_walk`), which moves exactly the bytes ``cost()``
+prices (``tests/test_tile_walks.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import PlanError
-from repro.kernels.plan import KernelPlan, PlanCost
+from repro.kernels.plan import KernelPlan, PlanCost, Transfer
 from repro.hw.spec import SW26010Params
-
-
-def gemm_register_schedule(a: np.ndarray, b: np.ndarray, mesh: int = 8) -> np.ndarray:
-    """Execute C = A @ B via the literal mesh broadcast schedule.
-
-    Pads each dimension up to a multiple of ``mesh``, runs the ``mesh``
-    time steps of row/column broadcasts, and returns the unpadded product.
-    This is the *semantic* reference for the register-communication GEMM.
-    """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise PlanError(f"GEMM shape mismatch: {a.shape} @ {b.shape}")
-    m, k = a.shape
-    _, n = b.shape
-
-    def pad_to(x: int) -> int:
-        return mesh * math.ceil(x / mesh)
-
-    mp, kp, np_ = pad_to(m), pad_to(k), pad_to(n)
-    ap = np.zeros((mp, kp), dtype=np.float64)
-    bp = np.zeros((kp, np_), dtype=np.float64)
-    ap[:m, :k] = a
-    bp[:k, :n] = b
-    mt, kt, nt = mp // mesh, kp // mesh, np_ // mesh
-
-    # c_tiles[i][j] is the C tile resident on CPE(i, j).
-    c_tiles = [[np.zeros((mt, nt)) for _ in range(mesh)] for _ in range(mesh)]
-    for t in range(mesh):
-        # Column broadcast: CPE(i, t) sends A(i, t) down its column.
-        a_col = [ap[i * mt : (i + 1) * mt, t * kt : (t + 1) * kt] for i in range(mesh)]
-        # Row broadcast: CPE(t, j) sends B(t, j) along its row.
-        b_row = [bp[t * kt : (t + 1) * kt, j * nt : (j + 1) * nt] for j in range(mesh)]
-        for i in range(mesh):
-            for j in range(mesh):
-                c_tiles[i][j] += a_col[i] @ b_row[j]
-
-    c = np.empty((mp, np_))
-    for i in range(mesh):
-        for j in range(mesh):
-            c[i * mt : (i + 1) * mt, j * nt : (j + 1) * nt] = c_tiles[i][j]
-    return c[:m, :n].astype(np.result_type(a, b), copy=False)
 
 
 @dataclass(frozen=True)
@@ -155,7 +113,7 @@ def _axis_table(dim: int, mesh: int, along: int) -> tuple[np.ndarray, ...]:
 
 
 class SWGemmPlan(KernelPlan):
-    """Cost/function plan for ``C += A @ B`` on one core group.
+    """Cost plan for ``C += A @ B`` on one core group.
 
     Parameters
     ----------
@@ -381,76 +339,32 @@ class SWGemmPlan(KernelPlan):
         )
 
     # ------------------------------------------------------------------ #
-    # functional
+    # tile walk
     # ------------------------------------------------------------------ #
-    def run_blocked(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Execute the full blocked schedule against the hardware model.
+    def tile_walk(self) -> Iterator[Transfer]:
+        """The blocked schedule's DMA transfers, moving no data.
 
-        Panels of A/B stream through the core group's DMA engine (charging
-        its clock), the per-CPE LDM budget is *enforced* for every resident
-        tile set, and each LDM-resident block product runs the literal
-        8-step register-communication schedule. Numerically identical to
-        ``A @ B``; used by fidelity tests to pin that the cost model and
-        the functional semantics describe the same algorithm.
+        Per C block: read the C tile, then per contraction block the A and
+        B panels, then write the C tile back, all in ``dtype_bytes``
+        elements. Operands are row-major, so each tile row is one
+        contiguous run. While the panels stream, the resident set is the
+        double-buffered A/B tiles plus the C accumulator, in whole per-CPE
+        tiles of doubles (the RLC granularity ``_ldm_fit`` budgets); the C
+        transfers hold the accumulator alone.
         """
-        if a.shape != (self.m, self.k) or b.shape != (self.k, self.n):
-            raise PlanError(
-                f"operand shapes {a.shape} @ {b.shape} do not match plan "
-                f"({self.m}x{self.k} @ {self.k}x{self.n})"
-            )
-        blk = self.blocking
-        mesh = self.params.cpe_rows
-        c = np.zeros((self.m, self.n), dtype=np.float64)
-        # One representative CPE's LDM stands in for the whole mesh (tiles
-        # are the same size everywhere).
-        ldm = self.core_group.cpes[0].ldm
-        dma = self.core_group.dma
+        blk, d, mesh = self.blocking, self.dtype_bytes, self.params.cpe_rows
         for i0 in range(0, self.m, blk.mb):
-            i1 = min(i0 + blk.mb, self.m)
+            rows = min(blk.mb, self.m - i0)
             for j0 in range(0, self.n, blk.nb):
-                j1 = min(j0 + blk.nb, self.n)
-                acc = np.zeros((i1 - i0, j1 - j0), dtype=np.float64)
+                cols = min(blk.nb, self.n - j0)
+                c_tile = 8 * -(-rows // mesh) * -(-cols // mesh)
+                c = Transfer(rows * cols * d, cols * d, ldm_bytes=c_tile)
+                yield c
                 for k0 in range(0, self.k, blk.kb):
-                    k1 = min(k0 + blk.kb, self.k)
-                    # Reserve the per-CPE tile set (double-buffered A/B).
-                    a_tile = 8 * 2 * -(-(i1 - i0) // mesh) * -(-(k1 - k0) // mesh)
-                    b_tile = 8 * 2 * -(-(k1 - k0) // mesh) * -(-(j1 - j0) // mesh)
-                    c_tile = 8 * -(-(i1 - i0) // mesh) * -(-(j1 - j0) // mesh)
-                    ldm.alloc("gemm/a", a_tile)
-                    ldm.alloc("gemm/b", b_tile)
-                    ldm.alloc("gemm/c", c_tile)
-                    try:
-                        a_panel = dma.get(
-                            a[i0:i1, k0:k1],
-                            block_bytes=(k1 - k0) * self.dtype_bytes,
-                        )
-                        b_panel = dma.get(
-                            b[k0:k1, j0:j1],
-                            block_bytes=(j1 - j0) * self.dtype_bytes,
-                        )
-                        acc += gemm_register_schedule(
-                            a_panel.astype(np.float64),
-                            b_panel.astype(np.float64),
-                            mesh=mesh,
-                        )
-                    finally:
-                        ldm.free_buffer("gemm/a")
-                        ldm.free_buffer("gemm/b")
-                        ldm.free_buffer("gemm/c")
-                dma.put(acc, c[i0:i1, j0:j1])
-        return c.astype(np.result_type(a, b), copy=False)
-
-    def run(self, a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-        """Compute ``C (+)= A @ B`` (fast NumPy path, same semantics)."""
-        if a.shape != (self.m, self.k) or b.shape != (self.k, self.n):
-            raise PlanError(
-                f"operand shapes {a.shape} @ {b.shape} do not match plan "
-                f"({self.m}x{self.k} @ {self.k}x{self.n})"
-            )
-        prod = a @ b
-        if c is None:
-            return prod
-        if c.shape != (self.m, self.n):
-            raise PlanError(f"C shape {c.shape} != ({self.m}, {self.n})")
-        c += prod
-        return c
+                    depth = min(blk.kb, self.k - k0)
+                    a_tile = 8 * -(-rows // mesh) * -(-depth // mesh)
+                    b_tile = 8 * -(-depth // mesh) * -(-cols // mesh)
+                    resident = 2 * (a_tile + b_tile) + c_tile
+                    yield Transfer(rows * depth * d, depth * d, ldm_bytes=resident)
+                    yield Transfer(depth * cols * d, cols * d, ldm_bytes=resident)
+                yield c

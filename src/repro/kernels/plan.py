@@ -2,18 +2,26 @@
 
 A :class:`KernelPlan` is the unit swCaffe schedules on a core group: it
 knows its shapes, its LDM blocking, how many FLOPs and DMA bytes it moves,
-and therefore how long it takes on the modeled hardware. Subclasses provide
-the functional NumPy execution.
+and therefore how long it takes on the modeled hardware. The GEMM and
+convolution plans only price; convolution layers execute through
+:mod:`repro.frame.conv_ops`.
+
+A blocked kernel also describes its schedule as a *tile walk*: a generator
+of :class:`Transfer` records that moves no data. :func:`replay` prices a
+walk transfer by transfer, so tests can pin each walk to the plan's
+``cost()`` formula (``docs/calibration.md``).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
+from typing import Iterable, NamedTuple
 
+from repro.errors import LDMAllocationError
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.trace.tracer import active as _tracer, emit_cost_spans
@@ -127,12 +135,60 @@ def pricing_core_group(params: SW26010Params) -> CoreGroup:
     return CoreGroup(params=params)
 
 
+class Transfer(NamedTuple):
+    """One DMA transfer of a tile walk, between memory and the CPEs' LDMs."""
+
+    #: Bytes moved, summed over the issuing CPEs.
+    nbytes: int
+    #: Contiguous block size in memory; ``None`` for one continuous run.
+    block_bytes: int | None = None
+    #: CPEs issuing the transfer together.
+    n_cpes: int = 64
+    #: LDM bytes resident on each issuing CPE while the transfer runs.
+    ldm_bytes: int = 0
+
+
+class WalkCost(NamedTuple):
+    """What :func:`replay` reads off a tile walk."""
+
+    dma_bytes: int
+    dma_s: float
+    transfers: int
+    peak_ldm_bytes: int
+
+
+def replay(walk: Iterable[Transfer], params: SW26010Params) -> WalkCost:
+    """Price a tile walk transfer by transfer, moving no data.
+
+    Each transfer costs what ``DMAEngine.get``/``put`` charge for it: the
+    ``transfer_time`` of its per-CPE share on its issuing CPEs.
+
+    Raises
+    ------
+    LDMAllocationError
+        If a transfer keeps more bytes resident than one CPE's LDM holds.
+    """
+    dma = pricing_core_group(params).dma
+    dma_bytes = count = peak = 0
+    dma_s = 0.0
+    for t in walk:
+        if t.ldm_bytes > params.ldm_bytes:
+            raise LDMAllocationError(
+                f"transfer {count} keeps {t.ldm_bytes} B resident per CPE; "
+                f"the LDM holds {params.ldm_bytes} B"
+            )
+        dma_bytes += t.nbytes
+        dma_s += dma.transfer_time(t.nbytes / t.n_cpes, t.n_cpes, block_bytes=t.block_bytes)
+        count += 1
+        peak = max(peak, t.ldm_bytes)
+    return WalkCost(dma_bytes, dma_s, count, peak)
+
+
 class KernelPlan(abc.ABC):
     """Base class for SW26010 kernel plans.
 
     A plan prices against the process-wide :func:`pricing_core_group` of
-    its parameters (``self._cg``), which no plan executes on. A plan that
-    executes data builds its own :attr:`core_group` the first time it runs.
+    its parameters (``self._cg``).
 
     Parameters
     ----------
@@ -146,15 +202,6 @@ class KernelPlan(abc.ABC):
     def __init__(self, params: SW26010Params | None = None) -> None:
         self.params = params or SW_PARAMS
         self._cg = pricing_core_group(self.params)
-
-    @cached_property
-    def core_group(self) -> CoreGroup:
-        """The core group the plan's executed paths run on, built on first use.
-
-        Each plan has its own, so its clock, LDM high-water mark and DMA
-        trace edges record only this plan's runs. Pricing never reads it.
-        """
-        return CoreGroup(params=self.params)
 
     @abc.abstractmethod
     def cost(self) -> PlanCost:

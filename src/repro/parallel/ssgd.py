@@ -23,7 +23,7 @@ from repro.io.prefetch import PrefetchPipeline
 from repro.parallel.comm_cost import allreduce_cost
 from repro.parallel.threads import MultiCGRunner
 from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
-from repro.topology.supernode import NODES_PER_SUPERNODE
+from repro.topology.fabric import NODES_PER_SUPERNODE
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from repro.parallel.threads import MultiCGRunner
 from repro.pipeline.partition import StagePlan
 from repro.pipeline.schedule import PipelineTimeline, simulate_pipeline
 from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
-from repro.topology.supernode import NODES_PER_SUPERNODE
+from repro.topology.fabric import NODES_PER_SUPERNODE
 
 
 @dataclass(frozen=True)

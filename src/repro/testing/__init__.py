@@ -1,9 +1,10 @@
 """Differential-correctness conformance layer (the `repro.testing` subsystem).
 
-swCaffe's credibility rests on two claims: every CPE-blocked kernel plan
-and topology-aware collective is *numerically equivalent* to a dense
+swCaffe's credibility rests on two claims: every executed kernel and
+topology-aware collective is *numerically equivalent* to a dense
 reference, and every simulated cost is *physically sane* (positive,
-monotone in problem size, within the 64 KiB LDM budget). This package
+monotone in problem size, and for a blocked kernel matched by a tile walk
+that moves the priced bytes within the 64 KiB LDM). This package
 turns those claims into reusable machinery instead of ad-hoc per-test
 checks:
 
@@ -16,7 +17,7 @@ checks:
   describing how to sample configs, build an instance and compare it
   against its reference;
 * :mod:`repro.testing.differential` — the seeded shape/param fuzzer that
-  drives plan-vs-reference comparisons and reports max-ulp mismatches
+  drives kernel-vs-reference comparisons and reports max-ulp mismatches
   with a reproducible seed string;
 * :mod:`repro.testing.gradcheck` — central-difference gradient checking
   as a library API (promoted from ``tests/gradcheck.py``);

@@ -9,10 +9,10 @@ inputs, so any failure reported by CI can be replayed locally with
 For each configuration the fuzzer:
 
 1. samples a config from the spec's edge-case-biased sampler;
-2. builds the plan and runs the cost-invariant battery
+2. builds the plan and runs the cost-invariant battery, tile walk included
    (:func:`repro.testing.invariants.check_plan`);
-3. executes the plan's functional path(s) against the dense reference and
-   records the maximum ulp / absolute mismatch.
+3. where the spec has a runner, executes the kernel against the dense
+   reference and records the maximum ulp / absolute mismatch.
 
 A configuration *passes* when every comparison is within the spec's
 tolerance and every invariant holds; otherwise the report carries the

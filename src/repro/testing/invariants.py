@@ -12,19 +12,21 @@ physics, so every plan the differential fuzzer builds is also checked for:
 * **monotonicity** — doubling the problem size never reduces flops or DMA
   traffic, and (except for plans with documented pipeline-fill artifacts)
   never reduces simulated time;
-* **LDM budget** — blocked execution paths never allocate more scratchpad
-  than one CPE's 64 KiB (enforced by running them against the
-  :class:`~repro.hw.ldm.LDMAllocator`, which raises on overflow, and by
-  auditing the high-water mark afterwards).
+* **tile walk** — a blocked kernel's data-free tile walk moves the bytes
+  its formula prices (exactly, or more than 0 and at most that where the
+  formula is calibrated above the schedule), and no transfer keeps more
+  than one CPE's 64 KiB LDM resident (:func:`repro.kernels.plan.replay`
+  raises on overflow).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterable
 
-from repro.kernels.gemm import SWGemmPlan
-from repro.kernels.plan import KernelPlan, PlanCost
+from repro.errors import LDMAllocationError
+from repro.hw.spec import SW26010Params
+from repro.kernels.plan import KernelPlan, PlanCost, Transfer, replay
 
 
 class InvariantViolation(AssertionError):
@@ -90,25 +92,34 @@ def check_monotone(
             )
 
 
-def check_ldm_budget(plan: KernelPlan, label: str = "plan") -> None:
-    """Static LDM audits + the post-run high-water mark.
+def check_walk(
+    cost: PlanCost,
+    walk: Iterable[Transfer],
+    params: SW26010Params,
+    *,
+    exact: bool,
+    label: str = "plan",
+) -> None:
+    """A tile walk moves the bytes ``cost`` prices, within one CPE's LDM.
 
-    The blocked functional paths allocate through the LDM allocator, which
-    raises on overflow; this check additionally audits the recorded
-    high-water mark (catching buffers freed before the overflow would hit)
-    and, for GEMM, re-validates the chosen blocking against the budget.
+    With ``exact`` the walk must move exactly ``cost.dma_bytes``;
+    otherwise more than 0 bytes and at most ``cost.dma_bytes``.
     """
-    ldm = plan.core_group.cpes[0].ldm
-    _require(
-        ldm.high_water <= ldm.capacity,
-        f"{label}: LDM high-water {ldm.high_water} B exceeds the "
-        f"{ldm.capacity} B scratchpad",
-    )
-    if isinstance(plan, SWGemmPlan):
-        blk = plan.blocking
+    try:
+        moved = replay(walk, params).dma_bytes
+    except LDMAllocationError as exc:
+        raise InvariantViolation(f"{label}: tile walk overflows the LDM: {exc}") from None
+    if exact:
         _require(
-            plan._ldm_fit(blk.mb, blk.nb, blk.kb),
-            f"{label}: chosen GEMM blocking {blk} does not fit in LDM",
+            moved == cost.dma_bytes,
+            f"{label}: tile walk moves {moved} B but the cost prices "
+            f"{cost.dma_bytes:.0f} B",
+        )
+    else:
+        _require(
+            0 < moved <= cost.dma_bytes,
+            f"{label}: tile walk moves {moved} B, outside (0, {cost.dma_bytes:.0f}] "
+            "priced",
         )
 
 
@@ -134,7 +145,10 @@ def check_plan(
         check_monotone(
             cost, big_cost, time_monotone=spec.time_monotone, label=label
         )
-    check_ldm_budget(plan, label)
+    if spec.walk is not None:
+        check_walk(
+            cost, plan.tile_walk(), plan.params, exact=spec.walk == "exact", label=label
+        )
 
 
 def check_collective_result(result: Any, p: int, label: str = "collective") -> None:

@@ -2,10 +2,11 @@
 
 Every function here trades speed for inspectability: explicit Python loops
 over the mathematical definition, float64 accumulation, no layout tricks.
-The differential fuzzer compares each optimized kernel plan and collective
-algorithm against these, so the references deliberately share *no code*
-with the implementations they check (``repro.kernels`` lowers to GEMM and
-blocked DMA schedules; these walk the textbook formulas).
+The differential fuzzer compares each executed kernel (the convolution of
+:mod:`repro.frame.conv_ops`, the pooling and layout-transform plans) and
+collective algorithm against these, so the references deliberately share
+*no code* with the implementations they check (``conv_ops`` runs one
+channel GEMM per filter tap; these walk the textbook formulas).
 """
 
 from __future__ import annotations
@@ -140,29 +141,6 @@ def ref_pool2d(
                         float(np.max(window)) if mode == "max" else float(np.mean(window))
                     )
     return out
-
-
-def ref_im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Column matrix (Ni*K*K, Ho*Wo) built one patch at a time.
-
-    ``x`` is a single image (Ni, H, W); the row ordering matches Caffe's
-    (channel-major, then kernel row, then kernel column).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    ni, h, w = x.shape
-    xp = (
-        np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    )
-    out_h = (h + 2 * pad - k) // stride + 1
-    out_w = (w + 2 * pad - k) // stride + 1
-    cols = np.zeros((ni * k * k, out_h * out_w), dtype=np.float64)
-    col = 0
-    for oh in range(out_h):
-        for ow in range(out_w):
-            patch = xp[:, oh * stride : oh * stride + k, ow * stride : ow * stride + k]
-            cols[:, col] = patch.reshape(-1)
-            col += 1
-    return cols
 
 
 def ref_transform(x: np.ndarray, to_implicit: bool) -> np.ndarray:

@@ -4,9 +4,10 @@ A :class:`KernelSpec` packages everything the differential fuzzer needs to
 exercise one kernel plan family: a config sampler biased toward the edge
 cases the paper's kernels are known to be sensitive to (odd channels,
 stride > kernel, batch 1, channels < 64, non-power-of-two dims), a plan
-builder, a runner producing (label, actual, reference) comparisons, and
-the hooks the cost-invariant checker uses (minimum DMA payload, a
-problem-size doubling rule).
+builder, a runner producing (label, actual, reference) comparisons for a
+kernel that executes data, and the hooks the cost-invariant checker uses
+(minimum DMA payload, a problem-size doubling rule, and how the plan's
+tile walk must match its priced bytes).
 
 A :class:`CollectiveSpec` does the same for the simulated MPI collectives:
 ``execute`` runs the algorithm over per-rank buffers, ``reference``
@@ -23,11 +24,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.frame.conv_ops import conv_backward, conv_forward
 from repro.kernels.conv_explicit import ExplicitConvPlan
 from repro.kernels.conv_fft import FFTConvPlan
 from repro.kernels.conv_implicit import MIN_CHANNELS_FORWARD, ImplicitConvPlan
 from repro.kernels.elementwise import ElementwisePlan
-from repro.kernels.gemm import SWGemmPlan, gemm_register_schedule
+from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.im2col import Col2imPlan, Im2colPlan, conv_out_dim
 from repro.kernels.plan import KernelPlan
 from repro.kernels.pooling import PoolingPlan
@@ -58,8 +60,8 @@ class KernelSpec:
     sample: Callable[[np.random.Generator], dict[str, Any]]
     #: Instantiate the plan for a configuration.
     build: Callable[[dict[str, Any]], KernelPlan]
-    #: Execute plan vs reference; returns labelled (actual, expected) pairs.
-    #: ``None`` for cost-only plans (no functional path to compare).
+    #: Execute the kernel vs reference; returns labelled (actual, expected)
+    #: pairs. ``None`` for plans that only price.
     run: Callable[[KernelPlan, dict[str, Any], np.random.Generator], list[Comparison]] | None
     #: Lower bound on the DMA bytes one invocation must move (operands +
     #: results touched at least once); the invariant checker asserts the
@@ -71,7 +73,11 @@ class KernelSpec:
     #: and DMA bytes always must). Plans with pipeline-fill penalties that
     #: shrink faster than work grows (see SWGemmPlan docs) set this False.
     time_monotone: bool = True
-    #: Numerical tolerance for plan-vs-reference comparisons.
+    #: How the plan's ``tile_walk()`` bytes meet ``cost().dma_bytes``:
+    #: ``"exact"`` (equal), ``"within"`` (more than 0 and at most), or
+    #: ``None`` for plans without a tile walk.
+    walk: str | None = None
+    #: Numerical tolerance for kernel-vs-reference comparisons.
     rtol: float = 1e-9
     atol: float = 1e-9
 
@@ -225,19 +231,6 @@ def _gemm_sample(rng: np.random.Generator) -> dict[str, Any]:
     }
 
 
-def _gemm_run(
-    plan: SWGemmPlan, cfg: dict[str, Any], rng: np.random.Generator
-) -> list[Comparison]:
-    a = rng.normal(size=(cfg["m"], cfg["k"]))
-    b = rng.normal(size=(cfg["k"], cfg["n"]))
-    expected = ref.ref_gemm(a, b)
-    return [
-        ("run", plan.run(a, b), expected),
-        ("run_blocked", plan.run_blocked(a, b), expected),
-        ("register_schedule", gemm_register_schedule(a, b), expected),
-    ]
-
-
 register_kernel(
     KernelSpec(
         name="gemm",
@@ -245,7 +238,7 @@ register_kernel(
         build=lambda cfg: SWGemmPlan(
             cfg["m"], cfg["n"], cfg["k"], dtype_bytes=cfg["dtype_bytes"]
         ),
-        run=_gemm_run,
+        run=None,
         min_dma_bytes=lambda cfg: float(
             (cfg["m"] * cfg["k"] + cfg["k"] * cfg["n"] + cfg["m"] * cfg["n"])
             * cfg["dtype_bytes"]
@@ -260,8 +253,7 @@ register_kernel(
         # superlinearly, so total time can dip as dims grow (the model's
         # documented behaviour); achieved Gflops stays monotone instead.
         time_monotone=False,
-        rtol=1e-9,
-        atol=1e-8,
+        walk="exact",
     )
 )
 
@@ -269,16 +261,18 @@ register_kernel(
 def _conv_explicit_run(
     plan: ExplicitConvPlan, cfg: dict[str, Any], rng: np.random.Generator
 ) -> list[Comparison]:
+    # The plan prices; the convolution layers execute frame.conv_ops.
     x, w, b = _conv_inputs(cfg, rng)
-    expected = ref.ref_conv2d(x, w, b, stride=cfg["stride"], pad=cfg["pad"])
-    comparisons = [("forward", plan.forward(x, w, b), expected)]
+    stride, pad = cfg["stride"], cfg["pad"]
+    expected = ref.ref_conv2d(x, w, b, stride=stride, pad=pad)
+    comparisons = [("conv_forward", conv_forward(x, w, b, stride, pad), expected)]
     dy = rng.normal(size=expected.shape)
-    dx, dw, db = plan.backward(x, w, dy)
-    rdx, rdw, rdb = ref.ref_conv2d_backward(x, w, dy, stride=cfg["stride"], pad=cfg["pad"])
+    dx, dw, db = conv_backward(x, w, dy, stride, pad)
+    rdx, rdw, rdb = ref.ref_conv2d_backward(x, w, dy, stride=stride, pad=pad)
     comparisons += [
-        ("backward_dx", dx, rdx),
-        ("backward_dw", dw, rdw),
-        ("backward_db", db, rdb),
+        ("conv_backward_dx", dx, rdx),
+        ("conv_backward_dw", dw, rdw),
+        ("conv_backward_db", db, rdb),
     ]
     return comparisons
 
@@ -298,25 +292,6 @@ register_kernel(
 )
 
 
-def _conv_implicit_run(
-    plan: ImplicitConvPlan, cfg: dict[str, Any], rng: np.random.Generator
-) -> list[Comparison]:
-    x, w, b = _conv_inputs(cfg, rng)
-    expected = ref.ref_conv2d(x, w, b, stride=cfg["stride"], pad=cfg["pad"])
-    comparisons = [("forward", plan.forward(x, w, b), expected)]
-    # The blocked LDM kernel runs in the implicit (R, C, N, B) layout with
-    # (K, K, No, Ni) filters and no bias; compare it in that layout.
-    x_rcnb = np.transpose(x, (2, 3, 1, 0))
-    w_kknc = np.transpose(w, (2, 3, 0, 1))
-    blocked = plan.run_blocked_implicit_layout(x_rcnb, w_kknc)
-    expected_rcnb = np.transpose(
-        ref.ref_conv2d(x, w, None, stride=cfg["stride"], pad=cfg["pad"]),
-        (2, 3, 1, 0),
-    )
-    comparisons.append(("run_blocked_implicit_layout", blocked, expected_rcnb))
-    return comparisons
-
-
 register_kernel(
     KernelSpec(
         name="conv_implicit",
@@ -325,15 +300,14 @@ register_kernel(
             cfg["batch"], cfg["ni"], cfg["no"], cfg["height"], cfg["width"],
             cfg["k"], cfg["stride"], cfg["pad"],
         ),
-        run=_conv_implicit_run,
+        run=None,
         min_dma_bytes=_conv_payload_bytes,
         # Scale the spatial extent, not the batch: B is the contiguous DMA
         # run of the implicit (R, C, N, B) layout, so doubling it doubles
         # the strided block size and time can legitimately dip deep in the
         # latency-bound regime. Growing H keeps the run length fixed.
         scale_up=lambda cfg: {**cfg, "height": 2 * cfg["height"]},
-        rtol=1e-9,
-        atol=1e-8,
+        walk="within",
     )
 )
 
@@ -344,14 +318,6 @@ def _fft_sample(rng: np.random.Generator) -> dict[str, Any]:
     return cfg
 
 
-def _fft_run(
-    plan: FFTConvPlan, cfg: dict[str, Any], rng: np.random.Generator
-) -> list[Comparison]:
-    x, w, b = _conv_inputs(cfg, rng)
-    expected = ref.ref_conv2d(x, w, b, stride=1, pad=cfg["pad"])
-    return [("forward", plan.forward(x, w, b), expected)]
-
-
 register_kernel(
     KernelSpec(
         name="conv_fft",
@@ -360,12 +326,9 @@ register_kernel(
             cfg["batch"], cfg["ni"], cfg["no"], cfg["height"], cfg["width"],
             cfg["k"], 1, cfg["pad"],
         ),
-        run=_fft_run,
+        run=None,
         min_dma_bytes=_conv_payload_bytes,
         scale_up=_double_batch,
-        # FFT rounding: exact convolutions recovered from padded spectra.
-        rtol=1e-7,
-        atol=1e-7,
     )
 )
 
@@ -417,17 +380,6 @@ def _im2col_sample(rng: np.random.Generator) -> dict[str, Any]:
     return {"channels": _choice(rng, [1, 2, 3, 5, 7, 16]), **geo}
 
 
-def _im2col_run(
-    plan: Im2colPlan, cfg: dict[str, Any], rng: np.random.Generator
-) -> list[Comparison]:
-    x = rng.normal(size=(cfg["channels"], cfg["height"], cfg["width"]))
-    expected = ref.ref_im2col(x, cfg["k"], cfg["stride"], cfg["pad"])
-    return [
-        ("run", plan.run(x), expected),
-        ("run_staged", plan.run_staged(x), expected),
-    ]
-
-
 def _im2col_bytes(cfg: dict[str, Any]) -> float:
     out_h = conv_out_dim(cfg["height"], cfg["k"], cfg["stride"], cfg["pad"])
     out_w = conv_out_dim(cfg["width"], cfg["k"], cfg["stride"], cfg["pad"])
@@ -444,29 +396,12 @@ register_kernel(
             cfg["channels"], cfg["height"], cfg["width"],
             cfg["k"], cfg["stride"], cfg["pad"],
         ),
-        run=_im2col_run,
+        run=None,
         min_dma_bytes=_im2col_bytes,
         scale_up=lambda cfg: {**cfg, "channels": 2 * cfg["channels"]},
+        walk="exact",
     )
 )
-
-
-def _col2im_run(
-    plan: Col2imPlan, cfg: dict[str, Any], rng: np.random.Generator
-) -> list[Comparison]:
-    # col2im is the adjoint of im2col: <im2col(x), C> == <x, col2im(C)>
-    # for every x and C. Verifying the inner products pins the scatter
-    # without re-deriving the overlap bookkeeping.
-    from repro.kernels.im2col import col2im
-
-    shape = (cfg["channels"], cfg["height"], cfg["width"])
-    x = rng.normal(size=shape)
-    cols_shape = ref.ref_im2col(x, cfg["k"], cfg["stride"], cfg["pad"]).shape
-    c = rng.normal(size=cols_shape)
-    lhs = float(np.sum(ref.ref_im2col(x, cfg["k"], cfg["stride"], cfg["pad"]) * c))
-    folded = col2im(c, shape, cfg["k"], cfg["stride"], cfg["pad"])
-    rhs = float(np.sum(x * folded))
-    return [("adjoint_identity", np.array([lhs]), np.array([rhs]))]
 
 
 register_kernel(
@@ -477,11 +412,10 @@ register_kernel(
             cfg["channels"], cfg["height"], cfg["width"],
             cfg["k"], cfg["stride"], cfg["pad"],
         ),
-        run=_col2im_run,
+        run=None,
         min_dma_bytes=_im2col_bytes,
         scale_up=lambda cfg: {**cfg, "channels": 2 * cfg["channels"]},
-        rtol=1e-8,
-        atol=1e-8,
+        walk="exact",
     )
 )
 
@@ -543,7 +477,7 @@ register_kernel(
             flops_per_element=cfg["flops_per_element"],
             n_inputs=cfg["n_inputs"],
         ),
-        run=None,  # streaming plan: cost model only, no functional kernel
+        run=None,  # streaming plan: cost model only, no tile walk
         min_dma_bytes=lambda cfg: float(4 * cfg["n_elements"] * (cfg["n_inputs"] + 1)),
         scale_up=lambda cfg: {**cfg, "n_elements": 2 * cfg["n_elements"]},
     )

@@ -14,8 +14,9 @@ or recovered — synchronizes gradients at the modeled rate.
 from __future__ import annotations
 
 from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
-from repro.topology.node import ComputeNode
-from repro.topology.supernode import NODES_PER_SUPERNODE, Supernode
+
+#: Nodes per supernode on TaihuLight (Sec. II-B).
+NODES_PER_SUPERNODE = 256
 
 
 class TaihuLightFabric:
@@ -45,20 +46,11 @@ class TaihuLightFabric:
         self.n_nodes = int(n_nodes)
         self.nodes_per_supernode = int(nodes_per_supernode)
         self.network = network or SW_COLLECTIVE_NETWORK
-        self.nodes = [
-            ComputeNode(node_id=i, supernode_id=i // self.nodes_per_supernode)
-            for i in range(self.n_nodes)
-        ]
-        self.supernodes: list[Supernode] = []
-        for node in self.nodes:
-            while node.supernode_id >= len(self.supernodes):
-                self.supernodes.append(Supernode(supernode_id=len(self.supernodes)))
-            self.supernodes[node.supernode_id].add_node(node)
 
     @property
     def n_supernodes(self) -> int:
         """Number of (possibly partial) supernodes in the allocation."""
-        return len(self.supernodes)
+        return -(-self.n_nodes // self.nodes_per_supernode)
 
     def supernode_of(self, node_id: int) -> int:
         """Supernode index of a physical node."""

@@ -47,7 +47,7 @@ class TestDifferentialCatchesBrokenKernels:
         def run(plan, cfg, rng):
             a = rng.normal(size=(cfg["m"], cfg["k"]))
             b = rng.normal(size=(cfg["k"], cfg["n"]))
-            return [("run", plan.run(a, b), ref_gemm(a, b))]
+            return [("run", a @ b, ref_gemm(a, b))]
 
         report = run_kernel_case(_gemm_spec(run), index=0)
         assert report.ok, str(report)
@@ -57,7 +57,7 @@ class TestDifferentialCatchesBrokenKernels:
         def run(plan, cfg, rng):
             a = rng.normal(size=(cfg["m"], cfg["k"]))
             b = rng.normal(size=(cfg["k"], cfg["n"]))
-            out = plan.run(a, b).copy()
+            out = a @ b
             out[-1, -1] += 1e-3
             return [("run", out, ref_gemm(a, b))]
 
@@ -80,7 +80,7 @@ class TestDifferentialCatchesBrokenKernels:
         def run(plan, cfg, rng):
             a = rng.normal(size=(cfg["m"], cfg["k"]))
             b = rng.normal(size=(cfg["k"], cfg["n"]))
-            return [("run", plan.run(a, b).T, ref_gemm(a, b))]
+            return [("run", (a @ b).T, ref_gemm(a, b))]
 
         report = run_kernel_case(_gemm_spec(run), index=0)
         assert not report.ok
@@ -148,6 +148,27 @@ class TestInvariantsCatchBrokenCosts:
         report = run_kernel_case(spec, index=0)
         assert not report.ok
         assert any("conserved" in f for f in report.failures)
+
+    def test_walk_that_drops_the_last_panel_fails_the_fuzzer(self):
+        # The last contraction block's B panel goes missing from the walk
+        # (the transfer before the final C write), so the walk moves fewer
+        # bytes than the plan prices.
+        class DroppedPanelGemm(SWGemmPlan):
+            def tile_walk(self):
+                walk = list(super().tile_walk())
+                return walk[:-2] + walk[-1:]
+
+        spec = KernelSpec(
+            name="mutant_dropped_panel",
+            sample=lambda rng: {"m": 16, "n": 16, "k": 16},
+            build=lambda cfg: DroppedPanelGemm(cfg["m"], cfg["n"], cfg["k"]),
+            run=None,
+            time_monotone=False,
+            walk="exact",
+        )
+        report = run_kernel_case(spec, index=0)
+        assert not report.ok
+        assert any("tile walk moves" in f for f in report.failures)
 
 
 class TestDifferentialCatchesBrokenCollectives:

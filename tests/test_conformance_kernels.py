@@ -1,9 +1,11 @@
 """Registry-driven kernel conformance: differential fuzz + cost invariants.
 
 One test per registered kernel spec (parametrized by the conformance
-plugin): every seeded configuration must match the dense NumPy reference
-within the spec's tolerance *and* satisfy the cost-model invariant battery
-(positive finite time, DMA conservation, monotone scaling, LDM budget).
+plugin): every seeded configuration must satisfy the cost-model invariant
+battery (positive finite time, DMA conservation, monotone scaling, and a
+tile walk that moves the priced bytes within the LDM) *and*, where the
+spec executes a kernel, match the dense NumPy reference within the spec's
+tolerance.
 Failures print reproducible seed strings (``repro.testing.reproduce``).
 """
 

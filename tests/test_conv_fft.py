@@ -1,8 +1,6 @@
 """Tests for the FFT convolution plan (the alternative the paper rejects)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanError
 from repro.kernels.conv_explicit import ExplicitConvPlan
@@ -11,26 +9,6 @@ from repro.kernels.conv_implicit import ImplicitConvPlan
 
 
 class TestFunctional:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        batch=st.integers(min_value=1, max_value=3),
-        ni=st.integers(min_value=1, max_value=4),
-        no=st.integers(min_value=1, max_value=4),
-        hw=st.integers(min_value=4, max_value=9),
-        k=st.integers(min_value=1, max_value=3),
-        pad=st.integers(min_value=0, max_value=1),
-    )
-    def test_matches_direct_convolution(self, batch, ni, no, hw, k, pad):
-        rng = np.random.default_rng(batch * 100 + hw)
-        x = rng.normal(size=(batch, ni, hw, hw))
-        w = rng.normal(size=(no, ni, k, k))
-        b = rng.normal(size=no)
-        fft = FFTConvPlan(batch, ni, no, hw, hw, k, 1, pad)
-        direct = ExplicitConvPlan(batch, ni, no, hw, hw, k, 1, pad)
-        np.testing.assert_allclose(
-            fft.forward(x, w, b), direct.forward(x, w, b), rtol=1e-8, atol=1e-10
-        )
-
     def test_stride_rejected(self):
         with pytest.raises(PlanError):
             FFTConvPlan(1, 4, 4, 8, 8, 3, stride=2)

@@ -134,23 +134,3 @@ class TestAllreduceCostProperties:
         with pytest.raises(ValueError):
             stepwise_rhd_cost(1e6, 8, 4, SW_COLLECTIVE_NETWORK, gamma, "diagonal")
         assert stepwise_rhd_cost(1e6, 1, 1, SW_COLLECTIVE_NETWORK, gamma) == 0.0
-
-
-class TestIm2colStagedExecution:
-    def test_staged_matches_functional(self):
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        for (c, h, w, k, s, p) in [(2, 6, 7, 3, 1, 1), (3, 8, 8, 2, 2, 0), (1, 5, 5, 3, 1, 2)]:
-            x = rng.normal(size=(c, h, w))
-            plan = Im2colPlan(c, h, w, k, s, p, dtype_bytes=8)
-            np.testing.assert_allclose(plan.run_staged(x), plan.run(x), rtol=1e-12)
-
-    def test_staged_charges_clock_and_frees_ldm(self):
-        import numpy as np
-
-        x = np.random.default_rng(1).normal(size=(2, 6, 6))
-        plan = Im2colPlan(2, 6, 6, 3, 1, 1, dtype_bytes=8)
-        plan.run_staged(x)
-        assert plan.core_group.clock.category_total("dma") > 0
-        assert plan.core_group.cpes[0].ldm.used == 0

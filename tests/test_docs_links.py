@@ -2,9 +2,11 @@
 
 ``tools/check_docs_links.py`` (also a CI step) asserts that every
 relative markdown link resolves, that every ``src/repro/*`` package is
-reachable from ``docs/index.md``, and that every ``repro`` import in the
+reachable from ``docs/index.md``, that every ``repro`` import in the
 docs' python blocks and in ``examples/`` and ``tools/`` names the module
-that defines what it imports.
+that defines what it imports, and that every inline code span of the docs
+(ROADMAP.md aside) names a ``repro`` module, definition, class member or
+source file that exists.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ def test_all_doc_links_resolve_and_packages_are_indexed():
 
 def test_docs_and_scripts_import_from_the_defining_module():
     assert check_docs_links.check_imports(ROOT) == []
+
+
+def test_doc_code_spans_name_existing_code():
+    assert check_docs_links.check_code_spans(ROOT) == []
 
 
 def test_checker_detects_breakage(tmp_path):
@@ -62,4 +68,35 @@ def test_import_checker_detects_breakage(tmp_path):
         "README.md:6: repro.ghost defines no missing",
         "examples/bad.py:1: repro.ghost defines no Thing",
         "examples/bad.py:3: no module repro.nowhere",
+    ]
+
+
+def test_code_span_checker_detects_breakage(tmp_path):
+    ghost = tmp_path / "src" / "repro" / "ghost"
+    ghost.mkdir(parents=True)
+    (ghost.parent / "__init__.py").write_text("")
+    (ghost / "__init__.py").write_text("")
+    (ghost / "impl.py").write_text(
+        "class Base:\n    def walk(self):\n        pass\n\n\n"
+        "class Thing(Base):\n    def __init__(self):\n        self.size = 1\n\n"
+        "    def run(self):\n        pass\n\n\ndef helper():\n    pass\n"
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "notes.md").write_text(
+        "`repro.ghost.impl.Thing.run`, `repro.ghost.impl.Thing.size`,\n"
+        "`repro.ghost.impl.Thing.walk()` and `repro/ghost/impl.py` exist.\n"
+        "```\n`repro.ghost.gone` in a fenced block is not a span\n```\n"
+        "`repro.ghost.impl.Gone` `repro.ghost.impl.Thing.fly`\n"
+        "`repro.ghost.impl.helper.x` `python -m repro.ghost.missing`\n"
+        "`src/repro/ghost/gone.py`\n"
+    )
+    (tmp_path / "ROADMAP.md").write_text("history: `repro.ghost.gone`\n")
+    assert check_docs_links.check_code_spans(tmp_path) == [
+        "docs/notes.md:6: `repro.ghost.impl.Gone`: repro.ghost.impl defines no Gone",
+        "docs/notes.md:6: `repro.ghost.impl.Thing.fly`: "
+        "repro.ghost.impl.Thing has no member fly",
+        "docs/notes.md:7: `repro.ghost.impl.helper.x`: "
+        "repro.ghost.impl.helper is not a class, so it has no x",
+        "docs/notes.md:7: `python -m repro.ghost.missing`: repro.ghost defines no missing",
+        "docs/notes.md:8: `src/repro/ghost/gone.py`: no file src/repro/ghost/gone.py",
     ]

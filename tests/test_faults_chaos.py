@@ -261,27 +261,6 @@ def test_zero_plan_hw_charges_are_byte_identical():
     assert np.array_equal(off_data, on_data)
 
 
-def test_mesh_degradation_stretches_but_disabled_is_inert():
-    from repro.hw.mesh_sim import MeshSimulator, gemm_inner_schedule
-
-    ops = gemm_inner_schedule(2048, 2048, 1e6)
-    base = MeshSimulator().run(ops).finish_s
-    again = MeshSimulator().run(ops).finish_s
-    assert base == again
-
-    with injecting(zero_plan()):
-        zero = MeshSimulator().run(ops).finish_s
-    assert zero == base
-
-    plan = FaultPlan(
-        seed="x", profile="degrade", ranks=1, iterations=1, mesh_factor=2.5
-    )
-    with injecting(plan) as fi:
-        slow = MeshSimulator().run(ops).finish_s
-    assert slow > base
-    assert fi.injected["mesh_degrade"] >= 1
-
-
 def test_straggler_slows_collective_but_keeps_data():
     p = 4
     rng = np.random.default_rng(3)

@@ -59,7 +59,6 @@ from repro.harness import (
     table2_vgg_conv,
     table3_throughput,
 )
-from repro.hw.mesh_sim import MeshSimulator, gemm_inner_schedule
 from repro.metrics.roofline import net_roofline
 from repro.parallel.ssgd import SSGDIterationModel
 from repro.parallel.trainer import DistributedTrainer
@@ -515,12 +514,6 @@ def test_figure_panels_and_layers():
     assert set(fig2_dma.generate()) == {"continuous", "strided"}
     assert set(fig6_network.generate()) == {"bandwidth", "latency"}
     assert any(r.name == "conv1_1" for r in fig9_vgg_layers.generate())
-
-
-def test_mesh_gemm_schedule_uses_all_sixteen_buses():
-    trace = MeshSimulator().run(gemm_inner_schedule(4096, 4096, 1e5))
-    assert trace.finish_s > 0
-    assert len(trace.bus_busy_s) == 16
 
 
 if __name__ == "__main__":  # pragma: no cover - golden regeneration helper

@@ -1,11 +1,9 @@
-"""Unit tests for the SW26010 hardware model basics: specs, clock, LDM."""
+"""Unit tests for the SW26010 hardware model basics: specs and clock."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import LDMAllocationError
 from repro.hw.clock import SerialResource, SimClock
-from repro.hw.ldm import LDMAllocator
 from repro.hw.spec import E5_2680V3_SPEC, K40M_SPEC, KNL_SPEC, SW26010_SPEC, SW_PARAMS
 from repro.trace.tracer import Tracer
 
@@ -142,64 +140,3 @@ class TestSerialResource:
         assert (b.start_s, b.args) == (2.0, {"ready_s": 1.0})
         assert tr.edges == [(launch, a, "dep"), (a, b, "dep")]
         assert res.last_span is b
-
-
-class TestLDMAllocator:
-    def test_capacity_default_64k(self):
-        ldm = LDMAllocator()
-        assert ldm.capacity == 64 * 1024
-
-    def test_alloc_and_free(self):
-        ldm = LDMAllocator(1024)
-        buf = ldm.alloc("a", 512)
-        assert buf.offset == 0
-        assert ldm.used == 512
-        ldm.free_buffer("a")
-        assert ldm.used == 0
-
-    def test_overflow_raises(self):
-        ldm = LDMAllocator(1024)
-        ldm.alloc("a", 1000)
-        with pytest.raises(LDMAllocationError):
-            ldm.alloc("b", 100)
-
-    def test_duplicate_name_raises(self):
-        ldm = LDMAllocator(1024)
-        ldm.alloc("a", 10)
-        with pytest.raises(LDMAllocationError):
-            ldm.alloc("a", 10)
-
-    def test_require_is_idempotent(self):
-        ldm = LDMAllocator(1024)
-        b1 = ldm.require("a", 100)
-        b2 = ldm.require("a", 100)
-        assert b1 == b2
-        assert ldm.used == 100
-        with pytest.raises(LDMAllocationError):
-            ldm.require("a", 200)
-
-    def test_high_water_mark(self):
-        ldm = LDMAllocator(1024)
-        ldm.alloc("a", 600)
-        ldm.free_buffer("a")
-        ldm.alloc("b", 100)
-        assert ldm.high_water == 600
-
-    def test_free_unknown_raises(self):
-        ldm = LDMAllocator(1024)
-        with pytest.raises(LDMAllocationError):
-            ldm.free_buffer("nope")
-
-    def test_fits(self):
-        ldm = LDMAllocator(1024)
-        ldm.alloc("a", 1000)
-        assert ldm.fits(24)
-        assert not ldm.fits(25)
-
-    def test_reset_preserves_high_water(self):
-        ldm = LDMAllocator(1024)
-        ldm.alloc("a", 800)
-        ldm.reset()
-        assert ldm.used == 0
-        assert ldm.high_water == 800
-        assert "a" not in ldm

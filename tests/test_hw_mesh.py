@@ -1,10 +1,9 @@
-"""Tests for the RLC, CPE, MPE and CoreGroup models."""
+"""Tests for the RLC, MPE and CoreGroup models."""
 
 import pytest
 
 from repro.hw.clock import SimClock
 from repro.hw.core_group import CoreGroup
-from repro.hw.cpe import CPE
 from repro.hw.mpe import MPE
 from repro.hw.rlc import RegisterComm
 from repro.hw.spec import SW_PARAMS
@@ -50,41 +49,6 @@ class TestRegisterComm:
         assert RegisterComm().p2p_time(0) == 0.0
 
 
-class TestCPE:
-    def test_peak_is_64th_of_cluster(self):
-        cpe = CPE(row=0, col=0)
-        assert cpe.peak_flops == pytest.approx(742.4e9 / 64)
-
-    def test_compute_time(self):
-        cpe = CPE(row=1, col=2)
-        assert cpe.compute_time(cpe.peak_flops) == pytest.approx(1.0)
-        assert cpe.compute_time(cpe.peak_flops, efficiency=0.5) == pytest.approx(2.0)
-
-    def test_invalid_efficiency(self):
-        cpe = CPE(row=0, col=0)
-        with pytest.raises(ValueError):
-            cpe.compute_time(1.0, efficiency=0.0)
-        with pytest.raises(ValueError):
-            cpe.compute_time(-1.0)
-
-    def test_position_validated(self):
-        with pytest.raises(ValueError):
-            CPE(row=8, col=0)
-
-    def test_simd_efficiency_full_and_partial(self):
-        cpe = CPE(row=0, col=0)
-        assert cpe.simd_efficiency(4, dtype_bytes=8) == pytest.approx(1.0)
-        assert cpe.simd_efficiency(2, dtype_bytes=8) == pytest.approx(0.5)
-        assert cpe.simd_efficiency(6, dtype_bytes=8) == pytest.approx(0.75)
-        assert cpe.simd_efficiency(8, dtype_bytes=4) == pytest.approx(1.0)
-
-    def test_each_cpe_has_private_ldm(self):
-        cpe = CPE(row=0, col=0)
-        cpe.ldm.alloc("buf", 1000)
-        other = CPE(row=0, col=1)
-        assert other.ldm.used == 0
-
-
 class TestMPE:
     def test_copy_slower_than_dma(self):
         # Principle 2: the memory-to-MPE copy path (9.9 GB/s) is far
@@ -111,7 +75,6 @@ class TestCoreGroup:
     def test_has_64_cpes(self):
         cg = CoreGroup()
         assert cg.n_cpes == 64
-        assert cg.cpe(7, 7).row == 7
 
     def test_phase_overlap_rule(self):
         cg = CoreGroup()

@@ -4,7 +4,7 @@ A package ``__init__`` names its modules in its docstring and imports
 none of them, so ``from repro.x.y import f`` loads ``x/__init__.py``,
 ``y`` and what ``y`` imports, not the rest of ``x``. Every benchmark
 child pays for what its set-up loads (``setup_s`` in ``perfbench/``), so
-two checks hold the boundary:
+three checks hold the boundary:
 
 * in a fresh interpreter per workload, the imports each ``perfbench``
   workload makes during set-up load none of the modules that workload
@@ -12,8 +12,7 @@ two checks hold the boundary:
   FFT conv plan and the trace exporters);
 * no ``src/repro/**/__init__.py`` imports from its own package, except
   the packages whose package-level names ``perfbench`` imports
-  (``parallel``, ``pipeline``, ``serve``, ``frame.model_zoo``) and
-  ``hw``'s one import of ``mesh_sim``;
+  (``parallel``, ``pipeline``, ``serve``, ``frame.model_zoo``);
 * a cold pass over the six paper harnesses never loads ``numpy.random``:
   the nets it builds are only priced, so they seed no generator.
 """
@@ -72,7 +71,6 @@ INIT_IMPORTS_ALLOWED = {
     "repro.pipeline": None,
     "repro.serve": None,
     "repro.frame.model_zoo": None,
-    "repro.hw": {"repro.hw.mesh_sim"},
 }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.injector import FaultInjector, injecting
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, zero_plan
 from repro.serve.arrivals import ArrivalPlan, Request
 from repro.serve.costmodel import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
@@ -131,6 +131,24 @@ class TestFaults:
             slowed = run(requests, max_batch=4)
         assert slowed.makespan_s >= clean.makespan_s
         assert clean.fault_seed is None
+
+    def test_mesh_degradation_stretches_every_batch_by_its_factor(self):
+        # The engine is the one site that reads ``mesh_degrade``. This plan
+        # has no stragglers and no transient faults, so the factor alone
+        # sets each batch's compute.
+        requests = poisson(rate=50.0, n=60)
+        plan = FaultPlan(seed="x", profile="degrade", ranks=1, iterations=1, mesh_factor=2.5)
+        with injecting(plan) as fi:
+            slowed = run(requests, max_batch=4)
+        assert slowed.completed
+        for rec in slowed.completed:
+            assert rec.compute_s == FLAT.compute_s(rec.batch_size) * 2.5
+        assert fi.injected["mesh_degrade"] == 1
+
+        bare = run(requests, max_batch=4)
+        with injecting(zero_plan()):
+            zero = run(requests, max_batch=4)
+        assert zero.records == bare.records
 
 
 class TestInertness:

@@ -14,7 +14,14 @@ Three guarantees:
    exists, and every name it imports is defined in that module or is one
    of its submodules. A package ``__init__`` defines nothing it does not
    bind itself, so ``from repro.simmpi import SimComm`` fails: import it
-   from ``repro.simmpi.comm``. Read with :mod:`ast`; nothing is imported.
+   from ``repro.simmpi.comm``. Read with :mod:`ast`; nothing is imported;
+4. every inline code span of those files (ROADMAP.md excepted: its
+   history names deleted code on purpose) names only code that exists.
+   In a dotted ``repro.`` path the longest module prefix exists under
+   ``src/``, the next name is defined at that module's top level, and a
+   name after that is a member of that class (defined in its body or set
+   on ``self`` in a method). Every ``repro/.../*.py`` path is a file under
+   ``src/``.
 
 Usage: ``python tools/check_docs_links.py [repo_root]`` — prints one
 line per problem and exits 1 if any were found.
@@ -42,6 +49,16 @@ SCRIPT_DIRS = ("examples", "tools")
 
 #: A fenced python block; group 1 is its body.
 _PYTHON_FENCE_RE = re.compile(r"^```python[ \t]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+#: Docs whose inline code spans must name existing code (guarantee 4).
+SPAN_EXEMPT = ("ROADMAP.md",)
+
+#: An inline code span; group 1 is its text.
+_SPAN_RE = re.compile(r"`([^`\n]+)`")
+
+#: A dotted ``repro.`` path, and a ``repro/.../*.py`` file path.
+_DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+_PY_PATH_RE = re.compile(r"\brepro/[\w/]*\.py\b")
 
 
 def doc_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -126,6 +143,13 @@ class _Modules:
     def __init__(self, src: pathlib.Path) -> None:
         self.src = src
         self._defined: dict[str, set[str]] = {}
+        self._trees: dict[str, ast.Module] = {}
+
+    def tree(self, module: str) -> ast.Module:
+        """The parsed source of ``module``."""
+        if module not in self._trees:
+            self._trees[module] = ast.parse(self.path(module).read_text(encoding="utf-8"))
+        return self._trees[module]
 
     def path(self, module: str) -> pathlib.Path | None:
         """The file that defines ``module``, or None."""
@@ -138,9 +162,25 @@ class _Modules:
     def provides(self, module: str, name: str) -> bool:
         """Whether ``from module import name`` names what defines it."""
         if module not in self._defined:
-            tree = ast.parse(self.path(module).read_text(encoding="utf-8"))
-            self._defined[module] = _defined_names(tree.body)
+            self._defined[module] = _defined_names(self.tree(module).body)
         return name in self._defined[module] or self.path(f"{module}.{name}") is not None
+
+    def members(self, module: str, name: str) -> set[str] | None:
+        """Names class ``name`` of ``module`` defines in its body or sets
+        on ``self``, its bases in ``module`` included; None if ``module``
+        defines no class ``name``."""
+        for node in self.tree(module).body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                members = _defined_names(node.body)
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                        if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                            members.add(sub.attr)
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        members |= self.members(module, base.id) or set()
+                return members
+        return None
 
 
 def _import_problems(
@@ -215,10 +255,49 @@ def check_imports(root: pathlib.Path) -> list[str]:
     return problems
 
 
+def _span_problem(span: str, modules: _Modules) -> str | None:
+    """Why an inline code span names code that does not exist, or None."""
+    for path in _PY_PATH_RE.findall(span):
+        if not (modules.src / path).is_file():
+            return f"no file src/{path}"
+    for dotted in _DOTTED_RE.findall(span):
+        parts = dotted.split(".")
+        cut = next(i for i in range(len(parts), 0, -1) if modules.path(".".join(parts[:i])))
+        module, rest = ".".join(parts[:cut]), parts[cut:]
+        if not rest:
+            continue
+        if not modules.provides(module, rest[0]):
+            return f"{module} defines no {rest[0]}"
+        if len(rest) > 1:
+            members = modules.members(module, rest[0])
+            if members is None:
+                return f"{module}.{rest[0]} is not a class, so it has no {rest[1]}"
+            if rest[1] not in members:
+                return f"{module}.{rest[0]} has no member {rest[1]}"
+    return None
+
+
+def check_code_spans(root: pathlib.Path) -> list[str]:
+    """Every inline code span of the docs that names missing code."""
+    modules = _Modules(root / "src")
+    problems: list[str] = []
+    for doc in doc_files(root):
+        where = str(doc.relative_to(root))
+        if where in SPAN_EXEMPT:
+            continue
+        text = _FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"), doc.read_text(encoding="utf-8"))
+        for match in _SPAN_RE.finditer(text):
+            why = _span_problem(match.group(1), modules)
+            if why:
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(f"{where}:{line}: `{match.group(1)}`: {why}")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parents[1]
-    problems = check_links(root) + check_imports(root)
+    problems = check_links(root) + check_imports(root) + check_code_spans(root)
     for problem in problems:
         print(problem)
     if problems:
@@ -226,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         f"docs OK: {len(doc_files(root))} files checked, all links resolve, "
-        "every repro import names what defines it"
+        "every repro import names what defines it, every code span names code that exists"
     )
     return 0
 
