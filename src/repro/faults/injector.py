@@ -16,12 +16,13 @@ arithmetic (pinned by ``tests/test_faults_chaos.py``). Enable with
         trainer.step(8)
     print(fi.injected, fi.retries)
 
-Hook sites live in :mod:`repro.hw.dma` / :mod:`repro.hw.rlc` (transient
-corruption + retry-with-backoff on the :class:`~repro.hw.clock.SimClock`),
+Hook sites live in :mod:`repro.simmpi.comm` and :mod:`repro.simmpi.p2p`
+(straggler slowdown, flaky-link retries with backoff on the communicator's
+:class:`~repro.hw.clock.SimClock`, crash timeouts) and in
 :mod:`repro.serve.engine` (mesh degradation and stragglers stretch every
-served batch, flaky links retry it), and :mod:`repro.simmpi.comm`
-(straggler slowdown, flaky-link step retries, crash timeouts). The shared :func:`charge_transient` helper keeps the
-DMA/RLC/comm sites identical: decide, emit trace spans, charge the clock.
+served batch, flaky links retry it). The shared :func:`charge_transient`
+helper keeps the clocked sites identical: decide, emit trace spans, charge
+the clock.
 The injector itself keeps the run's fault totals (retries, retry,
 straggler and timeout seconds) that ``python -m repro chaos`` reports.
 """
@@ -40,8 +41,9 @@ class FaultInjector:
     """Delivers one :class:`FaultPlan`'s faults, keeping replayable counts.
 
     Per-site invocation counters make transient decisions reproducible:
-    the ``n``-th DMA transfer of a run faults iff the plan says invocation
-    ``n`` faults, independent of what any other site did in between.
+    the ``n``-th network exchange of a run faults iff the plan says
+    invocation ``n`` faults, independent of what any other site did in
+    between.
     """
 
     #: Instrumentation sites check this before doing any work.
@@ -50,7 +52,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._site_calls: dict[str, int] = defaultdict(int)
-        #: Faults delivered so far, by kind (dma_corrupt, rank_crash, ...).
+        #: Faults delivered so far, by kind (link_retry, rank_crash, ...).
         self.injected: Counter[str] = Counter()
         #: Total transient retries performed.
         self.retries: int = 0
@@ -164,15 +166,19 @@ class NullInjector(FaultInjector):
         )
 
     def transient(self, site: str, base_s: float) -> tuple[int, float]:
+        """Raise: a disabled injector decides no transient fault."""
         raise self._bug()
 
     def mesh_degrade(self) -> float:
+        """Raise: a disabled injector degrades no mesh."""
         raise self._bug()
 
     def comm_scale(self, rank_a: int, rank_b: int) -> float:
+        """Raise: a disabled injector slows no exchange."""
         raise self._bug()
 
     def failed_ranks(self) -> frozenset[int]:
+        """Raise: a disabled injector crashes no rank."""
         raise self._bug()
 
 
@@ -249,16 +255,16 @@ def _retry(site: str, base_s: float, *, track: str, at_s: float) -> tuple[int, f
 
 
 def charge_transient(site: str, clock, base_s: float, *, track: str) -> int:
-    """Hook helper for DMA/RLC/comm sites: inject, trace, charge, retry.
+    """Hook helper for the communicator sites: inject, trace, charge, retry.
 
     No-op (beyond the enabled check) when injection is disabled. When the
     plan faults this invocation: traces the retries at ``clock.now`` and
-    advances ``clock`` by the retry overhead under the ``"fault"``
-    category. Returns the number of retries injected.
+    advances ``clock`` by the retry overhead. Returns the number of
+    retries injected.
     """
     k, extra = _retry(site, base_s, track=track, at_s=clock.now)
     if k:
-        clock.advance(extra, category="fault")
+        clock.advance(extra)
     return k
 
 

@@ -8,9 +8,6 @@ any chaos failure reported by CI can be replayed locally bit-for-bit.
 
 The fault taxonomy (see ``docs/robustness.md``):
 
-* ``dma_corrupt`` — a DMA transfer is corrupted in flight; detected by the
-  engine and retried with backoff (transient, data survives);
-* ``rlc_fail`` — a register-bus message is lost and re-sent (transient);
 * ``link_retry`` — a collective's lockstep exchange hits a flaky network
   link and repeats the step (transient);
 * ``mesh_degrade`` — the CPE mesh's register buses run at a fraction of
@@ -41,10 +38,10 @@ BASE_SEED = 0x5CAFFE
 PROFILES = ("transient", "degrade", "crash", "chaos")
 
 #: Transient-fault call sites (first field of the stateless decision).
-TRANSIENT_SITES = ("dma", "rlc", "comm")
+TRANSIENT_SITES = ("comm",)
 
 #: Site -> fault kind, as reported in injector totals and trace span names.
-SITE_KINDS = {"dma": "dma_corrupt", "rlc": "rlc_fail", "comm": "link_retry"}
+SITE_KINDS = {"comm": "link_retry"}
 
 
 def seed_string(profile: str, index: int, base_seed: int = BASE_SEED) -> str:
@@ -83,9 +80,7 @@ class FaultPlan:
     profile: str
     ranks: int
     iterations: int
-    #: Per-invocation transient fault rates by site (0 disables a site).
-    dma_rate: float = 0.0
-    rlc_rate: float = 0.0
+    #: Per-invocation transient fault rate of the ``comm`` site (0 disables it).
     comm_rate: float = 0.0
     #: Slowdown multiplier of the degraded CPE mesh (1.0 = intact).
     mesh_factor: float = 1.0
@@ -117,8 +112,10 @@ class FaultPlan:
         )
         kwargs: dict = {}
         if profile in ("transient", "chaos"):
-            kwargs["dma_rate"] = float(rng.uniform(0.05, 0.35))
-            kwargs["rlc_rate"] = float(rng.uniform(0.05, 0.35))
+            # Two draws that once set DMA and RLC fault rates. Those sites
+            # are gone, but the draws stay so every seed string keeps the
+            # comm rate, stragglers and crash it always addressed.
+            rng.uniform(0.05, 0.35, size=2)
             kwargs["comm_rate"] = float(rng.uniform(0.02, 0.20))
         if profile in ("degrade", "chaos"):
             kwargs["mesh_factor"] = float(rng.uniform(1.5, 4.0))
@@ -143,10 +140,6 @@ class FaultPlan:
     # pointwise queries
     # ------------------------------------------------------------------ #
     def _rate(self, site: str) -> float:
-        if site == "dma":
-            return self.dma_rate
-        if site == "rlc":
-            return self.rlc_rate
         if site == "comm":
             return self.comm_rate
         raise ValueError(f"unknown transient site {site!r} (use {TRANSIENT_SITES})")
@@ -179,33 +172,13 @@ class FaultPlan:
         """Slowdown multiplier (>= 1) of one rank's network exchanges."""
         return max(1.0, float(self.stragglers.get(rank, 1.0)))
 
-    def crashes_at(self, iteration: int) -> frozenset[int]:
-        """Ranks that die exactly at ``iteration``."""
-        return frozenset(r for it, r in self.crashes if it == iteration)
-
     def crashed_by(self, iteration: int) -> frozenset[int]:
         """All ranks dead at or before ``iteration`` (crashes are permanent)."""
         return frozenset(r for it, r in self.crashes if it <= iteration)
 
-    @property
-    def has_faults(self) -> bool:
-        """Whether this plan can perturb anything at all."""
-        return bool(
-            self.dma_rate > 0
-            or self.rlc_rate > 0
-            or self.comm_rate > 0
-            or self.mesh_factor > 1.0
-            or any(f > 1.0 for f in self.stragglers.values())
-            or self.crashes
-        )
-
     def describe(self) -> str:
         """One-line human summary (used by the chaos CLI report)."""
         parts = [f"profile={self.profile}"]
-        if self.dma_rate:
-            parts.append(f"dma_rate={self.dma_rate:.2f}")
-        if self.rlc_rate:
-            parts.append(f"rlc_rate={self.rlc_rate:.2f}")
         if self.comm_rate:
             parts.append(f"comm_rate={self.comm_rate:.2f}")
         if self.mesh_factor > 1.0:
@@ -222,22 +195,3 @@ class FaultPlan:
             )
         return " ".join(parts)
 
-
-def zero_plan(ranks: int = 1, iterations: int = 1) -> FaultPlan:
-    """An enabled-but-empty plan: every rate 0, no crashes.
-
-    Running under an injector holding this plan must be byte-identical to
-    running with injection disabled (pinned by the chaos inertness tests).
-    """
-    return FaultPlan(
-        seed="none", profile="transient", ranks=ranks, iterations=iterations
-    )
-
-
-def conformance_seeds(n_per_profile: int = 2, base_seed: int = BASE_SEED) -> list[str]:
-    """The fault seeds ``pytest -m conformance`` replays (all profiles)."""
-    return [
-        seed_string(profile, i, base_seed)
-        for profile in PROFILES
-        for i in range(n_per_profile)
-    ]

@@ -46,6 +46,7 @@ class ChaosReport:
     weights_match: bool | None = None
 
     def render(self) -> str:
+        """The report the ``chaos`` command prints."""
         lines = [
             f"chaos run: seed {self.seed!r} ({self.plan.describe()})",
             f"  {self.iterations} iteration(s), {self.ranks} -> "

@@ -103,6 +103,7 @@ class Blob:
 
     @data.setter
     def data(self, value: np.ndarray) -> None:
+        """Replace the value tensor (cancelling a pending fill)."""
         value = np.asarray(value, dtype=self.dtype)
         if self._shape and value.shape != self._shape:
             raise ShapeError(
@@ -123,6 +124,7 @@ class Blob:
 
     @diff.setter
     def diff(self, value: np.ndarray) -> None:
+        """Replace the gradient tensor."""
         value = np.asarray(value, dtype=self.dtype)
         if self._shape and value.shape != self._shape:
             raise ShapeError(

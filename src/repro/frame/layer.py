@@ -48,6 +48,7 @@ class LayerCost:
 
     @property
     def total_s(self) -> float:
+        """Forward plus backward seconds of one iteration."""
         return self.forward.total_s + self.backward.total_s
 
 

@@ -28,7 +28,6 @@ Example::
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable
 
 import numpy as np
@@ -293,15 +292,3 @@ def build_from_spec(
             layer.loss_weight = float(entry["loss_weight"])
         net.add(layer, bottoms=list(entry.get("bottoms", [])), tops=list(entry.get("tops", [name])))
     return net
-
-
-def load_spec(path: str) -> dict[str, Any]:
-    """Read a JSON spec file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def save_spec(spec: dict[str, Any], path: str) -> None:
-    """Write a spec as JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec, fh, indent=2)

@@ -17,48 +17,10 @@ import re
 import numpy as np
 
 from repro.errors import ShapeError, SnapshotMismatchError
-from repro.frame.net import Net
 from repro.frame.solver import SGDSolver
 
 #: Caffe-style snapshot filename produced by :func:`snapshot_path`.
 _ITER_RE = re.compile(r"_iter_(\d+)\.npz$")
-
-
-def save_weights(net: Net, path: str) -> None:
-    """Write all parameter blobs of ``net`` to ``path`` (.npz)."""
-    arrays = {p.name: p.data for p in net.params}
-    if not arrays:
-        raise ShapeError(f"net {net.name!r} has no parameters to save")
-    np.savez(path, **arrays)
-
-
-def load_weights(net: Net, path: str, *, strict: bool = True) -> list[str]:
-    """Load parameters into ``net`` from an ``.npz`` snapshot.
-
-    Returns the list of loaded blob names. With ``strict=True`` (default),
-    every net parameter must be present in the file and vice versa.
-    """
-    with np.load(path) as data:
-        stored = {k: data[k] for k in data.files}
-    loaded = []
-    for p in net.params:
-        if p.name not in stored:
-            if strict:
-                raise ShapeError(f"snapshot is missing parameter {p.name!r}")
-            continue
-        arr = stored.pop(p.name)
-        if arr.shape != p.shape:
-            raise ShapeError(
-                f"snapshot parameter {p.name!r} has shape {arr.shape}, "
-                f"net expects {p.shape}"
-            )
-        p.data = arr
-        loaded.append(p.name)
-    if strict and stored:
-        raise ShapeError(
-            f"snapshot contains parameters the net does not: {sorted(stored)}"
-        )
-    return loaded
 
 
 def save_solver(solver: SGDSolver, path: str) -> None:

@@ -25,12 +25,6 @@ class SolverStats:
     learning_rates: list[float] = field(default_factory=list)
     simulated_time_s: float = 0.0
 
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no iterations recorded")
-        return self.losses[-1]
-
 
 class SGDSolver:
     """Mini-batch SGD with momentum (Caffe update rule).

@@ -53,8 +53,8 @@ def compare_gemm(shape: tuple[int, int, int] = GEMM_SHAPE) -> PortComparison:
     traffic = 4.0 * (m * k + k * n + 2 * m * n)
     # Naive: MPE scalar/SSE-ish compute, memory via the MPE copy path.
     naive = max(
-        flops / (cg.mpe.peak_flops * 0.8),
-        traffic / cg.mpe.copy_bandwidth,
+        flops / (cg.params.cg_mpe_peak_flops * 0.8),
+        traffic / cg.params.mpe_copy_bw,
     )
     # CPE offload without LDM staging: compute is there, but with no
     # scratchpad reuse every multiply-accumulate fetches both operands from
@@ -76,7 +76,7 @@ def compare_streaming(nbytes: float = STREAM_BYTES) -> PortComparison:
     """The three ports of a bandwidth-bound elementwise pass."""
     cg = CoreGroup()
     traffic = 2.0 * nbytes  # read + write
-    naive = traffic / cg.mpe.copy_bandwidth
+    naive = traffic / cg.params.mpe_copy_bw
     bw_no_ldm = cg.dma.aggregate_bandwidth(32 * 1024, 64, block_bytes=8)
     cpe_no_ldm = traffic / bw_no_ldm
     swcaffe = cg.dma.bulk_time(traffic)

@@ -1,10 +1,9 @@
 """Simulated time accounting.
 
-All performance numbers produced by this package come from
-:class:`SimClock`: pure arithmetic accumulation of model-predicted
-durations, never wall-clock measurement. A clock also keeps per-category
-totals ("dma", "compute", "rlc", "comm", ...) so harnesses can report
-time breakdowns like the paper's Fig. 11.
+All performance numbers produced by this package are model-predicted
+durations, never wall-clock measurement. :class:`SimClock` is the running
+total a simulated communicator keeps: its collectives and point-to-point
+sends, their retries and their timeouts advance it.
 
 :class:`SerialResource` is the package's one overlap rule. A resource
 that serves one window at a time (a network fabric, a pipeline stage or
@@ -15,61 +14,26 @@ that overlaps work with communication books its windows through it.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, TypeVar
+from typing import Any, TypeVar
 
 
 class SimClock:
-    """Accumulates simulated seconds, optionally per category.
-
-    The clock is deliberately minimal: ``advance`` moves time forward and
-    attributes the increment to the category named by the innermost active
-    :meth:`section` (or an explicit ``category=`` argument).
-    """
+    """Accumulates simulated seconds: ``advance`` moves time forward."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._by_category: dict[str, float] = defaultdict(float)
-        self._section_stack: list[str] = []
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, dt: float, category: str | None = None) -> None:
+    def advance(self, dt: float) -> None:
         """Move simulated time forward by ``dt`` seconds (must be >= 0)."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative time {dt!r}")
         self._now += dt
-        cat = category if category is not None else (
-            self._section_stack[-1] if self._section_stack else "other"
-        )
-        self._by_category[cat] += dt
-
-    @contextmanager
-    def section(self, category: str) -> Iterator[None]:
-        """Attribute all ``advance`` calls inside the block to ``category``."""
-        self._section_stack.append(category)
-        try:
-            yield
-        finally:
-            self._section_stack.pop()
-
-    def category_total(self, category: str) -> float:
-        """Total simulated seconds attributed to ``category``."""
-        return self._by_category.get(category, 0.0)
-
-    def breakdown(self) -> dict[str, float]:
-        """Copy of the per-category totals."""
-        return dict(self._by_category)
-
-    def reset(self) -> None:
-        """Zero the clock and all category totals."""
-        self._now = 0.0
-        self._by_category.clear()
 
 
 @dataclass(slots=True)

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.faults.injector import active as _faults, charge_transient
-from repro.hw.clock import SimClock
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.trace.tracer import active as _tracer
 
 
 def _real(x: float | np.ndarray) -> float | np.ndarray:
@@ -39,22 +36,16 @@ def _real(x: float | np.ndarray) -> float | np.ndarray:
 class DMAEngine:
     """Per-core-group DMA bandwidth/latency model.
 
-    The engine both *prices* transfers (:meth:`transfer_time`,
-    :meth:`aggregate_bandwidth`) and *executes* them on NumPy buffers while
-    charging a :class:`SimClock` (:meth:`get`, :meth:`put`), so functional
-    kernels and the cost model can never drift apart.
+    The engine only prices: :meth:`aggregate_bandwidth`,
+    :meth:`transfer_time` and :meth:`bulk_time` turn bytes into simulated
+    seconds. Kernel plans sum these times in their ``cost()``, and
+    :func:`repro.kernels.plan.replay` prices a tile walk with
+    :meth:`transfer_time`, transfer by transfer.
     """
 
-    def __init__(self, params: SW26010Params | None = None, clock: SimClock | None = None) -> None:
+    def __init__(self, params: SW26010Params | None = None) -> None:
         self.params = params or SW_PARAMS
-        self.clock = clock or SimClock()
-        #: Most recent traced span on this engine; operations on one
-        #: engine are serial, so each depends on the one before it.
-        self._last_span = None
 
-    # ------------------------------------------------------------------ #
-    # cost model
-    # ------------------------------------------------------------------ #
     def _size_efficiency(self, bytes_per_cpe: float | np.ndarray) -> float | np.ndarray:
         """Saturating efficiency in the per-CPE transfer size."""
         n = _real(bytes_per_cpe)
@@ -143,64 +134,3 @@ class DMAEngine:
         """Seconds for a full-cluster (64-CPE) transfer of ``total_bytes``."""
         per_cpe = _real(total_bytes) / self.params.n_cpes_per_cg
         return self.transfer_time(per_cpe, self.params.n_cpes_per_cg, block_bytes=block_bytes)
-
-    # ------------------------------------------------------------------ #
-    # functional transfers
-    # ------------------------------------------------------------------ #
-    def get(
-        self,
-        src: np.ndarray,
-        n_cpes: int = 64,
-        *,
-        block_bytes: float | None = None,
-    ) -> np.ndarray:
-        """Simulate ``dma_get``: copy ``src`` into "LDM" and charge the clock.
-
-        Returns a contiguous copy, standing in for the LDM-resident buffer.
-        """
-        out = np.ascontiguousarray(src).copy()
-        per_cpe = out.nbytes / n_cpes
-        dt = self.transfer_time(per_cpe, n_cpes, block_bytes=block_bytes)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "dma_get", "dma_transfer", track="dma",
-                start=self.clock.now, dur=dt,
-                args={"bytes": int(out.nbytes), "n_cpes": n_cpes},
-            )
-            if self._last_span is not None:
-                tr.edge(self._last_span, span)
-            self._last_span = span
-        self.clock.advance(dt, category="dma")
-        if _faults().enabled:
-            # Corrupted transfers are re-issued; data is re-copied intact.
-            charge_transient("dma", self.clock, dt, track="dma")
-        return out
-
-    def put(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        n_cpes: int = 64,
-        *,
-        block_bytes: float | None = None,
-    ) -> None:
-        """Simulate ``dma_put``: copy "LDM" data back to memory, charge clock."""
-        if dst.shape != src.shape:
-            raise ValueError(f"dma_put shape mismatch: {src.shape} -> {dst.shape}")
-        np.copyto(dst, src)
-        per_cpe = src.nbytes / n_cpes
-        dt = self.transfer_time(per_cpe, n_cpes, block_bytes=block_bytes)
-        tr = _tracer()
-        if tr.enabled:
-            span = tr.emit(
-                "dma_put", "dma_transfer", track="dma",
-                start=self.clock.now, dur=dt,
-                args={"bytes": int(src.nbytes), "n_cpes": n_cpes},
-            )
-            if self._last_span is not None:
-                tr.edge(self._last_span, span)
-            self._last_span = span
-        self.clock.advance(dt, category="dma")
-        if _faults().enabled:
-            charge_transient("dma", self.clock, dt, track="dma")

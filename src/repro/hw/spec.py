@@ -131,11 +131,6 @@ class SW26010Params:
         return self.cpe_rows * self.cpe_cols
 
     @property
-    def cpe_peak_flops(self) -> float:
-        """Peak double-precision FLOP/s of a single CPE."""
-        return self.cg_cpe_peak_flops / self.n_cpes_per_cg
-
-    @property
     def dma_latency_s(self) -> float:
         """DMA transaction latency in seconds."""
         return self.dma_latency_cycles / self.clock_hz

@@ -35,9 +35,3 @@ class PrefetchPipeline:
         if not self.enabled:
             return t_read
         return max(0.0, t_read - compute_time)
-
-    def is_io_bound(
-        self, n_processes: int, bytes_per_process: float, compute_time: float
-    ) -> bool:
-        """Whether reading outpaces compute at this scale."""
-        return self.iteration_io_time(n_processes, bytes_per_process, compute_time) > 0

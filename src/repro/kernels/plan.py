@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple
 from repro.errors import LDMAllocationError
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW26010Params, SW_PARAMS
-from repro.trace.tracer import active as _tracer, emit_cost_spans
 
 
 #: Work-saturation knee for convolution kernel invocations, in FLOPs.
@@ -70,11 +69,6 @@ class PlanCost:
         bound is the slowest of the three plus fixed overheads.
         """
         return max(self.compute_s, self.dma_s, self.rlc_s) + self.overhead_s
-
-    @property
-    def serial_s(self) -> float:
-        """Pessimistic no-overlap time (used by naive-port comparisons)."""
-        return self.compute_s + self.dma_s + self.rlc_s + self.overhead_s
 
     @property
     def gflops(self) -> float:
@@ -130,7 +124,7 @@ def pricing_core_group(params: SW26010Params) -> CoreGroup:
     """The one core group every plan of ``params`` prices against.
 
     Pricing reads only ``peak_flops`` and the DMA and RLC time formulas,
-    which advance no clock and record no trace state.
+    which keep no state, so one core group serves every plan.
     """
     return CoreGroup(params=params)
 
@@ -160,8 +154,10 @@ class WalkCost(NamedTuple):
 def replay(walk: Iterable[Transfer], params: SW26010Params) -> WalkCost:
     """Price a tile walk transfer by transfer, moving no data.
 
-    Each transfer costs what ``DMAEngine.get``/``put`` charge for it: the
-    ``transfer_time`` of its per-CPE share on its issuing CPEs.
+    Each transfer costs :meth:`~repro.hw.dma.DMAEngine.transfer_time` of
+    its per-CPE share on its issuing CPEs, the formula the plans' ``cost()``
+    prices their DMA with. Only tests replay walks: they pin each walk to
+    its plan's formula (``docs/calibration.md``).
 
     Raises
     ------
@@ -206,20 +202,6 @@ class KernelPlan(abc.ABC):
     @abc.abstractmethod
     def cost(self) -> PlanCost:
         """Simulated time for one invocation on one core group."""
-
-    def traced_cost(self, label: str | None = None) -> PlanCost:
-        """Price one invocation and emit its breakdown as trace spans.
-
-        When tracing is enabled (see :mod:`repro.trace`), the invocation
-        appears as a ``plan_cost`` span on the ``plan`` track with its
-        compute/DMA/RLC components as child spans on the resource tracks;
-        with tracing disabled this is exactly :meth:`cost`.
-        """
-        cost = self.cost()
-        tr = _tracer()
-        if tr.enabled:
-            emit_cost_spans(tr, label or self.name, cost, cat="plan_cost", track="plan")
-        return cost
 
     def time_s(self) -> float:
         """Convenience: total simulated seconds."""

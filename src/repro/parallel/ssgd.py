@@ -49,10 +49,6 @@ class OverlapSchedule:
     barrier_s: float
 
     @property
-    def n_launches(self) -> int:
-        return len(self.launches)
-
-    @property
     def n_buckets(self) -> int:
         return sum(self.merged)
 
@@ -176,13 +172,6 @@ class SSGDIterationModel:
             reduce_engine=self.reduce_engine,
             placement=self.placement,
         )
-
-    def allreduce_time(self, n_nodes: int) -> float:
-        """Inter-node gradient allreduce time at ``n_nodes`` for the
-        fused (single-message) payload."""
-        if n_nodes <= 1:
-            return 0.0
-        return self._single_allreduce_time(self.model_bytes, n_nodes)
 
     def overlap_schedule(self, n_nodes: int, compute_s: float) -> OverlapSchedule:
         """Schedule the bucket allreduces against a compute window.

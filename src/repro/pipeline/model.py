@@ -171,29 +171,6 @@ class PipelineIterationModel:
             xfer_bytes=[b * scale for b in self.plan.cut_bytes],
         )
 
-    def stage_allreduce_times(self) -> tuple[float, ...]:
-        """Per-stage-group parameter allreduce seconds (all 0 when
-        ``R = 1``). Groups are disjoint node sets, so they synchronize
-        concurrently; each allreduces only its own stage's parameters
-        across ``R`` ranks."""
-        if self.replicas <= 1:
-            return tuple(0.0 for _ in self.plan.stage_param_bytes)
-        return tuple(
-            allreduce_cost(
-                nbytes,
-                self.replicas,
-                nodes_per_supernode=self.nodes_per_supernode,
-                network=self.network,
-                reduce_engine=self.reduce_engine,
-                placement=self.placement,
-            )
-            for nbytes in self.plan.stage_param_bytes
-        )
-
-    def allreduce_time(self) -> float:
-        """Slowest stage group's parameter allreduce (0 when ``R = 1``)."""
-        return max(self.stage_allreduce_times())
-
     def update_time(self) -> float:
         """SGD update of the largest stage shard (5x parameter traffic,
         as in the DP model — but each node only owns its stage)."""

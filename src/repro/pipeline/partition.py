@@ -64,10 +64,6 @@ class StagePlan:
         return tuple(f + b for f, b in zip(self.stage_fwd_s, self.stage_bwd_s))
 
     @property
-    def bottleneck_s(self) -> float:
-        return max(self.stage_cost_s)
-
-    @property
     def stage_imbalance(self) -> float:
         """``max / mean - 1``: 0 for a perfectly balanced split."""
         costs = self.stage_cost_s
@@ -75,13 +71,6 @@ class StagePlan:
         if mean <= 0:
             return 0.0
         return max(costs) / mean - 1.0
-
-    def stage_of_layer(self, index: int) -> int:
-        """The stage owning layer ``index``."""
-        for s in range(self.n_stages):
-            if self.boundaries[s] <= index < self.boundaries[s + 1]:
-                return s
-        raise IndexError(f"layer index {index} outside {self.boundaries}")
 
     def layer_range(self, stage: int) -> range:
         """Layer indices of one stage."""

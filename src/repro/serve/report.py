@@ -48,10 +48,6 @@ class RequestRecord:
     def latency_s(self) -> float:
         return self.queue_s + self.batch_s + self.compute_s
 
-    @property
-    def done_s(self) -> float:
-        return self.arrival_s + self.latency_s
-
 
 def _percentile(samples: list[float], q: float) -> float:
     """NumPy-linear percentile via the metrics histogram (0.0 when empty)."""

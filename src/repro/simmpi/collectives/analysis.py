@@ -114,24 +114,3 @@ def stepwise_rhd_cost(
         d //= 2
         size /= 2.0
     return total
-
-
-def ring_allreduce_cost(nbytes: float, p: int, q: int, model: LinearCostModel) -> float:
-    """Ring allreduce cost under block numbering.
-
-    2(p-1) steps of n/p bytes. A ring laid out over block numbering crosses
-    a supernode boundary on ``s = p/q`` of its links; since every step's
-    slowest link paces the whole ring, every step pays beta2 whenever the
-    ring spans more than one supernode.
-    """
-    q = _check(p, q)
-    n = float(nbytes)
-    if p == 1:
-        return 0.0
-    beta = model.beta2 if p > q else model.beta1
-    steps = 2 * (p - 1)
-    return (
-        steps * model.alpha
-        + steps * beta * n / p
-        + model.gamma * n * (p - 1) / p
-    )

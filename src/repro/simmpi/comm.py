@@ -216,18 +216,18 @@ class SimComm:
             if first is not None:
                 self.prev_step_span = first
         result.add_step(step_time)
-        self.clock.advance(step_time, category="comm")
+        self.clock.advance(step_time)
         if fi.enabled:
             if slow_s > 0:
                 fi.note_slow(slow_s)
-            # Flaky-link retry: the whole lockstep step is repeated, time
-            # charged to the clock's "fault" category (the re-exchange
-            # carries identical data, so results stay bit-exact).
+            # Flaky-link retry: the whole lockstep step is repeated and
+            # its time charged to the clock (the re-exchange carries
+            # identical data, so results stay bit-exact).
             charge_transient("comm", self.clock, step_time, track="comm")
 
     def _timeout(self, dead: frozenset[int]) -> None:
         """Wait out the timeout on ``dead`` ranks, then fail the collective."""
-        self.clock.advance(self.timeout_s, category="fault")
+        self.clock.advance(self.timeout_s)
         tr = _tracer()
         if tr.enabled:
             tr.emit(

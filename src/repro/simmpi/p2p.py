@@ -18,8 +18,8 @@ and follows the package's data/time split:
   :class:`~repro.simmpi.nonblocking.IAllreduceQueue`.
 
 Fault hooks ride the existing ``"comm"`` transient site (a flaky link
-retries the transfer with identical data, time charged to the clock's
-``"fault"`` category), dead ranks raise
+retries the transfer with identical data, its time charged to the
+communicator clock), dead ranks raise
 :class:`~repro.errors.CollectiveTimeout` like a collective step would, and
 ``p2p_transfer`` spans carry dep edges so the critical-path profiler sees
 activation transfers.
@@ -34,7 +34,7 @@ import numpy as np
 from repro.errors import CommunicatorError
 from repro.faults.injector import active as _faults, charge_transient
 from repro.hw.clock import Reservation, SerialResource
-from repro.simmpi.comm import CollectiveResult, SimComm
+from repro.simmpi.comm import SimComm
 from repro.trace.scaling import active as _scaling
 from repro.trace.tracer import Span, active as _tracer
 
@@ -131,7 +131,7 @@ class P2PTransport:
     def _charge(self, t: float, slow_s: float) -> None:
         """The time path of every send: advance the communicator clock by
         the transfer and charge its faults."""
-        self.comm.clock.advance(t, category="comm")
+        self.comm.clock.advance(t)
         fi = _faults()
         if fi.enabled:
             if slow_s > 0:
@@ -266,30 +266,3 @@ class P2PTransport:
                 )
         return completed
 
-
-def p2p_shift(comm: SimComm, buffers: list[np.ndarray]) -> CollectiveResult:
-    """Ring shift built from matched p2p sends: rank ``r``'s buffer moves
-    to rank ``(r + 1) % p``, in place.
-
-    The conformance registry uses this to fuzz the p2p primitives with
-    the same differential machinery as the collectives: each transfer is
-    one accounted "step", and the delivered data must equal the rotated
-    inputs bit for bit.
-    """
-    p = comm.p
-    result = CollectiveResult()
-    if p == 1:
-        return result
-    transport = P2PTransport(comm)
-    for src in range(p):
-        res = transport.send(src, (src + 1) % p, buffers[src], tag="shift")
-        result.add_step(res.time_s)
-        result.alpha_count += 1
-        if res.cross_supernode:
-            result.bytes_cross += res.nbytes
-        else:
-            result.bytes_intra += res.nbytes
-    received = [transport.recv((dst - 1) % p, dst, tag="shift") for dst in range(p)]
-    for dst in range(p):
-        buffers[dst][...] = received[dst]
-    return result

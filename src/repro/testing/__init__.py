@@ -9,9 +9,9 @@ turns those claims into reusable machinery instead of ad-hoc per-test
 checks:
 
 * :mod:`repro.testing.references` — slow-but-obviously-correct dense
-  NumPy implementations of conv/pool/GEMM/softmax and of the collective
+  NumPy implementations of conv/pool/GEMM and of the collective
   reduction semantics, written with explicit loops so a reviewer can
-  verify them by inspection;
+  verify them by inspection, and the closed-form ring allreduce cost;
 * :mod:`repro.testing.registry` — the conformance registry: every kernel
   plan, collective algorithm and differentiable layer registers a spec
   describing how to sample configs, build an instance and compare it
@@ -23,6 +23,8 @@ checks:
   as a library API (promoted from ``tests/gradcheck.py``);
 * :mod:`repro.testing.invariants` — cost-model sanity assertions applied
   to every plan the fuzzer generates;
+* :mod:`repro.testing.chrome` — the structural validator every test
+  runs on an exported Chrome trace;
 * :mod:`repro.testing.pytest_plugin` — ``@conformance``-marked
   parametrized fixtures so new kernels/collectives/layers get coverage
   by registration rather than by hand-written tests.

@@ -8,9 +8,9 @@ automatically parametrized over the corresponding registry and marked
 * ``kernel_name`` — every registered kernel spec;
 * ``collective_name`` — every registered collective spec;
 * ``layer_name`` — every registered gradcheck layer case;
-* ``fault_seed`` — every chaos replay seed from
-  :func:`repro.faults.plan.conformance_seeds` (all fault profiles), so
-  faulted collectives ride the same ``pytest -m conformance`` selection.
+* ``fault_seed`` — every chaos replay seed from :func:`conformance_seeds`
+  (all fault profiles), so faulted collectives ride the same
+  ``pytest -m conformance`` selection.
 
 ``pytest -m conformance`` selects exactly the registry-driven tests. The
 default fuzz budget (:data:`FAST_CONFIGS` seeded configurations per spec)
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.plan import BASE_SEED, PROFILES, seed_string
 from repro.testing import gradcheck as _gradcheck
 from repro.testing import registry as _registry
 
@@ -73,9 +74,16 @@ def pytest_generate_tests(metafunc: pytest.Metafunc) -> None:
     if "layer_name" in metafunc.fixturenames:
         metafunc.parametrize("layer_name", _gradcheck.registered_layers())
     if "fault_seed" in metafunc.fixturenames:
-        from repro.faults.plan import conformance_seeds
-
         metafunc.parametrize("fault_seed", conformance_seeds())
+
+
+def conformance_seeds(n_per_profile: int = 2, base_seed: int = BASE_SEED) -> list[str]:
+    """The fault seeds ``pytest -m conformance`` replays (all profiles)."""
+    return [
+        seed_string(profile, i, base_seed)
+        for profile in PROFILES
+        for i in range(n_per_profile)
+    ]
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.topology.cost_model import LinearCostModel
+
 
 # --------------------------------------------------------------------------- #
 # dense linear algebra
@@ -29,14 +31,6 @@ def ref_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j in range(n):
             c[i, j] = float(np.dot(a[i, :], b[:, j]))
     return c
-
-
-def ref_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-stabilized softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -181,3 +175,22 @@ def ref_allreduce(buffers: list[np.ndarray], average: bool = False) -> list[np.n
     reduced = ref_reduce(buffers, average=average)
     return [reduced.copy() for _ in buffers]
 
+
+def ring_allreduce_cost(nbytes: float, p: int, q: int, model: LinearCostModel) -> float:
+    """Ring allreduce cost under block numbering, in closed form.
+
+    2(p-1) steps of n/p bytes. A ring laid out over block numbering crosses
+    a supernode boundary on ``s = p/q`` of its links; since every step's
+    slowest link paces the whole ring, every step pays beta2 whenever the
+    ring spans more than one supernode (``p > q``).
+    """
+    n = float(nbytes)
+    if p == 1:
+        return 0.0
+    beta = model.beta2 if p > q else model.beta1
+    steps = 2 * (p - 1)
+    return (
+        steps * model.alpha
+        + steps * beta * n / p
+        + model.gamma * n * (p - 1) / p
+    )

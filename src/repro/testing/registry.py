@@ -39,7 +39,7 @@ from repro.simmpi.collectives.rhd import rhd_allreduce
 from repro.simmpi.collectives.ring import ring_allreduce
 from repro.simmpi.collectives.topo_aware import topo_aware_allreduce
 from repro.simmpi.comm import CollectiveResult, SimComm
-from repro.simmpi.p2p import p2p_shift
+from repro.simmpi.p2p import P2PTransport
 from repro.simmpi.reorder import block_placement
 from repro.testing import references as ref
 from repro.topology.cost_model import LinearCostModel
@@ -523,6 +523,34 @@ for _name, _fn in [
     ("topo_aware_allreduce", topo_aware_allreduce),
 ]:
     register_collective(_allreduce_spec(_name, _fn))
+
+
+def p2p_shift(comm: SimComm, buffers: list[np.ndarray]) -> CollectiveResult:
+    """Ring shift built from matched p2p sends: rank ``r``'s buffer moves
+    to rank ``(r + 1) % p``, in place.
+
+    The ``p2p_shift`` spec fuzzes the p2p primitives with the same
+    differential machinery as the collectives: each transfer is one
+    accounted "step", and the delivered data must equal the rotated
+    inputs bit for bit.
+    """
+    p = comm.p
+    result = CollectiveResult()
+    if p == 1:
+        return result
+    transport = P2PTransport(comm)
+    for src in range(p):
+        res = transport.send(src, (src + 1) % p, buffers[src], tag="shift")
+        result.add_step(res.time_s)
+        result.alpha_count += 1
+        if res.cross_supernode:
+            result.bytes_cross += res.nbytes
+        else:
+            result.bytes_intra += res.nbytes
+    received = [transport.recv((dst - 1) % p, dst, tag="shift") for dst in range(p)]
+    for dst in range(p):
+        buffers[dst][...] = received[dst]
+    return result
 
 
 def _p2p_shift_execute(comm, inputs, cfg):

@@ -47,11 +47,6 @@ class TaihuLightFabric:
         self.nodes_per_supernode = int(nodes_per_supernode)
         self.network = network or SW_COLLECTIVE_NETWORK
 
-    @property
-    def n_supernodes(self) -> int:
-        """Number of (possibly partial) supernodes in the allocation."""
-        return -(-self.n_nodes // self.nodes_per_supernode)
-
     def supernode_of(self, node_id: int) -> int:
         """Supernode index of a physical node."""
         self._check(node_id)

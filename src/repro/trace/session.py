@@ -227,7 +227,7 @@ def trace_training_step(
                 # every round's start accumulates exactly as the critical
                 # path chains it.
                 comm = SimComm(fabric, placement, gamma=gamma)
-                comm.clock.advance(ready, category="comm")
+                comm.clock.advance(ready)
                 comm.prev_step_span = barrier
                 res = replay_rhd(comm, payload)
                 ready = comm.clock.now

@@ -1,13 +1,13 @@
 """The tracer: typed spans on the simulated clock.
 
 A :class:`Tracer` collects :class:`Span` records — named, categorised
-intervals on named *tracks* — from instrumentation hooks spread through the
-hardware model (``repro.hw``), the kernel plans, the simulated MPI layer and
-the training framework. Time is always *simulated* seconds (the same
-numbers :class:`~repro.hw.clock.SimClock` accumulates), never wall clock,
-so traces are deterministic and reproducible.
+intervals on named *tracks* — from instrumentation hooks in the training
+framework, the simulated MPI layer, the pipeline and serving schedules and
+the fault injector. A priced invocation's compute/DMA/RLC parts come from
+:func:`emit_cost_spans`. Time is always *simulated* seconds, never wall
+clock, so traces are deterministic and reproducible.
 
-Tracks are ``/``-separated paths (``rank0/dma``, ``mesh/row3``); the first
+Tracks are ``/``-separated paths (``rank0/dma``, ``p2p/fabric``); the first
 segment becomes the Perfetto *process*, the rest the *thread*, giving the
 one-track-per-rank/resource layout the exporters render.
 
@@ -38,10 +38,9 @@ from repro.errors import SpanValidationError
 #: The span taxonomy. Instrumentation sites use these categories; exporters
 #: and the attribution summary group by them. See ``docs/observability.md``.
 SPAN_CATEGORIES = (
-    "dma_transfer",  # DMAEngine get/put between DDR3 and LDM
-    "rlc_exchange",  # register-bus P2P / broadcast on the CPE mesh
-    "cpe_compute",   # CPE pipeline work
-    "ldm_alloc",     # instant: LDM buffer reservation
+    "dma_transfer",  # priced DDR3 <-> LDM DMA time (emit_cost_spans)
+    "rlc_exchange",  # priced register-bus time on the CPE mesh (emit_cost_spans)
+    "cpe_compute",   # priced CPE pipeline work (emit_cost_spans)
     "collective_step",  # one lockstep round of a simulated collective
     "collective_launch",  # instant: a nonblocking collective was launched
     "overlap_window",   # portion of a collective hidden behind backward compute
@@ -80,7 +79,7 @@ class Span(NamedTuple):
     Attributes
     ----------
     name:
-        Human-readable label ("dma_get", "conv1_1 fwd", "step3", ...).
+        Human-readable label ("conv1_1 fwd", "step3", "xfer 0->1", ...).
     cat:
         One of :data:`SPAN_CATEGORIES` (free-form strings are allowed for
         extensions; exporters pass them through).
@@ -91,7 +90,7 @@ class Span(NamedTuple):
     args:
         Optional metadata (bytes moved, bandwidth, partner rank, ...).
     instant:
-        True for zero-duration point events (e.g. ``ldm_alloc``).
+        True for zero-duration point events (e.g. ``fault_inject``).
     """
 
     name: str
@@ -272,17 +271,6 @@ class Tracer:
             )
             dur = max(descendant_end - start, 0.0)
         self.emit(name, cat, track="/" + resolved, start=start, dur=dur, args=args)
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def by_category(self, cat: str) -> list[Span]:
-        """All spans of one category, in emission order."""
-        return [s for s in self.spans if s.cat == cat]
-
-    def tracks(self) -> list[str]:
-        """Sorted list of every track that received a span."""
-        return sorted({s.track for s in self.spans})
 
     def __len__(self) -> int:
         return len(self.spans)

@@ -62,11 +62,6 @@ class NetProfiler:
                 agg["total"] += cost.total_s
         return agg
 
-    def top_layers(self, n: int = 5, profiles: list[LayerProfile] | None = None) -> list[LayerProfile]:
-        """The n most expensive layers."""
-        profiles = profiles if profiles is not None else self.profile()
-        return sorted(profiles, key=lambda p: p.total_s, reverse=True)[:n]
-
     def render(self, min_fraction: float = 0.005) -> str:
         """Profile table; layers under ``min_fraction`` of total are folded."""
         profiles = self.profile()

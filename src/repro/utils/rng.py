@@ -29,24 +29,6 @@ def seeded_rng(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
 
-def derive_rng(parent: np.random.Generator, *keys: int | str) -> np.random.Generator:
-    """Derive a child generator from ``parent`` and a key path.
-
-    The derivation is order-sensitive and collision-resistant enough for
-    simulation purposes: each key perturbs a seed sequence spawned from the
-    parent's bit generator. Use this to give each simulated rank / layer its
-    own stream without global coordination.
-    """
-    material: list[int] = []
-    for key in keys:
-        if isinstance(key, str):
-            material.extend(key.encode("utf-8"))
-        else:
-            material.append(int(key) & 0xFFFFFFFF)
-    seed = parent.integers(0, 2**63 - 1, dtype=np.int64)
-    return np.random.default_rng([int(seed), *material])
-
-
 #: ``draw(generator)`` returns one fill's value. (The generator type is a
 #: forward reference so importing this module does not load numpy.random.)
 Draw = Callable[["np.random.Generator"], np.ndarray]

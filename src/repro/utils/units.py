@@ -41,12 +41,3 @@ def format_time(seconds: float) -> str:
     if abs(s) >= US:
         return f"{s / US:.4g} us"
     return f"{s / 1e-9:.4g} ns"
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Render a bandwidth in decimal units (``2.8e10 -> '28 GB/s'``)."""
-    r = float(bytes_per_second)
-    for unit, suffix in ((GB, "GB/s"), (MB, "MB/s"), (KB, "KB/s")):
-        if abs(r) >= unit:
-            return f"{r / unit:.4g} {suffix}"
-    return f"{r:.4g} B/s"

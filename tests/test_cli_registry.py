@@ -93,7 +93,7 @@ class TestPipelineCommand:
     def test_trace_export_is_valid_chrome(self, tmp_path, capsys):
         import json
 
-        from repro.trace.export import validate_chrome
+        from repro.testing.chrome import validate_chrome
 
         path = tmp_path / "pipe.json"
         assert main(["pipeline", "lenet", "--stages", "2",

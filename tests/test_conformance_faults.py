@@ -26,9 +26,10 @@ from repro.faults.injector import charge_transient, injecting
 from repro.faults.plan import FaultPlan
 from repro.hw.clock import SimClock
 from repro.simmpi.collectives.rhd import rhd_allreduce
+from repro.testing.chrome import validate_chrome
 from repro.testing.references import ref_allreduce
 from repro.testing.registry import make_fuzz_comm
-from repro.trace.export import to_chrome, validate_chrome
+from repro.trace.export import to_chrome
 from repro.trace.tracer import Tracer, tracing
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_faults.json"
@@ -56,19 +57,19 @@ def test_faulted_allreduce_stays_bit_exact(fault_seed):
         faulted = [b.copy() for b in inputs]
         comm = make_fuzz_comm(p)
         plan = FaultPlan.from_seed(fault_seed, ranks=p)
-        with injecting(plan):
+        with injecting(plan) as fi:
             rhd_allreduce(comm, faulted, average=True)
 
         for rank in range(p):
             assert np.array_equal(faulted[rank], clean[rank])
             np.testing.assert_allclose(faulted[rank], expect[rank], rtol=1e-12)
         # Injection can only add time, never remove it. Without stragglers
-        # the added time is exactly the fault-categorized retry backoff;
-        # straggler slowdown rides the regular comm charge on top.
+        # the added time is exactly the injector's retry time; straggler
+        # slowdown rides the regular comm charge on top.
         added = comm.clock.now - clean_comm.clock.now
-        assert added >= comm.clock.category_total("fault") - 1e-15
+        assert added >= fi.retry_s - 1e-15
         if not plan.stragglers:
-            assert added == pytest.approx(comm.clock.category_total("fault"))
+            assert added == pytest.approx(fi.retry_s)
 
 
 # --------------------------------------------------------------------------- #
@@ -79,13 +80,13 @@ def faulted_tracer() -> Tracer:
     tr = Tracer()
     plan = FaultPlan(
         seed="golden", profile="chaos", ranks=2, iterations=1,
-        dma_rate=0.6, comm_rate=0.3, timeout_s=1e-3,
+        comm_rate=0.3, timeout_s=1e-3,
     )
     with tracing(tr), injecting(plan):
         with tr.context("rank0"):
             clock = SimClock()
             for _ in range(6):
-                charge_transient("dma", clock, 1e-4, track="dma")
+                charge_transient("comm", clock, 1e-4, track="comm")
             comm = make_fuzz_comm(2)
             comm.failed_ranks = frozenset({1})
             comm.timeout_s = plan.timeout_s

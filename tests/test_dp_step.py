@@ -89,7 +89,7 @@ def test_executed_allreduce_is_the_model_allreduce(n, algorithm, placement):
         placement=placement,
     )
     assert stats.comm_time_s / iterations == pytest.approx(
-        model.allreduce_time(n), rel=rel_bound(n)
+        model.breakdown(n).allreduce_s, rel=rel_bound(n)
     )
 
 

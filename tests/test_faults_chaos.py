@@ -4,8 +4,9 @@ Three properties, each over many seeds (>= 50 distinct seed strings are
 replayed across this module):
 
 (a) **transient bit-exactness** — allreduce results under injected
-    DMA/RLC/link faults are bit-identical to the fault-free run (faults
-    cost time, never data);
+    link faults are bit-identical to the fault-free run (faults cost
+    time, never data), and every transient site a plan rates fires in a
+    chaos run;
 (b) **bitwise recovery** — after a rank crash, elastic recovery converges
     to exactly the weights of a fault-free run at the same effective
     schedule (full roster to the resume iteration, survivors after);
@@ -20,7 +21,13 @@ import pytest
 
 from repro.errors import CollectiveTimeout
 from repro.faults.injector import NULL_INJECTOR, FaultInjector, active, injecting
-from repro.faults.plan import PROFILES, FaultPlan, seed_string, zero_plan
+from repro.faults.plan import (
+    PROFILES,
+    SITE_KINDS,
+    TRANSIENT_SITES,
+    FaultPlan,
+    seed_string,
+)
 from repro.faults.session import run_chaos
 from repro.frame.layers.data import DataLayer
 from repro.frame.layers.inner_product import InnerProductLayer
@@ -105,7 +112,7 @@ def test_seed_replays_identically(seed):
     a = FaultPlan.from_seed(seed, ranks=8, iterations=6)
     b = FaultPlan.from_seed(seed, ranks=8, iterations=6)
     assert a == b
-    for site in ("dma", "rlc", "comm"):
+    for site in TRANSIENT_SITES:
         assert [a.transient_faults(site, n) for n in range(64)] == [
             b.transient_faults(site, n) for n in range(64)
         ]
@@ -126,7 +133,8 @@ def test_allreduce_bit_exact_under_transient_faults(seed):
     inputs = [rng.normal(size=257) for _ in range(p)]
 
     clean = [b.copy() for b in inputs]
-    rhd_allreduce(make_fuzz_comm(p), clean, average=True)
+    clean_comm = make_fuzz_comm(p)
+    rhd_allreduce(clean_comm, clean, average=True)
 
     plan = FaultPlan.from_seed(seed, ranks=p)
     faulted = [b.copy() for b in inputs]
@@ -139,8 +147,27 @@ def test_allreduce_bit_exact_under_transient_faults(seed):
             f"rank {rank} data corrupted under {seed}"
         )
     if fi.retries:
-        # Retries happened and cost simulated time, attributed to "fault".
-        assert comm.clock.category_total("fault") > 0
+        # Retries happened and cost exactly their retry time on the clock.
+        assert comm.clock.now == pytest.approx(clean_comm.clock.now + fi.retry_s)
+        assert fi.retry_s > 0
+
+
+@pytest.mark.parametrize("site", TRANSIENT_SITES)
+def test_every_transient_site_fires_in_a_chaos_run(site, monkeypatch, tmp_path):
+    """A rate a plan prints must name a site that training reaches: with
+    only ``site``'s rate set high, a chaos run injects ``site``'s kind."""
+    def only_this_site(cls, seed, *, ranks, iterations=1):
+        return cls(seed=seed, profile="transient", ranks=ranks,
+                   iterations=iterations, **{f"{site}_rate": 0.9})
+
+    monkeypatch.setattr(FaultPlan, "from_seed", classmethod(only_this_site))
+    report = run_chaos(
+        make_factory(2), ranks=2, iterations=2, seed=seed_string("transient", 0),
+        snapshot_dir=str(tmp_path), verify=False,
+    )
+    assert report.injected[SITE_KINDS[site]] > 0, (
+        f"the {site!r} site never fired: {dict(report.injected)}"
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -195,8 +222,7 @@ def test_topo_aware_clone_charges_the_timeout_to_the_caller():
     comm.failed_ranks = frozenset({5})
     with pytest.raises(CollectiveTimeout):
         topo_aware_allreduce(comm, [np.ones(16) for _ in range(8)])
-    assert comm.clock.category_total("fault") == comm.timeout_s
-    assert comm.clock.now == comm.clock.category_total("fault")
+    assert comm.clock.now == comm.timeout_s
 
 
 def test_recovery_without_snapshots_is_fatal():
@@ -226,39 +252,17 @@ def test_zero_plan_run_is_byte_identical_to_disabled_run():
     s_off = t_off.step(iters)
 
     t_zero = DistributedTrainer(make_factory(ranks), ranks, algorithm="rhd")
-    with injecting(zero_plan(ranks, iters)) as fi:
+    zero_plan = FaultPlan(seed="none", profile="transient", ranks=ranks, iterations=iters)
+    with injecting(zero_plan) as fi:
         s_zero = t_zero.step(iters)
 
     assert s_off.losses == s_zero.losses
     assert s_off.comm_time_s == s_zero.comm_time_s
-    assert t_off.comm.clock.breakdown() == t_zero.comm.clock.breakdown()
+    assert t_off.comm.clock.now == t_zero.comm.clock.now
     assert np.array_equal(
         t_off.packers[0].pack_data(), t_zero.packers[0].pack_data()
     )
     assert fi.retries == 0 and not fi.injected
-
-
-def test_zero_plan_hw_charges_are_byte_identical():
-    from repro.hw.dma import DMAEngine
-    from repro.hw.rlc import RegisterComm
-
-    buf = np.arange(4096, dtype=np.float32)
-
-    def drive():
-        dma = DMAEngine()
-        rlc = RegisterComm()
-        got = dma.get(buf)
-        dma.put(got, np.empty_like(buf))
-        rlc.charge_p2p(2048, n_concurrent=8)
-        rlc.charge_broadcast(4096, n_concurrent=8)
-        return dma.clock.breakdown(), rlc.clock.breakdown(), got
-
-    off_dma, off_rlc, off_data = drive()
-    with injecting(zero_plan()):
-        on_dma, on_rlc, on_data = drive()
-    assert off_dma == on_dma
-    assert off_rlc == on_rlc
-    assert np.array_equal(off_data, on_data)
 
 
 def test_straggler_slows_collective_but_keeps_data():

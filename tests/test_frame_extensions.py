@@ -1,6 +1,8 @@
 """Tests for framework extensions: netspec, snapshots, solver family,
 grouped convolution, and the extra Caffe layers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,8 @@ from repro.frame.layers.reshape_ops import (
 from repro.frame.layers.scale import ScaleLayer
 from repro.frame.layers.softmax import SoftmaxWithLossLayer
 from repro.frame.net import Net
-from repro.frame.netspec import build_from_spec, load_spec, save_spec
-from repro.frame.snapshot import load_solver, load_weights, save_solver, save_weights
+from repro.frame.netspec import build_from_spec
+from repro.frame.snapshot import load_solver, save_solver
 from repro.frame.solver import SGDSolver
 from repro.frame.solvers_ext import (
     AdaGradSolver,
@@ -69,9 +71,9 @@ class TestNetSpec:
         assert stats.losses[-1] < stats.losses[0]
 
     def test_spec_round_trip_json(self, tmp_path):
-        path = str(tmp_path / "mlp.json")
-        save_spec(MLP_SPEC, path)
-        spec2 = load_spec(path)
+        path = tmp_path / "mlp.json"
+        path.write_text(json.dumps(MLP_SPEC))
+        spec2 = json.loads(path.read_text())
         assert spec2 == MLP_SPEC
         net = build_from_spec(spec2, source=mlp_source())
         assert len(net.layers) == 5
@@ -110,30 +112,16 @@ class TestSnapshot:
     def make_net(self):
         return build_from_spec(MLP_SPEC, source=mlp_source(), rng=seeded_rng(2))
 
-    def test_weights_round_trip(self, tmp_path):
-        net = self.make_net()
-        SGDSolver(net, base_lr=0.05).step(3)
-        path = str(tmp_path / "w.npz")
-        save_weights(net, path)
-        fresh = self.make_net()
-        before = fresh.forward()["loss"]
-        loaded = load_weights(fresh, path)
-        assert len(loaded) == len(fresh.params)
-        for a, b in zip(net.params, fresh.params):
-            np.testing.assert_array_equal(a.data, b.data)
-        after = fresh.forward()["loss"]
-        assert after != before
-
     def test_shape_mismatch_rejected(self, tmp_path):
         net = self.make_net()
-        path = str(tmp_path / "w.npz")
-        save_weights(net, path)
+        path = str(tmp_path / "solver.npz")
+        save_solver(SGDSolver(net), path)
         other_spec = dict(MLP_SPEC)
         other_spec["layers"] = [dict(l) for l in MLP_SPEC["layers"]]
         other_spec["layers"][1] = dict(other_spec["layers"][1], params={"num_output": 17})
         other = build_from_spec(other_spec, source=mlp_source())
         with pytest.raises(ShapeError):
-            load_weights(other, path)
+            load_solver(SGDSolver(other), path)
 
     def test_solver_state_round_trip(self, tmp_path):
         net = self.make_net()
@@ -159,7 +147,7 @@ class TestSnapshot:
     def test_non_solver_file_rejected(self, tmp_path):
         net = self.make_net()
         path = str(tmp_path / "w.npz")
-        save_weights(net, path)
+        np.savez(path, **{p.name: p.data for p in net.params})
         with pytest.raises(ShapeError):
             load_solver(SGDSolver(net), path)
 
@@ -185,12 +173,6 @@ class TestSnapshot:
             assert a.data.tobytes() == b.data.tobytes()
             assert (solver._velocity[id(a)].tobytes()
                     == resumed._velocity[id(b)].tobytes())
-        weights = str(tmp_path / "w_old.npz")
-        np.savez_compressed(weights, **{p.name: p.data for p in net.params})
-        fresh = self.make_net()
-        assert load_weights(fresh, weights) == [p.name for p in fresh.params]
-        for a, b in zip(net.params, fresh.params):
-            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestSolverFamily:

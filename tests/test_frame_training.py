@@ -76,13 +76,6 @@ class TestSolverMechanics:
         assert stats.iterations == 3
         assert len(stats.losses) == 3
         assert stats.simulated_time_s > 0
-        assert stats.final_loss == stats.losses[-1]
-
-    def test_stats_empty_final_loss(self):
-        from repro.frame.solver import SolverStats
-
-        with pytest.raises(ValueError):
-            SolverStats().final_loss
 
 
 class TestLearning:

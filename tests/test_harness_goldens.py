@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from repro.faults.injector import injecting
-from repro.faults.plan import seed_string, zero_plan
+from repro.faults.plan import FaultPlan, seed_string
 from repro.faults.session import run_chaos
 from repro.frame.layers.data import DataLayer
 from repro.frame.layers.inner_product import InnerProductLayer
@@ -159,7 +159,8 @@ def _chaos_overhead(ranks=4, iters=6):
     off = DistributedTrainer(_mlp_factory(), ranks, algorithm="rhd")
     s_off = off.step(iters)
     zero = DistributedTrainer(_mlp_factory(), ranks, algorithm="rhd")
-    with injecting(zero_plan(ranks, iters)):
+    zero_plan = FaultPlan(seed="none", profile="transient", ranks=ranks, iterations=iters)
+    with injecting(zero_plan):
         s_zero = zero.step(iters)
     delta = np.max(np.abs(off.packers[0].pack_data() - zero.packers[0].pack_data()))
     with tempfile.TemporaryDirectory() as snapshots:

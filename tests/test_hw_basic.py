@@ -30,9 +30,6 @@ class TestSpecs:
             SW26010_SPEC.peak_double, rel=0.01
         )
 
-    def test_cpe_peak_is_cluster_fraction(self):
-        assert SW_PARAMS.cpe_peak_flops == pytest.approx(742.4e9 / 64)
-
     def test_flop_per_byte_matches_paper(self):
         # Principle 3: 742.4 GFlops / 28 GB/s = 26.5
         assert SW_PARAMS.flop_per_byte == pytest.approx(26.5, rel=0.01)
@@ -58,33 +55,6 @@ class TestSimClock:
         clk = SimClock()
         with pytest.raises(ValueError):
             clk.advance(-1.0)
-
-    def test_sections_categorize(self):
-        clk = SimClock()
-        with clk.section("dma"):
-            clk.advance(1.0)
-            with clk.section("compute"):
-                clk.advance(2.0)
-            clk.advance(0.5)
-        clk.advance(0.25)
-        assert clk.category_total("dma") == pytest.approx(1.5)
-        assert clk.category_total("compute") == pytest.approx(2.0)
-        assert clk.category_total("other") == pytest.approx(0.25)
-        assert clk.now == pytest.approx(3.75)
-
-    def test_explicit_category_overrides_section(self):
-        clk = SimClock()
-        with clk.section("dma"):
-            clk.advance(1.0, category="rlc")
-        assert clk.category_total("rlc") == pytest.approx(1.0)
-        assert clk.category_total("dma") == 0.0
-
-    def test_reset(self):
-        clk = SimClock()
-        clk.advance(1.0)
-        clk.reset()
-        assert clk.now == 0.0
-        assert clk.breakdown() == {}
 
 
 #: Non-negative finite seconds, wide enough that ``start + dur`` rounds.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hw.clock import SimClock
 from repro.hw.dma import DMAEngine
 from repro.hw.rlc import RegisterComm
 
@@ -147,36 +146,3 @@ class TestArrayPricing:
             assert dma.bulk_time(nbytes) == 0.0
             assert dma.bulk_time(nbytes, block_bytes=256) == 0.0
             assert rlc.broadcast_time(nbytes) == 0.0
-
-
-class TestFunctionalTransfers:
-    def test_get_copies_and_charges(self):
-        clock = SimClock()
-        dma = DMAEngine(clock=clock)
-        src = np.arange(1024, dtype=np.float64)
-        out = dma.get(src)
-        np.testing.assert_array_equal(out, src)
-        assert out is not src
-        assert clock.now > 0
-        assert clock.category_total("dma") == pytest.approx(clock.now)
-
-    def test_put_writes_destination(self):
-        clock = SimClock()
-        dma = DMAEngine(clock=clock)
-        src = np.ones((8, 8))
-        dst = np.zeros((8, 8))
-        dma.put(src, dst)
-        np.testing.assert_array_equal(dst, src)
-        assert clock.now > 0
-
-    def test_put_shape_mismatch(self):
-        dma = DMAEngine()
-        with pytest.raises(ValueError):
-            dma.put(np.ones(4), np.zeros(5))
-
-    def test_get_noncontiguous_source(self):
-        dma = DMAEngine()
-        src = np.arange(64).reshape(8, 8)[:, ::2]
-        out = dma.get(src)
-        np.testing.assert_array_equal(out, src)
-        assert out.flags["C_CONTIGUOUS"]

@@ -87,7 +87,7 @@ class TestPrefetchPipeline:
         t_read = pipe.read_time(2048, 192 * MB)
         exposed = pipe.iteration_io_time(2048, 192 * MB, compute_time=1.0)
         assert exposed == pytest.approx(t_read - 1.0)
-        assert pipe.is_io_bound(2048, 192 * MB, compute_time=1.0)
+        assert exposed > 0
 
     def test_disabled_pipeline_serializes(self):
         pipe = PrefetchPipeline(DiskArrayModel(), StripingPolicy.swcaffe(), enabled=False)

@@ -164,10 +164,6 @@ class TestPlanCost:
         c = PlanCost(compute_s=2.0, dma_s=3.0, rlc_s=1.0, overhead_s=0.5)
         assert c.total_s == pytest.approx(3.5)
 
-    def test_serial_sums_everything(self):
-        c = PlanCost(compute_s=2.0, dma_s=3.0, rlc_s=1.0, overhead_s=0.5)
-        assert c.serial_s == pytest.approx(6.5)
-
     def test_combine_sequential_preserves_total(self):
         a = PlanCost(compute_s=1.0, dma_s=2.0)
         b = PlanCost(compute_s=3.0, dma_s=0.5)

@@ -25,7 +25,7 @@ from repro.kernels.im2col import Im2colPlan
 from repro.metrics.export import to_chrome_with_metrics
 from repro.metrics.roofline import classify_cost, net_roofline
 from repro.metrics.session import collect_training_step
-from repro.trace.export import validate_chrome
+from repro.testing.chrome import validate_chrome
 from repro.trace.session import trace_training_step
 from repro.trace.tracer import Tracer
 
@@ -55,7 +55,7 @@ class TestTraceMetricsConsistency:
         report = collect_training_step(
             lenet.build(batch_size=16), ranks=2, tracer=tracer
         )
-        spans = tracer.by_category("dma_transfer")
+        spans = [s for s in tracer.spans if s.cat == "dma_transfer"]
         assert spans, "session trace should contain dma_transfer spans"
         span_bytes = sum(s.args["bytes"] for s in spans)
         counted = sum(

@@ -30,4 +30,4 @@ class TestTimingModel:
         model_bytes = 232.6e6
         ps = ParameterServerModel(model_bytes=model_bytes, n_servers=16)
         ssgd = SSGDIterationModel(compute_s=1.0, model_bytes=model_bytes)
-        assert ps.sync_time(1024) > 3 * ssgd.allreduce_time(1024)
+        assert ps.sync_time(1024) > 3 * ssgd.breakdown(1024).allreduce_s

@@ -26,8 +26,9 @@ import pytest
 from repro.frame.model_zoo import lenet
 from repro.pipeline.schedule import emit_pipeline_trace, simulate_pipeline
 from repro.pipeline.trainer import PipelineTrainer
+from repro.testing.chrome import validate_chrome
 from repro.trace.critpath import build_graph, schedule
-from repro.trace.export import to_chrome, validate_chrome
+from repro.trace.export import to_chrome
 from repro.trace.tracer import Tracer, tracing
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_pipeline.json"

@@ -25,11 +25,6 @@ class TestNetProfiler:
         assert agg["total"] == pytest.approx(sum(p.total_s for p in profiles))
         assert agg["total"] == pytest.approx(net.sw_iteration_time(), rel=1e-9)
 
-    def test_top_layers_sorted(self, net):
-        top = NetProfiler(net).top_layers(3)
-        assert len(top) == 3
-        assert top[0].total_s >= top[1].total_s >= top[2].total_s
-
     def test_bottleneck_labels(self, net):
         for p in NetProfiler(net).profile():
             assert p.bottleneck in ("compute", "dma", "rlc", "overhead")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults.injector import FaultInjector, injecting
-from repro.faults.plan import FaultPlan, zero_plan
+from repro.faults.plan import FaultPlan
 from repro.serve.arrivals import ArrivalPlan, Request
 from repro.serve.costmodel import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
@@ -90,7 +90,6 @@ class TestInvariants:
             assert r.latency_s == pytest.approx(
                 r.queue_s + r.batch_s + r.compute_s
             )
-            assert r.done_s == pytest.approx(r.arrival_s + r.latency_s)
             assert r.queue_s >= 0 and r.batch_s >= -1e-12 and r.compute_s > 0
 
     def test_deterministic_replay(self):
@@ -146,7 +145,7 @@ class TestFaults:
         assert fi.injected["mesh_degrade"] == 1
 
         bare = run(requests, max_batch=4)
-        with injecting(zero_plan()):
+        with injecting(FaultPlan(seed="none", profile="transient", ranks=1, iterations=1)):
             zero = run(requests, max_batch=4)
         assert zero.records == bare.records
 

@@ -15,7 +15,8 @@ import pathlib
 from repro.serve.arrivals import ArrivalPlan, Request
 from repro.serve.costmodel import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
-from repro.trace.export import to_chrome, validate_chrome
+from repro.testing.chrome import validate_chrome
+from repro.trace.export import to_chrome
 from repro.trace.tracer import Tracer, tracing
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_serve.json"
@@ -59,15 +60,15 @@ class TestGolden:
 class TestStructure:
     def test_spans_land_on_the_serve_tracks(self):
         tr = serve_traced()
-        assert set(tr.tracks()) == {
+        assert {s.track for s in tr.spans} == {
             "serve/requests", "serve/scheduler", "serve/engine"
         }
 
     def test_span_taxonomy(self):
         tr = serve_traced()
-        queued = tr.by_category("request_queued")
-        dispatch = tr.by_category("batch_dispatch")
-        compute = tr.by_category("batch_compute")
+        queued = [s for s in tr.spans if s.cat == "request_queued"]
+        dispatch = [s for s in tr.spans if s.cat == "batch_dispatch"]
+        compute = [s for s in tr.spans if s.cat == "batch_compute"]
         assert len(queued) == 6
         assert len(dispatch) == len(compute) == 3
         assert all(s.instant for s in queued + dispatch)
@@ -75,7 +76,7 @@ class TestStructure:
 
     def test_compute_spans_never_overlap(self):
         """One engine: batch k+1 starts at or after batch k ends."""
-        compute = serve_traced().by_category("batch_compute")
+        compute = [s for s in serve_traced().spans if s.cat == "batch_compute"]
         for a, b in zip(compute, compute[1:]):
             assert b.start_s >= a.end_s - 1e-12
 
@@ -87,7 +88,7 @@ class TestStructure:
         )
         with tracing() as tr:
             report = engine.run(burst)
-        shed = tr.by_category("request_shed")
+        shed = [s for s in tr.spans if s.cat == "request_shed"]
         assert report.n_shed > 0
         assert len(shed) == report.n_shed
         assert all(s.track == "serve/requests" and s.instant for s in shed)

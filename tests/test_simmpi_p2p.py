@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.errors import CollectiveTimeout, CommunicatorError
-from repro.simmpi.p2p import P2PTransport, p2p_shift
-from repro.testing.registry import make_fuzz_comm
+from repro.simmpi.p2p import P2PTransport
+from repro.testing.registry import make_fuzz_comm, p2p_shift
 from repro.trace.scaling import CostScaling, scaling
 from repro.trace.tracer import Tracer, tracing
 

@@ -100,12 +100,12 @@ def test_traced_topo_aware_call_runs_on_the_trainer_clock():
     trainer = DistributedTrainer(mlp, 8, algorithm="topo-aware", nodes_per_supernode=4)
     comm = trainer.comm
     t = 0.25
-    comm.clock.advance(t, category="comm")
+    comm.clock.advance(t)
     with tracing() as tr:
         barrier = tr.emit("barrier", "collective_step", track="rank0/collective", start=t)
         comm.prev_step_span = barrier
         topo_aware_allreduce(comm, [np.ones(64) for _ in range(8)])
-    first_round = [s for s in tr.by_category("collective_step") if s.name == "step0"]
+    first_round = [s for s in tr.spans if s.cat == "collective_step" and s.name == "step0"]
     assert len(first_round) == 8
     assert all(s.start_s == t for s in first_round)
     assert sum(1 for src, _, _ in tr.edges if src is barrier) == 8

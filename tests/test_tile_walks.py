@@ -20,7 +20,6 @@ Tier 1 draws 50 hypothesis cases per byte pin; ``REPRO_HEAVY=1`` 2000.
 import dataclasses
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,12 +192,11 @@ class TestModelZoo:
 
 
 class TestReplay:
-    def test_replay_charges_what_dma_get_charges(self):
-        cg = CoreGroup()
-        buf = np.zeros((64, 100), dtype=np.float32)
-        cg.dma.get(buf, n_cpes=32, block_bytes=400)
-        walk = replay([Transfer(buf.nbytes, 400, 32)], SW_PARAMS)
-        assert walk == (buf.nbytes, cg.clock.now, 1, 0)
+    def test_replay_prices_each_transfer_with_transfer_time(self):
+        nbytes = 64 * 100 * 4
+        walk = replay([Transfer(nbytes, 400, 32)], SW_PARAMS)
+        dma_s = CoreGroup().dma.transfer_time(nbytes / 32, 32, block_bytes=400)
+        assert walk == (nbytes, dma_s, 1, 0)
 
     @pytest.mark.parametrize(
         "plan",

@@ -13,7 +13,8 @@ import pathlib
 
 import pytest
 
-from repro.trace.export import to_chrome, validate_chrome, write_chrome_json
+from repro.testing.chrome import validate_chrome
+from repro.trace.export import to_chrome, write_chrome_json
 from repro.trace.tracer import Tracer
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_small.json"
@@ -29,7 +30,8 @@ def small_tracer() -> Tracer:
             tr.emit("conv1 fwd", "cpe_compute", track="cpe", start=0.0, dur=1.5e-3)
             tr.emit("dma_get", "dma_transfer", track="dma", start=0.0, dur=0.5e-3,
                     args={"bytes": 65536, "n_cpes": 64})
-            tr.instant_event("ldm_alloc img", "ldm_alloc", track="ldm",
+            tr.instant_event("launch bucket0", "collective_launch",
+                             track="collective", start=2e-3,
                              args={"nbytes": 32768})
             tr.emit("step0", "collective_step", track="collective",
                     start=2e-3, dur=1e-4, args={"partner": 1 - r})
@@ -73,7 +75,7 @@ class TestStructure:
                    if e["ph"] == "M" and e["name"] == "thread_name"}
         for pid in (1, 2):
             assert {n for p, n in threads if p == pid} == {
-                "layers", "cpe", "dma", "ldm", "collective"}
+                "layers", "cpe", "dma", "collective"}
 
     def test_timestamps_are_microseconds(self, chrome):
         ev = next(e for e in chrome["traceEvents"]

@@ -1,12 +1,11 @@
-"""Tests for shared utilities: units, RNG derivation, tables."""
+"""Tests for shared utilities: units, seeded RNGs, tables."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.utils.rng import derive_rng, seeded_rng
+from repro.utils.rng import seeded_rng
 from repro.utils.tables import Table
-from repro.utils.units import GB, KiB, MiB, format_bytes, format_rate, format_time
+from repro.utils.units import GB, KiB, MiB, format_bytes, format_time
 
 
 class TestUnits:
@@ -29,10 +28,6 @@ class TestUnits:
     def test_format_time(self, t, expected):
         assert format_time(t) == expected
 
-    def test_format_rate(self):
-        assert format_rate(28e9) == "28 GB/s"
-        assert format_rate(5e6) == "5 MB/s"
-
 
 class TestRng:
     def test_seeded_rng_reproducible(self):
@@ -43,19 +38,6 @@ class TestRng:
     def test_default_seed_stable(self):
         a = seeded_rng().random(4)
         b = seeded_rng().random(4)
-        np.testing.assert_array_equal(a, b)
-
-    def test_derive_rng_differs_by_key(self):
-        parent1 = seeded_rng(1)
-        parent2 = seeded_rng(1)
-        a = derive_rng(parent1, "layer", 0).random(4)
-        b = derive_rng(parent2, "layer", 1).random(4)
-        assert not np.allclose(a, b)
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_derive_rng_deterministic(self, key):
-        a = derive_rng(seeded_rng(2), key).random(3)
-        b = derive_rng(seeded_rng(2), key).random(3)
         np.testing.assert_array_equal(a, b)
 
 

@@ -166,7 +166,7 @@ class TestOverlapCounterConsistency:
             queue.wait_all(barrier_s=barrier)
         report = critical_path(tr)
         counter = sum(
-            s.args["exposed_s"] for s in tr.by_category("collective_service")
+            s.args["exposed_s"] for s in tr.spans if s.cat == "collective_service"
         )
         assert counter > 0
         assert report.collective_exposed_s == pytest.approx(counter, rel=1e-12)
