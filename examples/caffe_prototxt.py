@@ -12,7 +12,7 @@ Run:  python examples/caffe_prototxt.py
 
 from repro.frame.prototxt import net_from_prototxt, solver_from_prototxt
 from repro.io.dataset import SyntheticImageNet
-from repro.utils.profiler import NetProfiler
+from repro.metrics.roofline import net_roofline, render_profile
 from repro.utils.rng import seeded_rng
 
 NET_PROTOTXT = """
@@ -97,7 +97,7 @@ def main() -> None:
         f"accuracy {float(net.blobs['accuracy'].data[0]):.2f}"
     )
     print()
-    print(NetProfiler(net).render())
+    print(render_profile(net, net_roofline(net)))
 
 
 if __name__ == "__main__":

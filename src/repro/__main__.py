@@ -208,7 +208,7 @@ def cmd_profile(args: list[str]) -> int:
         return 2
     if args[0] not in NETWORKS:
         return _fail("network", args[0], NETWORKS)
-    from repro.utils.profiler import NetProfiler
+    from repro.metrics.roofline import net_roofline, render_profile
 
     builder, default_batch = _load_builder(args[0])
     try:
@@ -218,7 +218,7 @@ def cmd_profile(args: list[str]) -> int:
     if batch < 1:
         raise _BadArgument(f"batch must be >= 1, got {batch}")
     net = builder(batch_size=batch)
-    print(NetProfiler(net).render())
+    print(render_profile(net, net_roofline(net)))
     return 0
 
 

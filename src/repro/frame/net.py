@@ -199,8 +199,10 @@ class Net:
     def sw_layer_costs(self) -> list[tuple[Layer, LayerCost]]:
         """Per-layer simulated forward/backward costs on one core group.
 
-        The one SW26010 per-layer walk: the iteration time, the profiler,
-        the roofline rows and the traced step all read it.
+        The one SW26010 per-layer walk: the iteration time, the traced
+        step and :func:`~repro.metrics.roofline.net_roofline` read it.
+        The roofline rows are the per-layer record the ``profile``,
+        ``metrics`` and ``experiment roofline`` views render.
         """
         return [(layer, layer.sw_cost()) for layer in self.layers]
 

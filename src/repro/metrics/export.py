@@ -14,12 +14,15 @@ import json
 from typing import Any
 
 from repro.trace.export import to_chrome
-from repro.trace.tracer import Span, Tracer
+from repro.trace.tracer import RESOURCES, Span, Tracer
 
-#: span category -> (counter name, args key holding the increment)
+#: span category -> (counter name, args key holding the increment): the
+#: work the priced resources' component spans record, then wire bytes.
 _COUNTER_SOURCES = {
-    "dma_transfer": ("dma bytes (cum)", "bytes"),
-    "cpe_compute": ("cpe flops (cum)", "flops"),
+    **{
+        r.cat: (f"{r.cls} {r.work[0]} (cum)", r.work[0])
+        for r in RESOURCES if r.work is not None
+    },
     "collective_step": ("wire bytes (cum)", "bytes"),
 }
 

@@ -1,5 +1,13 @@
 """Roofline attribution: classify every priced kernel against its ceiling.
 
+:func:`net_roofline`'s rows are the one per-layer breakdown record: one
+row per (layer, direction) with its :class:`~repro.kernels.plan.PlanCost`,
+whose resource fields (:data:`~repro.trace.tracer.RESOURCES`) and
+``overhead_s`` are the seconds the direction spent per resource class.
+The ``profile`` command (:func:`render_profile`), the ``metrics`` report,
+``experiment roofline`` (:func:`render_roofline`) and the harness golden's
+``roofline`` section all read these rows; :func:`cost_totals` sums them.
+
 The paper's design principles are ceiling statements — 742.4 GFlops of CPE
 compute per core group, 28 GB/s of measured DMA bandwidth, 2549 GB/s of
 aggregate register-bus bandwidth — and a :class:`~repro.kernels.plan.PlanCost`
@@ -16,16 +24,27 @@ below it cannot be compute-bound no matter how well they schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable
 
 from repro.hw.spec import SW26010Params, SW_PARAMS
 from repro.kernels.plan import PlanCost
+from repro.trace.tracer import RESOURCES
 from repro.utils.tables import Table
+from repro.utils.units import format_time
 
-#: Resources a plan can be bound by. ``overhead`` means fixed costs (spawn,
-#: latency) dominate every stream — the small-kernel regime of Table III.
-BOUNDS = ("compute", "dma", "rlc", "overhead")
+#: The ``PlanCost`` fields a plan's time splits into: the busy seconds of
+#: each priced resource, then the fixed overhead.
+_PARTS = (*(r.field for r in RESOURCES), "overhead_s")
+
+#: What can bind a plan, one per :data:`_PARTS` field: each priced resource
+#: under its label (``compute`` for ``compute_s``), then ``overhead``: fixed
+#: costs (spawn, latency) dominate every stream, the small-kernel regime of
+#: Table III.
+BOUNDS = (*(r.label for r in RESOURCES), "overhead")
+
+#: Every field :func:`cost_totals` sums.
+_SUMMED = (*(f.name for f in fields(PlanCost)), "total_s")
 
 
 @dataclass(frozen=True)
@@ -64,7 +83,7 @@ def classify_cost(cost: Any, params: SW26010Params | None = None) -> RooflineVer
     overheads exceed every stream the plan is ``overhead``-bound.
     """
     p = params or SW_PARAMS
-    streams = {"compute": cost.compute_s, "dma": cost.dma_s, "rlc": cost.rlc_s}
+    streams = {r.label: getattr(cost, r.field) for r in RESOURCES}
     bound = max(streams, key=lambda k: streams[k])
     if streams[bound] <= 0 or cost.overhead_s > streams[bound]:
         bound = "overhead"
@@ -119,16 +138,6 @@ class LayerRoofline:
         """Simulated seconds of this layer direction on one core group."""
         return self.cost.total_s
 
-    @property
-    def flops(self) -> float:
-        """FLOPs this layer direction retires."""
-        return self.cost.flops
-
-    @property
-    def dma_bytes(self) -> float:
-        """Bytes this layer direction moves over DMA."""
-        return self.cost.dma_bytes
-
     def as_dict(self) -> dict[str, Any]:
         v = self.verdict
         return {
@@ -136,8 +145,8 @@ class LayerRoofline:
             "layer_type": self.layer_type,
             "direction": self.direction,
             "total_s": self.total_s,
-            "flops": self.flops,
-            "dma_bytes": self.dma_bytes,
+            "flops": self.cost.flops,
+            "dma_bytes": self.cost.dma_bytes,
             "bound": v.bound,
             "intensity": None if v.intensity == float("inf") else v.intensity,
             "ceiling_frac": v.ceiling_frac,
@@ -166,6 +175,16 @@ def net_roofline(net: Any, params: SW26010Params | None = None) -> list[LayerRoo
     return rows
 
 
+def cost_totals(rows: Iterable[LayerRoofline]) -> dict[str, float]:
+    """Every ``PlanCost`` field, and ``total_s``, summed over ``rows``.
+
+    Over a net's :func:`net_roofline` rows these are one iteration's
+    seconds per resource on one core group, its FLOPs and its DMA bytes.
+    """
+    costs = [row.cost for row in rows]
+    return {name: sum(getattr(c, name) for c in costs) for name in _SUMMED}
+
+
 def bound_summary(rows: Iterable[LayerRoofline]) -> dict[str, float]:
     """Simulated seconds attributed to each binding resource."""
     out = {b: 0.0 for b in BOUNDS}
@@ -183,8 +202,6 @@ def render_roofline(rows: list[LayerRoofline], title: str = "") -> str:
         ),
         title=title or "roofline attribution (per layer, one core group)",
     )
-    from repro.utils.units import format_time
-
     for row in rows:
         v = row.verdict
         ai = "-" if v.intensity == float("inf") else f"{v.intensity:.1f}"
@@ -199,3 +216,51 @@ def render_roofline(rows: list[LayerRoofline], title: str = "") -> str:
         f"{b}: {100 * s / total:.0f}%" for b, s in summary.items() if s > 0
     )
     return table.render() + f"\ntime by binding resource: {footer}"
+
+
+#: The cost of a direction :func:`net_roofline` skips.
+_FREE = PlanCost()
+
+#: Layers under this share of the iteration fold into one profile line.
+_FOLD_BELOW = 0.005
+
+
+def render_profile(net: Any, rows: list[LayerRoofline]) -> str:
+    """The ``profile`` table: each layer's forward and backward time, its
+    share of the iteration and the resource that binds it.
+
+    ``rows`` are ``net``'s :func:`net_roofline` rows. They skip free
+    directions, so the layer order, and the free layers, come from
+    ``net.layers``. Layers under :data:`_FOLD_BELOW` of the iteration are
+    folded into one line.
+    """
+    by_direction = {(row.layer, row.direction): row.cost for row in rows}
+    totals = cost_totals(rows)
+    total = totals["total_s"] or 1.0
+    table = Table(
+        headers=["layer", "type", "fwd", "bwd", "share", "bottleneck"],
+        title=f"SW26010 profile of {net.name!r} (one CG per iteration)",
+    )
+    folded, n_folded = 0.0, 0
+    for layer in net.layers:
+        fwd = by_direction.get((layer.name, "fwd"), _FREE)
+        bwd = by_direction.get((layer.name, "bwd"), _FREE)
+        layer_s = fwd.total_s + bwd.total_s
+        share = layer_s / total
+        if share < _FOLD_BELOW:
+            folded += layer_s
+            n_folded += 1
+            continue
+        table.add_row(
+            layer.name, layer.type,
+            format_time(fwd.total_s), format_time(bwd.total_s),
+            f"{100 * share:.1f}%", classify_cost(fwd + bwd).bound,
+        )
+    if folded:
+        table.add_row(
+            f"({n_folded} small layers)", "-", "-", "-",
+            f"{100 * folded / total:.1f}%", "-",
+        )
+    parts = ", ".join(f"{b}={format_time(totals[p])}" for b, p in zip(BOUNDS, _PARTS))
+    iteration = format_time(totals["total_s"])
+    return f"{table.render()}\ntotals: {parts} | iteration={iteration}"

@@ -27,11 +27,12 @@ from repro.metrics.registry import MetricsRegistry
 from repro.metrics.roofline import (
     LayerRoofline,
     bound_summary,
+    cost_totals,
     net_roofline,
     render_roofline,
 )
 from repro.trace.session import SessionSummary, trace_training_step
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import RESOURCES, Tracer
 from repro.utils.tables import Table
 from repro.utils.units import format_bytes, format_time
 
@@ -227,13 +228,11 @@ def collect_training_step(
     intra, cross = step.wire_bytes_intra, step.wire_bytes_cross
 
     # --- per-rank resource totals (ranks are symmetric) ------------------- #
-    busy = {
-        "cpe": sum(r.cost.compute_s for r in rows) * iterations,
-        "dma": sum(r.cost.dma_s for r in rows) * iterations + node_dma_s,
-        "rlc": sum(r.cost.rlc_s for r in rows) * iterations,
-    }
-    flops = sum(r.flops for r in rows) * iterations
-    dma_bytes = sum(r.dma_bytes for r in rows) * iterations + step.node_dma_bytes
+    totals = cost_totals(rows)
+    busy = {r.cls: totals[r.field] * iterations for r in RESOURCES}
+    busy["dma"] += node_dma_s
+    flops = totals["flops"] * iterations
+    dma_bytes = totals["dma_bytes"] * iterations + step.node_dma_bytes
     resources = {
         "cpe": ResourceUtilization(
             name="cpe",

@@ -19,7 +19,7 @@ from repro.serve.arrivals import (
     parse_seed_string,
     seed_string,
 )
-from repro.serve.costmodel import NetForwardCostModel, TableCostModel
+from repro.serve.costmodel import NetForwardCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
 from repro.serve.report import RequestRecord, ServeReport, SERVE_SCHEMA
 from repro.serve.session import auto_rate, run_serving
@@ -31,7 +31,6 @@ __all__ = [
     "parse_seed_string",
     "seed_string",
     "NetForwardCostModel",
-    "TableCostModel",
     "ServeConfig",
     "ServingEngine",
     "RequestRecord",

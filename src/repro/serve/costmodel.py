@@ -14,46 +14,16 @@ all price as share 1 and cost the same — the first 4x of dynamic batching
 is architecturally free, and costs only step at multiples of 4 after that
 (``docs/serving.md`` walks through the consequences for plan selection).
 
-:class:`TableCostModel` is the deterministic stub the engine tests and the
-golden serve trace use: an explicit ``{batch: seconds}`` table, no network
-construction, no plan search.
+The engine tests drive a deterministic stand-in instead,
+:class:`~repro.testing.stubs.TableCostModel`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.hw.spec import SW_PARAMS
 from repro.kernels.plan import PlanCost, combine_sequential
-
-
-class TableCostModel:
-    """Explicit per-batch compute table (tests, goldens, what-if studies).
-
-    Batches missing from the table price linearly from the largest listed
-    batch (``seconds * batch / listed``), so a sparse table still covers
-    every dispatch size.
-    """
-
-    def __init__(self, seconds_by_batch: Mapping[int, float]) -> None:
-        if not seconds_by_batch:
-            raise ValueError("cost table must not be empty")
-        self._table = {int(b): float(s) for b, s in seconds_by_batch.items()}
-        if any(b < 1 or s < 0 for b, s in self._table.items()):
-            raise ValueError("cost table needs batches >= 1 and seconds >= 0")
-        self.max_batch = max(self._table)
-
-    def compute_s(self, batch: int) -> float:
-        """Simulated forward seconds for one batch of ``batch`` requests."""
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        if batch in self._table:
-            return self._table[batch]
-        return self._table[self.max_batch] * batch / self.max_batch
-
-    def cost(self, batch: int) -> PlanCost:
-        """A :class:`PlanCost` view (compute only) of :meth:`compute_s`."""
-        return PlanCost(compute_s=self.compute_s(batch))
 
 
 class NetForwardCostModel:

@@ -70,7 +70,7 @@ class ServingEngine:
 
     ``cost_model`` is anything with ``compute_s(batch) -> float`` (a
     :class:`~repro.serve.costmodel.NetForwardCostModel` in production, a
-    :class:`~repro.serve.costmodel.TableCostModel` in tests).
+    :class:`~repro.testing.stubs.TableCostModel` in tests).
     """
 
     def __init__(self, cost_model, config: ServeConfig | None = None) -> None:

@@ -25,6 +25,8 @@ checks:
   to every plan the fuzzer generates;
 * :mod:`repro.testing.chrome` — the structural validator every test
   runs on an exported Chrome trace;
+* :mod:`repro.testing.stubs` — deterministic stand-ins for priced models
+  (the serving tests' per-batch cost table);
 * :mod:`repro.testing.pytest_plugin` — ``@conformance``-marked
   parametrized fixtures so new kernels/collectives/layers get coverage
   by registration rather than by hand-written tests.

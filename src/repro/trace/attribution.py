@@ -1,113 +1,74 @@
-"""Bottleneck attribution over a trace.
+"""Bottleneck attribution over a trace: the ``trace`` command's busy table.
 
-Generalizes :class:`~repro.utils.profiler.NetProfiler`: instead of
-re-pricing a net's layers, it answers the same question — *which resource
-bounds the time?* — from whatever a trace actually recorded, so the answer
-covers collectives, mesh schedules and solver phases as well as layer
-costs, and splits per rank.
+The roofline rows (:func:`~repro.metrics.roofline.net_roofline`) price a
+net's layers; this table answers the same question — *which resource was
+busy longest?* — from whatever a trace recorded, so it covers collectives
+as well as layer costs, and splits per rank.
 
-Resource busy-time comes from the leaf span categories (``cpe_compute``,
-``dma_transfer``, ``rlc_exchange``, ``collective_step``); container spans
-(``layer_*``, ``solver_iter``, ``plan_cost``) are reported as structure,
-not double-counted as busy time.
+Busy time is the summed duration of the component spans of each priced
+resource (:data:`~repro.trace.tracer.RESOURCES`) and of the
+``collective_step`` spans; container spans (``layer_*``, ``solver_iter``,
+``plan_cost``) are structure, not busy time. Tracks group by their first
+``/`` segment, the process of the Chrome export (one per rank). Tracks
+without a ``/``, as a single-process run records them, form one group.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-
-from repro.trace.tracer import Span, Tracer
+from repro.trace.tracer import RESOURCES, Span, Tracer
 from repro.utils.tables import Table
 from repro.utils.units import format_time
 
-#: Leaf categories whose durations are resource busy time.
-RESOURCE_CATEGORIES = (
-    "cpe_compute",
-    "dma_transfer",
-    "rlc_exchange",
-    "collective_step",
+#: (column, span category) of each resource the table reports.
+_COLUMNS = (
+    *((r.label, r.cat) for r in RESOURCES),
+    ("collective", "collective_step"),
 )
 
-#: Container categories (structure only).
-CONTAINER_CATEGORIES = ("layer_fwd", "layer_bwd", "solver_iter", "plan_cost")
+#: The group of every track without a process prefix.
+_UNPREFIXED = "(unprefixed)"
 
 
-@dataclass
-class GroupAttribution:
-    """One top-level group's (usually one rank's) resource accounting."""
-
-    group: str
-    busy_s: dict[str, float] = field(default_factory=dict)
-    span_end_s: float = 0.0
-    n_spans: int = 0
-
-    @property
-    def bottleneck(self) -> str:
-        """The resource category with the most busy time."""
-        if not self.busy_s:
-            return "-"
-        return max(self.busy_s, key=lambda k: self.busy_s[k])
-
-    def share(self, cat: str) -> float:
-        """A resource's fraction of the group's wall (track-span) time."""
-        if self.span_end_s <= 0:
-            return 0.0
-        return self.busy_s.get(cat, 0.0) / self.span_end_s
+def _bottleneck(busy: dict[str, float]) -> str:
+    """The category with the most busy time (the first on a tie), or ``-``."""
+    return max(busy, key=busy.__getitem__) if busy else "-"
 
 
-@dataclass
-class AttributionReport:
-    """Whole-trace attribution: per-group plus aggregate."""
+def render_attribution(tracer: Tracer | list[Span]) -> str:
+    """The bottleneck-attribution table of a trace.
 
-    groups: list[GroupAttribution]
-    total_end_s: float
+    One row per track group: where its last span ends, each resource's
+    busy seconds with their share of that end, and the busiest category.
+    The footer gives the trace's end and the busiest category overall.
+    """
+    spans = tracer.spans if isinstance(tracer, Tracer) else tracer
+    categories = {cat for _, cat in _COLUMNS}
+    ends: dict[str, float] = {}
+    busy: dict[str, dict[str, float]] = {}
+    for span in spans:
+        head, sep, _ = span.track.partition("/")
+        group = head if sep else _UNPREFIXED
+        ends[group] = max(ends.get(group, 0.0), span.end_s)
+        group_busy = busy.setdefault(group, {})
+        if span.cat in categories and not span.instant:
+            group_busy[span.cat] = group_busy.get(span.cat, 0.0) + span.dur_s
 
-    def overall_bottleneck(self) -> str:
-        totals: dict[str, float] = defaultdict(float)
-        for g in self.groups:
-            for cat, t in g.busy_s.items():
-                totals[cat] += t
-        return max(totals, key=lambda k: totals[k]) if totals else "-"
-
-
-def attribute(tracer: Tracer | list[Span]) -> AttributionReport:
-    """Aggregate resource busy time per top-level track group."""
-    spans = tracer.spans if isinstance(tracer, Tracer) else list(tracer)
-    groups: dict[str, GroupAttribution] = {}
-    total_end = 0.0
-    for s in spans:
-        head = s.track.split("/", 1)[0]
-        g = groups.setdefault(head, GroupAttribution(group=head))
-        g.n_spans += 1
-        g.span_end_s = max(g.span_end_s, s.end_s)
-        total_end = max(total_end, s.end_s)
-        if s.cat in RESOURCE_CATEGORIES and not s.instant:
-            g.busy_s[s.cat] = g.busy_s.get(s.cat, 0.0) + s.dur_s
-    ordered = [groups[k] for k in sorted(groups)]
-    return AttributionReport(groups=ordered, total_end_s=total_end)
-
-
-def render_attribution(report: AttributionReport | Tracer | list[Span]) -> str:
-    """The bottleneck-attribution table for a trace."""
-    if not isinstance(report, AttributionReport):
-        report = attribute(report)
     table = Table(
-        headers=["group", "end", "compute", "dma", "rlc", "collective", "bottleneck"],
+        headers=["group", "end", *(column for column, _ in _COLUMNS), "bottleneck"],
         title="trace attribution (simulated busy time per resource)",
     )
-    for g in report.groups:
-        table.add_row(
-            g.group,
-            format_time(g.span_end_s),
-            f"{format_time(g.busy_s.get('cpe_compute', 0.0))} ({100 * g.share('cpe_compute'):.0f}%)",
-            f"{format_time(g.busy_s.get('dma_transfer', 0.0))} ({100 * g.share('dma_transfer'):.0f}%)",
-            f"{format_time(g.busy_s.get('rlc_exchange', 0.0))} ({100 * g.share('rlc_exchange'):.0f}%)",
-            f"{format_time(g.busy_s.get('collective_step', 0.0))} ({100 * g.share('collective_step'):.0f}%)",
-            g.bottleneck,
-        )
+    overall: dict[str, float] = {}
+    for group in sorted(ends):
+        end, group_busy = ends[group], busy[group]
+        cells = []
+        for _, cat in _COLUMNS:
+            t = group_busy.get(cat, 0.0)
+            cells.append(f"{format_time(t)} ({100 * (t / end if end > 0 else 0.0):.0f}%)")
+        for cat, t in group_busy.items():
+            overall[cat] = overall.get(cat, 0.0) + t
+        table.add_row(group, format_time(end), *cells, _bottleneck(group_busy))
     footer = (
-        f"trace end: {format_time(report.total_end_s)} | overall bottleneck: "
-        f"{report.overall_bottleneck()}"
+        f"trace end: {format_time(max(ends.values(), default=0.0))} | "
+        f"overall bottleneck: {_bottleneck(overall)}"
     )
     return table.render() + "\n" + footer

@@ -1,8 +1,9 @@
 """Critical-path profiler over the span stream.
 
-Aggregate attribution (:mod:`repro.trace.attribution`, the roofline) says
-how much time each resource consumed *in total*; this module says whether
-that time actually bounded the end-to-end result. It builds a dependency
+The aggregate views (the attribution table of :mod:`repro.trace.attribution`,
+the roofline rows of :mod:`repro.metrics.roofline`) say how much time each
+resource consumed *in total*; this module says whether that time actually
+bounded the end-to-end result. It builds a dependency
 graph over a trace session's typed spans — explicit causal edges recorded
 by :meth:`~repro.trace.tracer.Tracer.edge` at the instrumentation sites,
 plus inferred same-track ordering — walks the longest path to the
@@ -17,9 +18,11 @@ command with a validation mode that re-runs the simulator under
 
 Graph model
 -----------
-* **Leaf spans** (``cpe_compute``, ``dma_transfer``, ``rlc_exchange``,
-  ``collective_step``, ``collective_service``, ``batch_compute``,
-  ``fault_retry``) carry resource time and scale with their class factor.
+* **Leaf spans** (the categories of
+  :data:`~repro.trace.tracer.RESOURCE_CLASS`: the priced resources'
+  components, collective steps and service windows, serving batches, fault
+  retries, transfers and pipeline stages) carry resource time and scale
+  with their class factor.
 * **Container spans** (``layer_fwd``, ``layer_bwd``, ``plan_cost``) derive
   their duration from their member components by the dual-pipeline rule
   (``max(members) + overhead``), so scaling one component re-evaluates the
@@ -43,22 +46,7 @@ from functools import cached_property
 from typing import Any, Mapping
 
 from repro.errors import CritPathError
-from repro.trace.tracer import Span, Tracer
-
-#: Leaf span category -> what-if resource class.
-RESOURCE_CLASS = {
-    "cpe_compute": "cpe",
-    "dma_transfer": "dma",
-    "rlc_exchange": "rlc",
-    "collective_step": "collective",
-    "collective_service": "collective",
-    "batch_compute": "batch",
-    "fault_retry": "fault",
-    "p2p_transfer": "p2p",
-    "activation_xfer": "p2p",
-    "stage_fwd": "stage",
-    "stage_bwd": "stage",
-}
+from repro.trace.tracer import RESOURCE_CLASS, RESOURCES, Span, Tracer
 
 #: Containers whose duration derives from member components + overhead.
 CONTAINER_CATS = frozenset(("layer_fwd", "layer_bwd", "plan_cost"))
@@ -411,14 +399,16 @@ class CritPathReport:
         return path
 
 
+#: The classes of the priced resources: their time is compute phase.
+_PRICED_CLASSES = frozenset(r.cls for r in RESOURCES)
+
+
 def _phase_of(entry: PathEntry) -> str:
     if entry.resource == "collective":
         return "collective"
     if entry.track.split("/", 1)[0] == "serve" or entry.resource == "batch":
         return "serve"
-    if entry.cat in ("layer_fwd", "layer_bwd") or entry.resource in (
-        "cpe", "dma", "rlc"
-    ):
+    if entry.resource in _PRICED_CLASSES or entry.cat in ("layer_fwd", "layer_bwd"):
         return "compute"
     return "other"
 

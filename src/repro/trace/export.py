@@ -20,17 +20,11 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.trace.tracer import Span, Tracer
+from repro.trace.tracer import RESOURCES, Span, Tracer
 
-#: Preferred top-to-bottom thread ordering inside one process.
-_THREAD_ORDER = (
-    "solver",
-    "layers",
-    "cpe",
-    "dma",
-    "rlc",
-    "collective",
-)
+#: Preferred top-to-bottom thread ordering inside one process: the solver,
+#: the layers, one track per priced resource class, the collectives.
+_THREAD_ORDER = ("solver", "layers", *(r.cls for r in RESOURCES), "collective")
 
 #: Sort index of every thread ``_THREAD_ORDER`` does not list (``comm``,
 #: the serving and pipeline tracks, ...), below all listed ones. It is a

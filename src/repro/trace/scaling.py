@@ -10,7 +10,8 @@ the tracer and fault patterns (a shared null object when disabled,
 Scale classes match the critical-path resource classes:
 
 ``cpe`` / ``dma`` / ``rlc``
-    The three components of every :class:`~repro.kernels.plan.PlanCost`.
+    The three components of every :class:`~repro.kernels.plan.PlanCost`,
+    the classes of :data:`~repro.trace.tracer.RESOURCES`.
 ``overhead``
     A plan's fixed per-invocation overhead seconds.
 ``collective``
@@ -34,8 +35,12 @@ import math
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
+from repro.trace.tracer import RESOURCES
+
 #: The resource classes a what-if factor may target (besides ``layer:*``).
-SCALE_CLASSES = ("cpe", "dma", "rlc", "overhead", "collective", "batch", "p2p", "stage")
+SCALE_CLASSES = (
+    *(r.cls for r in RESOURCES), "overhead", "collective", "batch", "p2p", "stage"
+)
 
 
 class CostScaling:
@@ -73,13 +78,12 @@ class CostScaling:
         component fields scaled (``total_s`` re-derives from them, so the
         dual-pipeline rule is re-applied to the scaled components)."""
         lf = self.layer_factor(layer_name) if layer_name else 1.0
-        return dataclasses.replace(
-            cost,
-            compute_s=cost.compute_s * (self.factor("cpe") * lf),
-            dma_s=cost.dma_s * (self.factor("dma") * lf),
-            rlc_s=cost.rlc_s * (self.factor("rlc") * lf),
-            overhead_s=cost.overhead_s * (self.factor("overhead") * lf),
-        )
+        scaled = {
+            r.field: getattr(cost, r.field) * (self.factor(r.cls) * lf)
+            for r in RESOURCES
+        }
+        scaled["overhead_s"] = cost.overhead_s * (self.factor("overhead") * lf)
+        return dataclasses.replace(cost, **scaled)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.factors.items()))

@@ -30,17 +30,62 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Any, Iterator, Mapping, NamedTuple
 
 from repro.errors import SpanValidationError
 
 
+class Resource(NamedTuple):
+    """One priced resource of a :class:`~repro.kernels.plan.PlanCost`."""
+
+    #: The ``PlanCost`` field holding its busy seconds.
+    field: str
+    #: Its resource class: the track its component spans land on, the class
+    #: a critical path attributes them to and a what-if factor scales.
+    cls: str
+    #: The span category of its component spans.
+    cat: str
+    #: The ``args`` entry of a component span that records the work done,
+    #: as (key, ``PlanCost`` field); None when the cost counts none.
+    work: tuple[str, str] | None
+
+    @property
+    def label(self) -> str:
+        """Its name as a roofline bound and a table column: the field
+        without ``_s`` (``compute`` for ``compute_s``)."""
+        return self.field.removesuffix("_s")
+
+
+#: The priced resources, in ``PlanCost`` field order. A plan's time is
+#: ``max`` of their busy seconds plus ``overhead_s``. Every module that maps
+#: one of these spellings to another (span category to class, class to
+#: field, field to roofline bound) reads this table.
+RESOURCES = (
+    Resource("compute_s", "cpe", "cpe_compute", ("flops", "flops")),
+    Resource("dma_s", "dma", "dma_transfer", ("bytes", "dma_bytes")),
+    Resource("rlc_s", "rlc", "rlc_exchange", None),
+)
+
+#: Leaf span category -> resource class: the priced resources' component
+#: spans, then every other leaf that carries resource time. The critical
+#: path attributes time to these classes and a what-if scales them.
+RESOURCE_CLASS = {
+    **{r.cat: r.cls for r in RESOURCES},
+    "collective_step": "collective",
+    "collective_service": "collective",
+    "batch_compute": "batch",
+    "fault_retry": "fault",
+    "p2p_transfer": "p2p",
+    "activation_xfer": "p2p",
+    "stage_fwd": "stage",
+    "stage_bwd": "stage",
+}
+
 #: The span taxonomy. Instrumentation sites use these categories; exporters
 #: and the attribution summary group by them. See ``docs/observability.md``.
 SPAN_CATEGORIES = (
-    "dma_transfer",  # priced DDR3 <-> LDM DMA time (emit_cost_spans)
-    "rlc_exchange",  # priced register-bus time on the CPE mesh (emit_cost_spans)
-    "cpe_compute",   # priced CPE pipeline work (emit_cost_spans)
+    *(r.cat for r in RESOURCES),  # priced component time (emit_cost_spans)
     "collective_step",  # one lockstep round of a simulated collective
     "collective_launch",  # instant: a nonblocking collective was launched
     "overlap_window",   # portion of a collective hidden behind backward compute
@@ -301,6 +346,13 @@ class NullTracer(Tracer):
         yield
 
 
+#: What :func:`emit_cost_spans` reads from :data:`RESOURCES`, built once: a
+#: cost's busy seconds in table order, and per resource its track, category,
+#: and the ``args`` key and ``PlanCost`` field of its work.
+_busy_seconds = attrgetter(*(r.field for r in RESOURCES))
+_COMPONENTS = tuple((r.cls, r.cat, *(r.work or (None, None))) for r in RESOURCES)
+
+
 def emit_cost_spans(
     tracer: Tracer,
     name: str,
@@ -314,13 +366,13 @@ def emit_cost_spans(
     """Emit a priced invocation as a parent span plus component children.
 
     ``cost`` is any :class:`~repro.kernels.plan.PlanCost`-shaped object
-    (``compute_s`` / ``dma_s`` / ``rlc_s`` / ``total_s`` / ``flops`` /
-    ``dma_bytes``). The parent lands on ``track`` at ``start`` (default:
-    the track's cursor); the compute/DMA/RLC components land on the
-    sibling resource tracks (``cpe``, ``dma``, ``rlc``) pinned at the
-    parent's start — they overlap each other, which is exactly the
-    dual-pipeline rule (``total = max(compute, dma, rlc) + overhead``)
-    made visible.
+    (the :data:`RESOURCES` fields, ``overhead_s``, ``total_s``, ``flops``
+    and ``dma_bytes``). The parent lands on ``track`` at ``start``
+    (default: the track's cursor); each resource with busy time gets a
+    component span of its category on its class's sibling track
+    (``cpe``, ``dma``, ``rlc``), pinned at the parent's start. They
+    overlap each other, which is exactly the dual-pipeline rule
+    (``total = max(compute, dma, rlc) + overhead``) made visible.
     """
     if not tracer.enabled:
         return None
@@ -336,20 +388,11 @@ def emit_cost_spans(
     parent = tracer.emit(
         name, cat, track=track, start=start, dur=cost.total_s, args=merged
     )
-    components = (
-        ("cpe", "cpe_compute", cost.compute_s, {"flops": cost.flops}),
-        ("dma", "dma_transfer", cost.dma_s, {"bytes": cost.dma_bytes}),
-        ("rlc", "rlc_exchange", cost.rlc_s, {}),
-    )
-    for comp_track, comp_cat, dur, extra in components:
+    for (comp_track, comp_cat, key, work), dur in zip(_COMPONENTS, _busy_seconds(cost)):
         if dur > 0:
             comp = tracer.emit(
-                name,
-                comp_cat,
-                track=comp_track,
-                start=start,
-                dur=dur,
-                args={"of": cat, **extra},
+                name, comp_cat, track=comp_track, start=start, dur=dur,
+                args={"of": cat, key: getattr(cost, work)} if key else {"of": cat},
             )
             tracer.edge(comp, parent, kind="member")
     return parent

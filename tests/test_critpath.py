@@ -195,7 +195,7 @@ class TestTrainingIdentity:
 class TestServing:
     def test_request_completions_cover_every_served_request(self):
         from repro.serve.arrivals import ArrivalPlan
-        from repro.serve.costmodel import TableCostModel
+        from repro.testing.stubs import TableCostModel
         from repro.serve.engine import ServeConfig, ServingEngine
         from repro.trace.tracer import tracing
 

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.trace.critpath import (
     CONTAINER_CATS,
     EXCLUDED_CATS,
-    RESOURCE_CLASS,
     CritPathReport,
     PathEntry,
     _phase_of,
@@ -30,7 +29,7 @@ from repro.trace.critpath import (
     request_completions,
     schedule,
 )
-from repro.trace.tracer import Span, Tracer
+from repro.trace.tracer import RESOURCE_CLASS, Span, Tracer
 from repro.trace.whatif import project
 
 HEAVY = bool(int(os.environ.get("REPRO_HEAVY", "0") or "0"))
@@ -428,7 +427,7 @@ PIPE_STAGES, PIPE_MICROBATCHES = (8, 256) if HEAVY else (4, 8)
 def served_trace() -> Tracer:
     """Bursty arrivals past a six-deep admission queue: some are shed."""
     from repro.serve.arrivals import ArrivalPlan
-    from repro.serve.costmodel import TableCostModel
+    from repro.testing.stubs import TableCostModel
     from repro.serve.engine import ServeConfig, ServingEngine
     from repro.trace.tracer import tracing
 

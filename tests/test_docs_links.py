@@ -6,7 +6,8 @@ reachable from ``docs/index.md``, that every ``repro`` import in the
 docs' python blocks and in ``examples/`` and ``tools/`` names the module
 that defines what it imports, and that every inline code span of the docs
 (ROADMAP.md aside) names a ``repro`` module, definition, class member or
-source file that exists.
+source file that exists, and every CamelCase name span a class or
+function defined under ``src/repro``, ``perfbench/`` or ``tools/``.
 """
 
 from __future__ import annotations
@@ -99,4 +100,32 @@ def test_code_span_checker_detects_breakage(tmp_path):
         "repro.ghost.impl.helper is not a class, so it has no x",
         "docs/notes.md:7: `python -m repro.ghost.missing`: repro.ghost defines no missing",
         "docs/notes.md:8: `src/repro/ghost/gone.py`: no file src/repro/ghost/gone.py",
+    ]
+
+
+def test_camel_case_span_checker_detects_breakage(tmp_path):
+    """A CamelCase span names a class or function under ``src/repro``,
+    ``perfbench/`` or ``tools/``, and its one ``.member`` is the class's."""
+    impl = tmp_path / "src" / "repro" / "ghost" / "impl.py"
+    impl.parent.mkdir(parents=True)
+    impl.write_text(
+        "class GhostBase:\n    def walk(self):\n        pass\n\n\n"
+        "class GhostThing(GhostBase):\n    def __init__(self):\n        self.size = 1\n\n"
+        "    def run(self):\n        pass\n\n\ndef MakeGhost():\n    pass\n"
+    )
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "tool.py").write_text("class ToolReport:\n    pass\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "notes.md").write_text(
+        "`GhostThing`, `GhostThing.size`, `GhostThing(x=1).walk()`, `MakeGhost()`,\n"
+        "`ToolReport`, `Tracer`, `SW_PARAMS` and `GhostThing is fine` pass.\n"
+        "`GoneThing` `GhostThing.fly` `MakeGhost.x` `SGDGone(lr=1)`\n"
+    )
+    assert check_docs_links.check_code_spans(tmp_path) == [
+        "docs/notes.md:3: `GoneThing`: no class or function GoneThing under "
+        "src/repro, perfbench, tools",
+        "docs/notes.md:3: `GhostThing.fly`: class GhostThing has no member fly",
+        "docs/notes.md:3: `MakeGhost.x`: MakeGhost is not a class, so it has no x",
+        "docs/notes.md:3: `SGDGone(lr=1)`: no class or function SGDGone under "
+        "src/repro, perfbench, tools",
     ]

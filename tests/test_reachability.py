@@ -217,6 +217,17 @@ def _is_root(node: ast.AST) -> bool:
     )
 
 
+def _reexports(stmt: ast.stmt, path: Path) -> bool:
+    """Whether ``stmt`` only re-exports names: an ``__all__`` assignment,
+    or an import in a package ``__init__``. Naming a name there does not
+    use it."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return path.name == "__init__.py"
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+    )
+
+
 def test_every_definition_is_reached_from_an_entry_point():
     """A name-graph walk over every definition under ``src/repro``.
 
@@ -224,8 +235,9 @@ def test_every_definition_is_reached_from_an_entry_point():
     ``repro.testing`` is a root: the test above shows an entry point
     imports each of them, and importing runs that code. So is every
     script under ``perfbench/``, ``examples/`` and ``tools/``, whole.
-    A reached definition reaches every definition whose name it
-    mentions; a method needs its class reached as well.
+    Re-exports (:func:`_reexports`) are not roots. A reached definition
+    reaches every definition whose name it mentions; a method needs its
+    class reached as well.
     """
     mentions = _Mentions()
     #: qualified name -> (definition, qualified name of its class or None)
@@ -236,7 +248,8 @@ def test_every_definition_is_reached_from_an_entry_point():
             continue
         for stmt in _body(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(stmt, _DEFS):
-                mentions.visit(stmt)
+                if not _reexports(stmt, path):
+                    mentions.visit(stmt)
                 continue
             owner = f"{module}.{stmt.name}"
             defs[owner] = (stmt, None)

@@ -13,7 +13,7 @@ import pytest
 from repro.faults.injector import FaultInjector, injecting
 from repro.faults.plan import FaultPlan
 from repro.serve.arrivals import ArrivalPlan, Request
-from repro.serve.costmodel import TableCostModel
+from repro.testing.stubs import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
 from repro.trace.tracer import NULL_TRACER, Tracer, active as tracer_active, tracing
 

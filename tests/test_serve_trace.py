@@ -13,7 +13,7 @@ import json
 import pathlib
 
 from repro.serve.arrivals import ArrivalPlan, Request
-from repro.serve.costmodel import TableCostModel
+from repro.testing.stubs import TableCostModel
 from repro.serve.engine import ServeConfig, ServingEngine
 from repro.testing.chrome import validate_chrome
 from repro.trace.export import to_chrome

@@ -141,6 +141,32 @@ class TestTracingIsInert:
         assert [s for s in tr.spans if s.cat == "collective_step"]
 
 
+class TestAttribution:
+    def test_unprefixed_tracks_form_one_group(self):
+        """The documented ``with tracing(): solver.step(...)`` example records
+        tracks without a rank prefix. They form one group, and its compute,
+        DMA and RLC cells are the summed component spans over its end."""
+        from repro.frame.model_zoo import lenet
+        from repro.frame.solver import SGDSolver
+        from repro.trace.attribution import render_attribution
+        from repro.utils.units import format_time
+
+        with tracing() as tr:
+            SGDSolver(lenet.build(batch_size=8), base_lr=0.01).step(2)
+        assert {s.track for s in tr.spans} == {"solver", "layers", "cpe", "dma", "rlc"}
+        lines = render_attribution(tr).splitlines()
+        (row,) = lines[3:-1]
+        cells = [cell.strip() for cell in row.split("|")]
+        end = max(s.end_s for s in tr.spans)
+        assert cells[1] == format_time(end)
+        for cell, cat in zip(cells[2:5], ("cpe_compute", "dma_transfer", "rlc_exchange")):
+            busy = sum(s.dur_s for s in tr.spans if s.cat == cat)
+            assert busy > 0
+            assert cell == f"{format_time(busy)} ({100 * busy / end:.0f}%)"
+        assert cells[-1] == "cpe_compute"
+        assert lines[-1] == f"trace end: {format_time(end)} | overall bottleneck: cpe_compute"
+
+
 class TestFig7TraceFlag:
     def test_collective_spans_are_ranks_times_rounds(self, tmp_path, capsys):
         from repro.harness import fig7_allreduce as f7

@@ -175,7 +175,7 @@ class TestOverlapCounterConsistency:
 class TestServingProjection:
     def test_steady_workload_projection_scales_with_batch_factor(self):
         from repro.serve.arrivals import ArrivalPlan
-        from repro.serve.costmodel import TableCostModel
+        from repro.testing.stubs import TableCostModel
         from repro.serve.engine import ServeConfig, ServingEngine
         from repro.trace.tracer import tracing
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs link checker (stdlib only; run by CI and tests/test_docs_links.py).
 
-Three guarantees:
+Four guarantees:
 
 1. every relative markdown link in the repo's documentation resolves to
    an existing file or directory (http/mailto/pure-anchor links are
@@ -21,7 +21,11 @@ Three guarantees:
    ``src/``, the next name is defined at that module's top level, and a
    name after that is a member of that class (defined in its body or set
    on ``self`` in a method). Every ``repro/.../*.py`` path is a file under
-   ``src/``.
+   ``src/``. A span that is a CamelCase name (two or more capitals and a
+   lowercase letter: ``PlanCost``, ``SGDSolver``), optionally called and
+   then optionally followed by one ``.member``, names a class or function
+   defined at the top level of a module under ``src/repro``,
+   ``perfbench/`` or ``tools/``, and the member is one of that class's.
 
 Usage: ``python tools/check_docs_links.py [repo_root]`` — prints one
 line per problem and exits 1 if any were found.
@@ -59,6 +63,16 @@ _SPAN_RE = re.compile(r"`([^`\n]+)`")
 #: A dotted ``repro.`` path, and a ``repro/.../*.py`` file path.
 _DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
 _PY_PATH_RE = re.compile(r"\brepro/[\w/]*\.py\b")
+
+#: Where the class or function a CamelCase span names must be defined.
+CODE_DIRS = ("src/repro", "perfbench", "tools")
+
+#: A span that is a name, optionally called, then optionally one
+#: ``.member``, itself optionally called: ``Name``, ``Name(x=1).member()``.
+_NAME_SPAN_RE = re.compile(
+    r"(?P<name>[A-Z][A-Za-z0-9]*)(?:\([^()]*\))?"
+    r"(?:\.(?P<member>[A-Za-z_]\w*)(?:\([^()]*\))?)?\Z"
+)
 
 
 def doc_files(root: pathlib.Path) -> list[pathlib.Path]:
@@ -137,6 +151,16 @@ def _defined_names(body: list[ast.stmt]) -> set[str]:
     return names
 
 
+def _own_members(node: ast.ClassDef) -> set[str]:
+    """Names class ``node`` defines in its body or sets on ``self``."""
+    members = _defined_names(node.body)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+            if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                members.add(sub.attr)
+    return members
+
+
 class _Modules:
     """What each ``repro`` module under ``src`` defines, parsed on demand."""
 
@@ -171,16 +195,44 @@ class _Modules:
         defines no class ``name``."""
         for node in self.tree(module).body:
             if isinstance(node, ast.ClassDef) and node.name == name:
-                members = _defined_names(node.body)
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
-                        if isinstance(sub.value, ast.Name) and sub.value.id == "self":
-                            members.add(sub.attr)
+                members = _own_members(node)
                 for base in node.bases:
                     if isinstance(base, ast.Name):
                         members |= self.members(module, base.id) or set()
                 return members
         return None
+
+
+class _Definitions:
+    """The top-level classes and functions of every module under
+    :data:`CODE_DIRS`, by name."""
+
+    def __init__(self, root: pathlib.Path) -> None:
+        self.classes: dict[str, list[ast.ClassDef]] = {}
+        self.functions: set[str] = set()
+        for directory in CODE_DIRS:
+            for path in sorted((root / directory).rglob("*.py")):
+                for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                    if isinstance(node, ast.ClassDef):
+                        self.classes.setdefault(node.name, []).append(node)
+                    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        self.functions.add(node.name)
+
+    def members(self, name: str, seen: frozenset[str] = frozenset()) -> set[str]:
+        """Names every class called ``name`` defines in its body or sets
+        on ``self``, its bases defined under :data:`CODE_DIRS` included."""
+        members: set[str] = set()
+        for node in self.classes.get(name, ()):
+            members |= _own_members(node)
+            for base in node.bases:
+                if isinstance(base, ast.Name) and base.id not in seen | {name}:
+                    members |= self.members(base.id, seen | {name})
+        return members
+
+
+def _is_camel_case(name: str) -> bool:
+    """``PlanCost`` and ``SGDSolver`` are; ``Tracer`` and ``SW_PARAMS`` are not."""
+    return sum(map(str.isupper, name)) >= 2 and any(map(str.islower, name))
 
 
 def _import_problems(
@@ -255,8 +307,19 @@ def check_imports(root: pathlib.Path) -> list[str]:
     return problems
 
 
-def _span_problem(span: str, modules: _Modules) -> str | None:
+def _span_problem(span: str, modules: _Modules, definitions: _Definitions) -> str | None:
     """Why an inline code span names code that does not exist, or None."""
+    match = _NAME_SPAN_RE.match(span)
+    if match and _is_camel_case(match["name"]):
+        name, member = match["name"], match["member"]
+        if name not in definitions.classes:
+            if name not in definitions.functions:
+                return f"no class or function {name} under {', '.join(CODE_DIRS)}"
+            if member:
+                return f"{name} is not a class, so it has no {member}"
+        elif member and member not in definitions.members(name):
+            return f"class {name} has no member {member}"
+        return None
     for path in _PY_PATH_RE.findall(span):
         if not (modules.src / path).is_file():
             return f"no file src/{path}"
@@ -280,6 +343,7 @@ def _span_problem(span: str, modules: _Modules) -> str | None:
 def check_code_spans(root: pathlib.Path) -> list[str]:
     """Every inline code span of the docs that names missing code."""
     modules = _Modules(root / "src")
+    definitions = _Definitions(root)
     problems: list[str] = []
     for doc in doc_files(root):
         where = str(doc.relative_to(root))
@@ -287,7 +351,7 @@ def check_code_spans(root: pathlib.Path) -> list[str]:
             continue
         text = _FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"), doc.read_text(encoding="utf-8"))
         for match in _SPAN_RE.finditer(text):
-            why = _span_problem(match.group(1), modules)
+            why = _span_problem(match.group(1), modules, definitions)
             if why:
                 line = text.count("\n", 0, match.start()) + 1
                 problems.append(f"{where}:{line}: `{match.group(1)}`: {why}")
