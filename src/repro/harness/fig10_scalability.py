@@ -9,13 +9,10 @@ the calibrated collective network curve.
 
 from __future__ import annotations
 
-import dataclasses
-from functools import lru_cache
-
 from repro.frame.model_zoo import alexnet, resnet
 from repro.parallel.scaling import PAPER_NODE_COUNTS, ScalingPoint, ScalingStudy
 from repro.parallel.ssgd import SSGDIterationModel
-from repro.perf.layer_cost import net_iteration_time
+from repro.perf.layer_cost import net_record
 from repro.utils.tables import Table
 
 #: (label, builder, sub-mini-batch) for every curve in the figure.
@@ -28,34 +25,26 @@ CONFIGS = (
 )
 
 
-@lru_cache(maxsize=None)
-def _iteration_model(label: str) -> SSGDIterationModel:
-    for name, builder, batch in CONFIGS:
-        if name == label:
-            net = builder(batch_size=batch)
-            return SSGDIterationModel(
-                compute_s=net_iteration_time(net, "sw26010"),
-                model_bytes=net.param_bytes(),
-            )
-    raise KeyError(label)
-
-
 def build_study(
     bucket_mb: float | None = None, backward_frac: float = 2.0 / 3.0
 ) -> ScalingStudy:
     """The full Fig. 10/11 study object.
 
-    ``bucket_mb`` switches every config to the overlap-aware bucketed
-    allreduce model (``None`` keeps the fused path — the paper's
-    numbers). The cached base models are never mutated.
+    Each config's compute time and gradient payload come from its net's
+    priced record. ``bucket_mb`` switches every config to the
+    overlap-aware bucketed allreduce model (``None`` keeps the fused
+    path — the paper's numbers).
     """
     study = ScalingStudy()
-    for label, _, _ in CONFIGS:
-        model = _iteration_model(label)
+    for label, builder, batch in CONFIGS:
+        record = net_record(builder, batch)
+        model = SSGDIterationModel(
+            compute_s=record.iteration_s("sw26010"),
+            model_bytes=record.param_bytes,
+        )
         if bucket_mb is not None:
-            model = dataclasses.replace(
-                model, bucket_mb=bucket_mb, backward_frac=backward_frac
-            )
+            model.bucket_mb = bucket_mb
+            model.backward_frac = backward_frac
         study.add_config(label, model)
     return study
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.frame.model_zoo import alexnet
-from repro.perf.layer_cost import LayerTiming, net_layer_timings
+from repro.perf.layer_cost import LayerTiming, net_record
 
 #: Fig. 8 uses the Table III AlexNet batch size.
 BATCH = 256
@@ -26,7 +26,9 @@ class LayerComparison:
     sw_backward_s: float
 
 
-def _merge(gpu: list[LayerTiming], sw: list[LayerTiming]) -> list[LayerComparison]:
+def _merge(
+    gpu: tuple[LayerTiming, ...], sw: tuple[LayerTiming, ...]
+) -> list[LayerComparison]:
     out = []
     for g, s in zip(gpu, sw):
         assert g.layer_name == s.layer_name
@@ -45,10 +47,10 @@ def _merge(gpu: list[LayerTiming], sw: list[LayerTiming]) -> list[LayerCompariso
     return out
 
 
-def generate(batch: int = BATCH, builder=alexnet.build, **kwargs) -> list[LayerComparison]:
-    """Per-layer GPU-vs-SW comparison for one network."""
-    net = builder(batch_size=batch, **kwargs)
-    return _merge(net_layer_timings(net, "k40m"), net_layer_timings(net, "sw26010"))
+def generate(batch: int = BATCH, builder=alexnet.build) -> list[LayerComparison]:
+    """Per-layer GPU-vs-SW comparison for one network, from its priced record."""
+    timings = net_record(builder, batch).timings
+    return _merge(timings["k40m"], timings["sw26010"])
 
 
 def render(

@@ -1,8 +1,9 @@
 """Table III: training throughput (img/s) on CPU, K40m and SW26010.
 
-Builds each of the paper's five networks at its paper batch size, prices a
-full training iteration on all three device models, and reports throughputs
-plus the SW/NV and SW/CPU ratios — the headline comparison of the paper.
+Reads each of the paper's five networks at its paper batch size from its
+priced record (:func:`~repro.perf.layer_cost.net_record`: a full training
+iteration on all three device models) and reports throughputs plus the
+SW/NV and SW/CPU ratios — the headline comparison of the paper.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.frame.model_zoo import PAPER_NETWORKS
-from repro.perf.layer_cost import net_throughput
+from repro.perf.layer_cost import net_record
 from repro.utils.tables import Table
 
 
@@ -38,14 +39,14 @@ def generate(networks: dict | None = None) -> list[ThroughputRow]:
     networks = networks if networks is not None else PAPER_NETWORKS
     rows = []
     for name, (builder, batch) in networks.items():
-        net = builder(batch_size=batch)
+        record = net_record(builder, batch)
         rows.append(
             ThroughputRow(
                 network=name,
                 batch=batch,
-                cpu_img_s=net_throughput(net, "cpu", batch),
-                gpu_img_s=net_throughput(net, "k40m", batch),
-                sw_img_s=net_throughput(net, "sw26010", batch),
+                cpu_img_s=record.throughput("cpu"),
+                gpu_img_s=record.throughput("k40m"),
+                sw_img_s=record.throughput("sw26010"),
             )
         )
     return rows

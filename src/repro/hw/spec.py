@@ -13,7 +13,7 @@ Two kinds of data live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.utils.units import GB, KiB
 
@@ -93,6 +93,10 @@ class SW26010Params:
 
     Every field is sourced from the paper (section given in the comment) or
     from the SW26010 benchmarking literature it cites.
+
+    Every pricing cache keys on the params, so the hash of the fields is
+    computed once per object. Equality stays by value: equal but distinct
+    params share cache entries.
     """
 
     # --- geometry (Sec. II-A) ---
@@ -124,6 +128,12 @@ class SW26010Params:
     rlc_bcast_bw: float = 4461 * GB  # aggregate, fully pipelined
     rlc_word_bytes: int = 32  # 256-bit transfers
     rlc_startup_cycles: float = 11.0  # per-message pipeline fill
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_cpes_per_cg(self) -> int:

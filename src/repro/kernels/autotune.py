@@ -58,9 +58,11 @@ def _direction_cost(plan, direction: str) -> PlanCost:
 
 
 #: Plan choices priced in this process, one per distinct (config,
-#: direction, params). The paper artifacts rebuild the same nets and
-#: repeat block shapes, so a cold pass over them meets each key ~2.5
-#: times. Bounded and cleared like ``gemm._BLOCKING_CACHE``.
+#: direction, params). Each paper net is built once per process
+#: (``perf.layer_cost.net_record``), but its layers repeat block shapes,
+#: so a cold pass over the paper artifacts meets each key ~1.8 times
+#: (613 selections, 332 keys). Bounded and cleared like
+#: ``gemm._BLOCKING_CACHE``.
 _CHOICE_CACHE: dict[tuple[ConvConfig, str, SW26010Params], PlanChoice] = {}
 _CHOICE_CACHE_MAX = 65536
 

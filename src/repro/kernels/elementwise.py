@@ -6,12 +6,19 @@ are dominated by DMA streaming (the paper's Fig. 8/9 observation that
 SW26010" while a GPU hides them in its 288 GB/s device memory). One plan
 covers them all: it streams ``reads + writes`` bytes through LDM and
 retires ``flops`` on the way.
+
+A net prices the same few streaming shapes over and over (every ReLU,
+BN and Eltwise of a block at one feature-map size), so
+:meth:`ElementwisePlan.cost` keeps one :class:`PlanCost` per distinct
+(read bytes, write bytes, flops, efficiency, params) for the rest of the
+process. The cost depends on that key alone, so a memoized cost equals
+an unmemoized one exactly.
 """
 
 from __future__ import annotations
 
 from repro.errors import PlanError
-from repro.kernels.plan import KernelPlan, PlanCost
+from repro.kernels.plan import KernelPlan, PlanCost, pricing_core_group
 from repro.hw.spec import SW26010Params
 
 
@@ -73,13 +80,35 @@ class ElementwisePlan(KernelPlan):
         )
 
     def cost(self) -> PlanCost:
-        total = self.read_bytes + self.write_bytes
-        dma_s = self._cg.dma.bulk_time(total) if total > 0 else 0.0
-        compute_s = (
-            self.flops / (self._cg.peak_flops * self.compute_efficiency)
-            if self.flops
-            else 0.0
+        key = (
+            self.read_bytes, self.write_bytes, self.flops,
+            self.compute_efficiency, self.params,
         )
-        return PlanCost(
-            compute_s=compute_s, dma_s=dma_s, flops=self.flops, dma_bytes=total
-        )
+        cost = _COST_CACHE.get(key)
+        if cost is None:
+            if len(_COST_CACHE) >= _COST_CACHE_MAX:
+                _COST_CACHE.clear()
+            cost = _COST_CACHE[key] = _stream_cost(*key)
+        return cost
+
+
+#: Streaming costs priced in this process, keyed by everything
+#: ``_stream_cost`` reads. Bounded and cleared like
+#: ``autotune._CHOICE_CACHE``.
+_COST_CACHE: dict[tuple[float, float, float, float, SW26010Params], PlanCost] = {}
+_COST_CACHE_MAX = 65536
+
+
+def _stream_cost(
+    read_bytes: float,
+    write_bytes: float,
+    flops: float,
+    compute_efficiency: float,
+    params: SW26010Params,
+) -> PlanCost:
+    """The unmemoized streaming cost: one bulk transfer beside the math."""
+    cg = pricing_core_group(params)
+    total = read_bytes + write_bytes
+    dma_s = cg.dma.bulk_time(total) if total > 0 else 0.0
+    compute_s = flops / (cg.peak_flops * compute_efficiency) if flops else 0.0
+    return PlanCost(compute_s=compute_s, dma_s=dma_s, flops=flops, dma_bytes=total)

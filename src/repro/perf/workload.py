@@ -9,6 +9,8 @@ workloads here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.frame.layer import Layer
 from repro.frame.layers.batch_norm import BatchNormLayer
@@ -77,17 +79,55 @@ def _lstm_workload(layer: LSTMLayer, direction: str) -> Workload:
     return Workload(2.0 * flops, 2.0 * traffic, "gemm")
 
 
-#: Streaming layers: (reads, writes, flops/element) multipliers per direction.
-_STREAMING: dict[type, tuple[float, float, float]] = {
-    ReLULayer: (1.0, 1.0, 1.0),
-    DropoutLayer: (1.0, 1.0, 2.0),
-    BatchNormLayer: (2.0, 1.0, 5.0),
-    LRNLayer: (2.0, 1.0, 10.0),
-    SoftmaxLayer: (1.0, 1.0, 4.0),
-    SoftmaxWithLossLayer: (1.0, 1.0, 5.0),
-    ConcatLayer: (1.0, 1.0, 0.0),
-    EltwiseLayer: (2.0, 1.0, 1.0),
-}
+def _pool_workload(layer: PoolingLayer, direction: str) -> Workload:
+    plan = layer._plan
+    in_b = plan.batch * plan.channels * plan.height * plan.width * 4.0
+    out_b = plan.batch * plan.channels * plan.out_h * plan.out_w * 4.0
+    if direction == "backward" and not layer.propagate_down:
+        return Workload(0.0, 0.0, "bandwidth")
+    return Workload(out_b / 4.0 * plan.k * plan.k, in_b + out_b, "bandwidth")
+
+
+def _stream_workload(
+    reads: float, writes: float, fpe: float, layer: Layer, direction: str
+) -> Workload:
+    count = getattr(layer, "_count", 0)
+    if direction == "backward" and not layer.propagate_down and not layer.params:
+        return Workload(0.0, 0.0, "bandwidth")
+    return Workload(fpe * count, (reads + writes) * count * 4.0, "bandwidth")
+
+
+def _no_workload(layer: Layer, direction: str) -> Workload:
+    return Workload(0.0, 0.0, "bandwidth")
+
+
+_Rule = Callable[[Layer, str], Workload]
+
+#: (layer class, rule) in first-match order: a layer takes the rule of the
+#: first class it is an instance of. Streaming layers' rules carry their
+#: (reads, writes, flops/element) multipliers.
+_RULES: tuple[tuple[type, _Rule], ...] = (
+    (ConvolutionLayer, _conv_workload),
+    (InnerProductLayer, _ip_workload),
+    (LSTMLayer, _lstm_workload),
+    (PoolingLayer, _pool_workload),
+    (ReLULayer, partial(_stream_workload, 1.0, 1.0, 1.0)),
+    (DropoutLayer, partial(_stream_workload, 1.0, 1.0, 2.0)),
+    (BatchNormLayer, partial(_stream_workload, 2.0, 1.0, 5.0)),
+    (LRNLayer, partial(_stream_workload, 2.0, 1.0, 10.0)),
+    (SoftmaxLayer, partial(_stream_workload, 1.0, 1.0, 4.0)),
+    (SoftmaxWithLossLayer, partial(_stream_workload, 1.0, 1.0, 5.0)),
+    (ConcatLayer, partial(_stream_workload, 1.0, 1.0, 0.0)),
+    (EltwiseLayer, partial(_stream_workload, 2.0, 1.0, 1.0)),
+)
+
+#: Layer class -> its rule, picked on the first layer of that class.
+_RULE_BY_CLASS: dict[type, _Rule] = {}
+
+
+def _rule_for(cls: type) -> _Rule:
+    """The first rule of :data:`_RULES` whose class ``cls`` subclasses."""
+    return next((rule for base, rule in _RULES if issubclass(cls, base)), _no_workload)
 
 
 def layer_workload(layer: Layer, direction: str) -> Workload:
@@ -97,23 +137,8 @@ def layer_workload(layer: Layer, direction: str) -> Workload:
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward/backward, got {direction!r}")
-    if isinstance(layer, ConvolutionLayer):
-        return _conv_workload(layer, direction)
-    if isinstance(layer, InnerProductLayer):
-        return _ip_workload(layer, direction)
-    if isinstance(layer, LSTMLayer):
-        return _lstm_workload(layer, direction)
-    if isinstance(layer, PoolingLayer):
-        plan = layer._plan
-        in_b = plan.batch * plan.channels * plan.height * plan.width * 4.0
-        out_b = plan.batch * plan.channels * plan.out_h * plan.out_w * 4.0
-        if direction == "backward" and not layer.propagate_down:
-            return Workload(0.0, 0.0, "bandwidth")
-        return Workload(out_b / 4.0 * plan.k * plan.k, in_b + out_b, "bandwidth")
-    for cls, (reads, writes, fpe) in _STREAMING.items():
-        if isinstance(layer, cls):
-            count = getattr(layer, "_count", 0)
-            if direction == "backward" and not layer.propagate_down and not layer.params:
-                return Workload(0.0, 0.0, "bandwidth")
-            return Workload(fpe * count, (reads + writes) * count * 4.0, "bandwidth")
-    return Workload(0.0, 0.0, "bandwidth")
+    cls = type(layer)
+    rule = _RULE_BY_CLASS.get(cls)
+    if rule is None:
+        rule = _RULE_BY_CLASS[cls] = _rule_for(cls)
+    return rule(layer, direction)

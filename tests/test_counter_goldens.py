@@ -12,8 +12,13 @@ B=64 on 4 ranks. The 2-rank and single-supernode cases pin that a
 the ``chaos`` run ``chaos:0x5caffe:3`` on LeNet with 4 ranks and 6
 iterations. Its plan fires link retries, stragglers and a rank crash, so
 ``fault_time_s`` sums non-zero retry, straggler and timeout seconds.
+Its float32 losses depend on how many threads split each BLAS reduction,
+so the suite runs under one BLAS thread (``tests/conftest.py``).
 
-Regenerate both with ``python -m tests.test_counter_goldens``.
+Regenerate both under the same pins::
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python -m tests.test_counter_goldens
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.frame.layers.lstm import LSTMLayer
 from repro.frame.model_zoo import alexnet, googlenet, lenet, resnet, resnet_small, vgg
 from repro.frame.netspec import build_from_spec
 from repro.io.dataset import SyntheticImageNet
-from repro.perf.layer_cost import net_throughput
+from repro.perf.layer_cost import DEVICE_TIMERS, net_record
 from repro.utils.rng import FillLedger, seeded_rng
 
 HEAVY = bool(int(os.environ.get("REPRO_HEAVY", "0") or "0"))
@@ -126,9 +126,16 @@ class TestLedgerOrder:
         assert_same(got, want)
 
     def test_pricing_materialises_no_weight(self):
-        net = vgg.build_vgg16(batch_size=64)
-        for device in ("cpu", "k40m", "sw26010"):
-            assert net_throughput(net, device, 64) > 0
+        built = []
+
+        def build(batch_size):
+            built.append(vgg.build_vgg16(batch_size=batch_size))
+            return built[-1]
+
+        record = net_record(build, 64)
+        for device in DEVICE_TIMERS:
+            assert record.throughput(device) > 0
+        (net,) = built
         assert all(w._data is None for w in weights(net))
         assert len(weights(net)) == 16
 

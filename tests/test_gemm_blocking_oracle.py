@@ -31,6 +31,7 @@ from repro.harness import (
 from repro.hw.spec import SW_PARAMS
 from repro.kernels import autotune, gemm
 from repro.kernels.gemm import GemmBlocking, SWGemmPlan
+from repro.perf import layer_cost
 
 HEAVY = bool(int(os.environ.get("REPRO_HEAVY", "0") or "0"))
 GRID_SIZE = 4000
@@ -100,7 +101,7 @@ def paper_shapes():
     """Every (params, m, n, k, dtype) key one cold paper pass searches."""
     autotune._CHOICE_CACHE.clear()  # a warm plan choice builds no GEMM plan
     gemm._BLOCKING_CACHE.clear()
-    fig10_scalability._iteration_model.cache_clear()
+    layer_cost._RECORDS.clear()
     for module in (
         table2_vgg_conv, fig8_alexnet_layers, fig9_vgg_layers,
         fig10_scalability, fig11_comm_ratio, table3_throughput,

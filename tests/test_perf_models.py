@@ -13,7 +13,7 @@ from repro.perf.gpu_k40m import (
     conv_efficiency as gpu_conv_eff,
     gpu_layer_time,
 )
-from repro.perf.layer_cost import net_iteration_time, net_layer_timings, net_throughput
+from repro.perf.layer_cost import net_iteration_time, net_layer_timings, net_record
 from repro.perf.roofline import RooflineDevice
 from repro.perf.workload import layer_workload
 from repro.utils.rng import seeded_rng
@@ -128,8 +128,10 @@ class TestNetTiming:
         )
 
     def test_throughput_inverse_of_time(self, net):
+        record = net_record(lenet.build, 8)
         t = net_iteration_time(net, "cpu")
-        assert net_throughput(net, "cpu", 8) == pytest.approx(8 / t)
+        assert record.iteration_s("cpu") == t
+        assert record.throughput("cpu") == 8 / t
 
     def test_unknown_device(self, net):
         with pytest.raises(ValueError):

@@ -21,12 +21,14 @@ RUN = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 #: Per-layer counts of one traced child at seed 5, round 1. Every plan
 #: prices against one shared core group per parameter set, and no workload
 #: runs a plan's executed data path, so each child builds one core group.
+#: The paper pass builds each of its 8 (net, batch) pairs once and prices
+#: it on all three devices (``repro.perf.layer_cost.net_record``).
 COUNTS = {
     "paper_tables": {
-        "frame.builds": 12,
+        "frame.builds": 8,
         "hw.core_groups": 1,
-        "kernels.gemm_plans": 454,
-        "kernels.selects": 837,
+        "kernels.gemm_plans": 424,
+        "kernels.selects": 613,
         "kernels.select_distinct": 332,
         "perf.prices": 24,
     },

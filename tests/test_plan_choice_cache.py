@@ -5,9 +5,10 @@ per process and hands every later caller the same frozen ``PlanChoice``.
 That is only sound because pricing depends on the key alone. These tests
 pin it: every choice the paper nets' conv layers get from a shared, warm
 cache equals a cold pricing field for field; a fault plan, what-if
-scaling or tracer in force changes no choice; equal hardware parameters
-share an entry while different ones do not; and one cold pass over the
-paper harnesses runs the uncached selection once per distinct key.
+scaling or tracer in force changes no choice, no priced net record and
+no streaming cost; equal hardware parameters share an entry while
+different ones do not; and one cold pass over the paper harnesses builds
+each paper net once and runs the uncached selection once per distinct key.
 Tier-1 prices LeNet, AlexNet and VGG-16 at two batch sizes;
 ``REPRO_HEAVY=1`` prices every model-zoo net at batch sizes 1, 16 and 128.
 """
@@ -20,6 +21,7 @@ import pytest
 from repro.faults.injector import injecting
 from repro.faults.plan import FaultPlan
 from repro.frame.model_zoo import alexnet, googlenet, lenet, resnet, resnet_small, vgg
+from repro.frame.net import Net
 from repro.harness import (
     fig8_alexnet_layers,
     fig9_vgg_layers,
@@ -29,8 +31,11 @@ from repro.harness import (
     table3_throughput,
 )
 from repro.hw.spec import SW_PARAMS
-from repro.kernels import autotune, gemm
+from repro.kernels import autotune, elementwise, gemm
 from repro.kernels.autotune import DIRECTIONS, ConvConfig, select_conv_plan
+from repro.kernels.elementwise import ElementwisePlan
+from repro.perf import layer_cost
+from repro.perf.layer_cost import net_record
 from repro.trace.scaling import CostScaling, scaling
 from repro.trace.tracer import tracing
 
@@ -56,10 +61,28 @@ CONFIGS = (
 )
 
 
+#: (read bytes, write bytes, flops, efficiency) of streaming plans.
+STREAMS = ((4e6, 4e6, 1e6, 0.25), (8e6, 4e6, 5e6, 0.25), (1e3, 0.0, 0.0, 1.0))
+
+
 def cold(config, direction, params=None):
     """A freshly priced choice: the cache is emptied first."""
     autotune._CHOICE_CACHE.clear()
     return select_conv_plan(config, direction, params)
+
+
+def cold_record(builder, batch):
+    """A freshly built and priced net record: every pricing memo is emptied."""
+    layer_cost._RECORDS.clear()
+    autotune._CHOICE_CACHE.clear()
+    elementwise._COST_CACHE.clear()
+    return net_record(builder, batch)
+
+
+def cold_streams():
+    """Freshly priced streaming costs."""
+    elementwise._COST_CACHE.clear()
+    return [ElementwisePlan(*stream).cost() for stream in STREAMS]
 
 
 def test_repeated_call_returns_the_identical_choice():
@@ -116,9 +139,16 @@ def test_equal_params_share_an_entry_and_other_params_do_not():
 )
 def test_pricing_reads_no_ambient_hook(context):
     plain = {(c, d): cold(c, d) for c in CONFIGS for d in DIRECTIONS}
+    plain_record = cold_record(alexnet.build, 16)
+    plain_streams = cold_streams()
     with context() as hook:
         hooked = {(c, d): cold(c, d) for c in CONFIGS for d in DIRECTIONS}
+        hooked_record = cold_record(alexnet.build, 16)
+        hooked_streams = cold_streams()
     assert hooked == plain
+    assert hooked_record is not plain_record
+    assert hooked_record == plain_record  # every timing, floats exactly
+    assert hooked_streams == plain_streams
     if context is tracing:
         assert hook.spans == []
 
@@ -135,11 +165,16 @@ def test_cache_is_cleared_at_its_bound(monkeypatch):
 
 
 def test_cold_paper_pass_prices_each_distinct_key_once(monkeypatch):
-    """One cold pass over the paper harnesses: 837 selections, 332 keys."""
+    """One cold pass over the paper harnesses: 8 nets built, one per
+    (builder, batch) pair, and 613 selections over 332 keys."""
     autotune._CHOICE_CACHE.clear()
     gemm._BLOCKING_CACHE.clear()
-    fig10_scalability._iteration_model.cache_clear()
-    selected, priced = [], []
+    layer_cost._RECORDS.clear()
+    builds, selected, priced = [], [], []
+    init = Net.__init__
+    monkeypatch.setattr(
+        Net, "__init__", lambda net, *a, **kw: builds.append(1) or init(net, *a, **kw)
+    )
     select, price = autotune.select_conv_plan, autotune._price_conv_plans
     monkeypatch.setattr(
         autotune, "select_conv_plan", lambda *key: selected.append(key) or select(*key)
@@ -152,6 +187,7 @@ def test_cold_paper_pass_prices_each_distinct_key_once(monkeypatch):
         fig10_scalability, fig11_comm_ratio, table3_throughput,
     ):
         module.generate()
-    assert len(selected) == 837
+    assert len(builds) == 8
+    assert len(selected) == 613
     assert len(set(selected)) == 332
     assert len(priced) == len(set(priced)) == 332
