@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import FillerError, ShapeError
 from repro.frame.blob import Blob
 from repro.hw.spec import SW26010Params, SW_PARAMS
+from repro.kernels import elementwise
 from repro.kernels.plan import PlanCost
 from repro.utils.rng import Draw, FillLedger
 
@@ -115,6 +116,16 @@ class Layer(abc.ABC):
     def cg_batch(self, batch: int) -> int:
         """Per-core-group share of the mini-batch (Algorithm 1, line 4)."""
         return max(1, -(-batch // self.hw.n_core_groups))
+
+    def stream_cost(
+        self, flops_per_element: float, n_inputs: int = 1, n_outputs: int = 1
+    ) -> PlanCost:
+        """One core group's share of streaming the layer's ``_count``
+        elements (:func:`repro.kernels.elementwise.stream_cost`)."""
+        return elementwise.stream_cost(
+            -(-self._count // self.hw.n_core_groups),
+            flops_per_element, n_inputs, n_outputs, self.hw,
+        )
 
     def sw_forward_cost(self) -> PlanCost:
         """Simulated forward time on one core group (default: free)."""

@@ -1,7 +1,7 @@
 """Additional activation layers from the Caffe zoo.
 
 Sigmoid, TanH, ELU and Power — all bandwidth-bound streaming kernels on
-SW26010, priced identically to ReLU through :class:`ElementwisePlan`.
+SW26010, priced like ReLU through :meth:`Layer.stream_cost`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -27,17 +26,11 @@ class _StreamingActivation(Layer):
         top[0].reshape(bottom[0].shape)
         self._count = bottom[0].count
 
-    def _plan(self) -> ElementwisePlan:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=self.flops_per_element, params=self.hw
-        )
-
     def sw_forward_cost(self) -> PlanCost:
-        return self._plan().cost()
+        return self.stream_cost(self.flops_per_element)
 
     def sw_backward_cost(self) -> PlanCost:
-        return self._plan().cost() if self.propagate_down else PlanCost()
+        return self.stream_cost(self.flops_per_element) if self.propagate_down else PlanCost()
 
 
 class SigmoidLayer(_StreamingActivation):

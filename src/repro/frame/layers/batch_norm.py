@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -110,20 +109,9 @@ class BatchNormLayer(Layer):
             dx = dxhat * inv_std.reshape(bs)
         bottom[0].diff = bottom[0].diff + dx
 
-    def _plan(self, flops_per_element: float) -> ElementwisePlan:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=flops_per_element, params=self.hw
-        )
-
     def sw_forward_cost(self) -> PlanCost:
         # Two passes: statistics, then normalize (read x twice, write once).
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        stats = ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=2.0, n_outputs=0, params=self.hw
-        )
-        norm = self._plan(4.0)
-        return stats.cost() + norm.cost()
+        return self.stream_cost(2.0, n_outputs=0) + self.stream_cost(4.0)
 
     def sw_backward_cost(self) -> PlanCost:
-        return self._plan(8.0).cost()
+        return self.stream_cost(8.0)

@@ -7,7 +7,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -53,8 +52,7 @@ class ConcatLayer(Layer):
             offset += width
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=0.0, params=self.hw).cost()
+        return self.stream_cost(0.0)
 
     def sw_backward_cost(self) -> PlanCost:
         return self.sw_forward_cost() if self.propagate_down else PlanCost()

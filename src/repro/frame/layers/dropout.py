@@ -7,7 +7,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 from repro.utils.rng import FillLedger, fill_ledger
 
@@ -57,11 +56,9 @@ class DropoutLayer(Layer):
         bottom[0].diff = bottom[0].diff + grad
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=2.0, params=self.hw).cost()
+        return self.stream_cost(2.0)
 
     def sw_backward_cost(self) -> PlanCost:
         if not self.propagate_down:
             return PlanCost()
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=1.0, params=self.hw).cost()
+        return self.stream_cost(1.0)

@@ -7,7 +7,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -87,15 +86,9 @@ class EltwiseLayer(Layer):
                 b.diff = b.diff + dy * (arg == i)
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=1.0, n_inputs=self._n_bottoms, params=self.hw
-        ).cost()
+        return self.stream_cost(1.0, n_inputs=self._n_bottoms)
 
     def sw_backward_cost(self) -> PlanCost:
         if not self.propagate_down:
             return PlanCost()
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=1.0, n_outputs=self._n_bottoms, params=self.hw
-        ).cost()
+        return self.stream_cost(1.0, n_outputs=self._n_bottoms)

@@ -11,7 +11,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -86,15 +85,9 @@ class LRNLayer(Layer):
         return self._window_sums(v)
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=2.0 * self.local_size, params=self.hw
-        ).cost()
+        return self.stream_cost(2.0 * self.local_size)
 
     def sw_backward_cost(self) -> PlanCost:
         if not self.propagate_down:
             return PlanCost()
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=3.0 * self.local_size, n_inputs=3, params=self.hw
-        ).cost()
+        return self.stream_cost(3.0 * self.local_size, n_inputs=3)

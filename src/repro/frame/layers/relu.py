@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -42,12 +41,8 @@ class ReLULayer(Layer):
         grad = np.where(self._mask, dy, self.negative_slope * dy)
         bottom[0].diff = bottom[0].diff + grad
 
-    def _plan(self) -> ElementwisePlan:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=1.0, params=self.hw)
-
     def sw_forward_cost(self) -> PlanCost:
-        return self._plan().cost()
+        return self.stream_cost(1.0)
 
     def sw_backward_cost(self) -> PlanCost:
-        return self._plan().cost() if self.propagate_down else PlanCost()
+        return self.stream_cost(1.0) if self.propagate_down else PlanCost()

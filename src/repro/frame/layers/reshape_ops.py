@@ -12,20 +12,15 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
 class _StreamCost(Layer):
-    def _plan_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=0.0, params=self.hw).cost()
-
     def sw_forward_cost(self) -> PlanCost:
-        return self._plan_cost()
+        return self.stream_cost(0.0)
 
     def sw_backward_cost(self) -> PlanCost:
-        return self._plan_cost() if self.propagate_down else PlanCost()
+        return self.stream_cost(0.0) if self.propagate_down else PlanCost()
 
 
 class FlattenLayer(_StreamCost):

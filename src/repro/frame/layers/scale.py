@@ -12,7 +12,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -71,11 +70,7 @@ class ScaleLayer(Layer):
             bottom[0].diff = bottom[0].diff + dy * self.scale.data.reshape(bs)
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=2.0, params=self.hw).cost()
+        return self.stream_cost(2.0)
 
     def sw_backward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(
-            per_cg, flops_per_element=3.0, n_inputs=2, params=self.hw
-        ).cost()
+        return self.stream_cost(3.0, n_inputs=2)

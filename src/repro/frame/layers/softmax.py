@@ -7,7 +7,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.frame.blob import Blob
 from repro.frame.layer import Layer
-from repro.kernels.elementwise import ElementwisePlan
 from repro.kernels.plan import PlanCost
 
 
@@ -49,8 +48,7 @@ class SoftmaxLayer(Layer):
         bottom[0].diff = bottom[0].diff + p * (dy - dot)
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=4.0, params=self.hw).cost()
+        return self.stream_cost(4.0)
 
     def sw_backward_cost(self) -> PlanCost:
         return self.sw_forward_cost() if self.propagate_down else PlanCost()
@@ -106,9 +104,7 @@ class SoftmaxWithLossLayer(Layer):
         bottom[0].diff = bottom[0].diff + grad * loss_weight
 
     def sw_forward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=5.0, params=self.hw).cost()
+        return self.stream_cost(5.0)
 
     def sw_backward_cost(self) -> PlanCost:
-        per_cg = -(-self._count // self.hw.n_core_groups)
-        return ElementwisePlan.for_tensor(per_cg, flops_per_element=2.0, params=self.hw).cost()
+        return self.stream_cost(2.0)

@@ -103,7 +103,3 @@ class SyntheticImageNet:
                 self._rng.normal(
                     0.0, self.noise, size=(batch_size, *self.sample_shape)
                 )
-
-    def batch_bytes(self, batch_size: int) -> float:
-        """On-disk size of one mini-batch (for the I/O model)."""
-        return batch_size * self.record_bytes

@@ -139,8 +139,3 @@ class PlanAutotuner:
             self._cache[key] = select_conv_plan(config, direction, self.params)
             self.probe_count += 1
         return self._cache[key]
-
-    def clear(self) -> None:
-        """Forget all decisions (e.g. after a hardware-model change)."""
-        self._cache.clear()
-        self.probe_count = 0

@@ -202,7 +202,3 @@ class KernelPlan(abc.ABC):
     @abc.abstractmethod
     def cost(self) -> PlanCost:
         """Simulated time for one invocation on one core group."""
-
-    def time_s(self) -> float:
-        """Convenience: total simulated seconds."""
-        return self.cost().total_s

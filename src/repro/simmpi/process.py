@@ -45,10 +45,3 @@ class Placement:
         if not 0 <= logical_rank < self.p:
             raise CommunicatorError(f"rank {logical_rank} out of range [0, {self.p})")
         return self.physical[logical_rank]
-
-    def inverse(self) -> tuple[int, ...]:
-        """``inverse[node] -> logical rank`` mapping."""
-        inv = [0] * self.p
-        for logical, phys in enumerate(self.physical):
-            inv[phys] = logical
-        return tuple(inv)

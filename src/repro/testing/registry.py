@@ -20,15 +20,18 @@ differential + invariant coverage from ``pytest -m conformance``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.frame.conv_ops import conv_backward, conv_forward
+from repro.hw.spec import SW_PARAMS
 from repro.kernels.conv_explicit import ExplicitConvPlan
 from repro.kernels.conv_fft import FFTConvPlan
 from repro.kernels.conv_implicit import MIN_CHANNELS_FORWARD, ImplicitConvPlan
-from repro.kernels.elementwise import ElementwisePlan
+from repro.kernels.elementwise import stream_cost
 from repro.kernels.gemm import SWGemmPlan
 from repro.kernels.im2col import Col2imPlan, Im2colPlan, conv_out_dim
 from repro.kernels.plan import KernelPlan
@@ -58,7 +61,8 @@ class KernelSpec:
     name: str
     #: Draw one fuzz configuration (a plain dict, fully determining shapes).
     sample: Callable[[np.random.Generator], dict[str, Any]]
-    #: Instantiate the plan for a configuration.
+    #: Instantiate the plan for a configuration: anything with a
+    #: ``cost()``, plus ``tile_walk()`` and ``params`` when ``walk`` is set.
     build: Callable[[dict[str, Any]], KernelPlan]
     #: Execute the kernel vs reference; returns labelled (actual, expected)
     #: pairs. ``None`` for plans that only price.
@@ -472,12 +476,14 @@ register_kernel(
     KernelSpec(
         name="elementwise",
         sample=_elementwise_sample,
-        build=lambda cfg: ElementwisePlan.for_tensor(
-            cfg["n_elements"],
-            flops_per_element=cfg["flops_per_element"],
-            n_inputs=cfg["n_inputs"],
+        # A streaming cost has no plan object: price the config directly.
+        build=lambda cfg: SimpleNamespace(
+            cost=partial(
+                stream_cost, cfg["n_elements"], cfg["flops_per_element"],
+                cfg["n_inputs"], 1, SW_PARAMS,
+            )
         ),
-        run=None,  # streaming plan: cost model only, no tile walk
+        run=None,  # cost model only, no tile walk
         min_dma_bytes=lambda cfg: float(4 * cfg["n_elements"] * (cfg["n_inputs"] + 1)),
         scale_up=lambda cfg: {**cfg, "n_elements": 2 * cfg["n_elements"]},
     )

@@ -13,12 +13,10 @@ the ``chaos`` run ``chaos:0x5caffe:3`` on LeNet with 4 ranks and 6
 iterations. Its plan fires link retries, stragglers and a rank crash, so
 ``fault_time_s`` sums non-zero retry, straggler and timeout seconds.
 Its float32 losses depend on how many threads split each BLAS reduction,
-so the suite runs under one BLAS thread (``tests/conftest.py``).
+so the tests run under one BLAS thread (``tests/__init__.py``), and so
+does the regeneration.
 
-Regenerate both under the same pins::
-
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
-        PYTHONPATH=src python -m tests.test_counter_goldens
+Regenerate both with ``PYTHONPATH=src python -m tests.test_counter_goldens``.
 """
 
 from __future__ import annotations

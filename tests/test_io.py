@@ -158,7 +158,7 @@ class TestSyntheticImageNet:
     def test_batch_bytes_matches_paper_scale(self):
         # 256 records at the default size ~ 192 MB (Sec. V-B).
         src = SyntheticImageNet()
-        assert src.batch_bytes(256) == pytest.approx(192e6, rel=0.01)
+        assert 256 * src.record_bytes == pytest.approx(192e6, rel=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):

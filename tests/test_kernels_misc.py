@@ -1,11 +1,12 @@
-"""Tests for pooling, layout transform, elementwise plans and PlanCost."""
+"""Tests for pooling, layout transform, streaming costs and PlanCost."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlanError, ShapeError
-from repro.kernels.elementwise import ElementwisePlan
+from repro.hw.spec import SW_PARAMS
+from repro.kernels.elementwise import stream_cost
 from repro.kernels.plan import PlanCost, combine_sequential
 from repro.kernels.pooling import PoolingPlan
 from repro.kernels.transform import TensorTransformPlan
@@ -138,25 +139,24 @@ class TestTransform:
 
 
 class TestElementwise:
-    def test_for_tensor_traffic(self):
-        plan = ElementwisePlan.for_tensor(1000, n_inputs=2, n_outputs=1)
-        assert plan.read_bytes == 8000
-        assert plan.write_bytes == 4000
+    def test_stream_traffic(self):
+        cost = stream_cost(1000, 3.0, 2, 1, SW_PARAMS)
+        assert cost.dma_bytes == 8000 + 4000
+        assert cost.flops == 3000
 
     def test_bandwidth_bound(self):
-        plan = ElementwisePlan.for_tensor(1 << 20, flops_per_element=1.0)
-        cost = plan.cost()
+        cost = stream_cost(1 << 20, 1.0, 1, 1, SW_PARAMS)
         assert cost.dma_s > cost.compute_s
         assert cost.total_s == pytest.approx(cost.dma_s)
 
     def test_zero_work_is_free(self):
-        assert ElementwisePlan(0, 0, 0).cost().total_s == 0.0
+        assert stream_cost(0, 0.0, 1, 1, SW_PARAMS).total_s == 0.0
 
     def test_validation(self):
         with pytest.raises(PlanError):
-            ElementwisePlan(-1, 0)
+            stream_cost(-1, 0.0, 1, 0, SW_PARAMS)
         with pytest.raises(PlanError):
-            ElementwisePlan(0, 0, compute_efficiency=0.0)
+            stream_cost(1, -1.0, 1, 1, SW_PARAMS)
 
 
 class TestPlanCost:

@@ -33,7 +33,7 @@ from repro.harness import (
 from repro.hw.spec import SW_PARAMS
 from repro.kernels import autotune, elementwise, gemm
 from repro.kernels.autotune import DIRECTIONS, ConvConfig, select_conv_plan
-from repro.kernels.elementwise import ElementwisePlan
+from repro.kernels.elementwise import stream_cost
 from repro.perf import layer_cost
 from repro.perf.layer_cost import net_record
 from repro.trace.scaling import CostScaling, scaling
@@ -61,8 +61,8 @@ CONFIGS = (
 )
 
 
-#: (read bytes, write bytes, flops, efficiency) of streaming plans.
-STREAMS = ((4e6, 4e6, 1e6, 0.25), (8e6, 4e6, 5e6, 0.25), (1e3, 0.0, 0.0, 1.0))
+#: (elements, flops per element, inputs, outputs) of streaming costs.
+STREAMS = ((1000000, 1.0, 1, 1), (1000000, 5.0, 2, 1), (250, 0.0, 1, 0))
 
 
 def cold(config, direction, params=None):
@@ -82,7 +82,7 @@ def cold_record(builder, batch):
 def cold_streams():
     """Freshly priced streaming costs."""
     elementwise._COST_CACHE.clear()
-    return [ElementwisePlan(*stream).cost() for stream in STREAMS]
+    return [stream_cost(*stream, SW_PARAMS) for stream in STREAMS]
 
 
 def test_repeated_call_returns_the_identical_choice():

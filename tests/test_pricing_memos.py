@@ -7,8 +7,8 @@ invisible in the numbers:
   (builder, batch). For every Table III net and device its timings and
   gradient bytes equal a fresh build's, field for field, floats exactly,
   and it keeps no built net alive.
-* ``ElementwisePlan.cost`` keeps one cost per (read bytes, write bytes,
-  flops, efficiency, params). It equals the streaming formula, restated
+* ``stream_cost`` keeps one cost per (elements, flops per element,
+  inputs, outputs, params). It equals the streaming formula, restated
   below as the reference, on a grid and under a non-default params object.
 * ``SW26010Params`` hashes its fields once per object; equality stays by
   value.
@@ -49,7 +49,7 @@ from repro.hw import spec
 from repro.hw.core_group import CoreGroup
 from repro.hw.spec import SW_PARAMS
 from repro.kernels import autotune, elementwise, gemm
-from repro.kernels.elementwise import ElementwisePlan
+from repro.kernels.elementwise import stream_cost
 from repro.kernels.plan import PlanCost
 from repro.perf import layer_cost, workload
 from repro.perf.layer_cost import DEVICE_TIMERS, net_layer_timings, net_record
@@ -127,7 +127,7 @@ def test_record_rejects_a_net_without_timed_layers():
 # the streaming memo
 # --------------------------------------------------------------------------- #
 def reference_stream_cost(read_bytes, write_bytes, flops, compute_efficiency, params):
-    """``ElementwisePlan.cost`` before the memo, on a fresh core group."""
+    """The streaming formula before the memo, on a fresh core group."""
     cg = CoreGroup(params=params)
     total = read_bytes + write_bytes
     dma_s = cg.dma.bulk_time(total) if total > 0 else 0.0
@@ -135,14 +135,23 @@ def reference_stream_cost(read_bytes, write_bytes, flops, compute_efficiency, pa
     return PlanCost(compute_s=compute_s, dma_s=dma_s, flops=flops, dma_bytes=total)
 
 
-#: (read bytes, write bytes, flops, efficiency): empty, tiny, LDM-sized and
-#: feature-map-sized traffic, with and without math.
+def reference_args(n_elements, flops_per_element, n_inputs, n_outputs):
+    """The formula's arguments for a stream of float32 elements at the
+    streaming efficiency."""
+    nbytes = float(n_elements * 4)
+    flops = float(flops_per_element * n_elements)
+    return n_inputs * nbytes, n_outputs * nbytes, flops, 0.25
+
+
+#: (elements, flops per element, inputs, outputs): empty, one-element,
+#: LDM-sized and feature-map-sized streams, with and without math, read
+#: only and written only.
 GRID = list(
     itertools.product(
-        (0.0, 4.0, 65536.0, 3.2e6, 1.2e8),
-        (0.0, 4.0, 1.6e6),
-        (0.0, 1.0, 5e6),
-        (0.25, 1.0),
+        (0, 1, 16384, 800000, 30000000),
+        (0.0, 1.0, 5.0),
+        (0, 1, 3),
+        (0, 1, 2),
     )
 )
 
@@ -151,32 +160,32 @@ GRID = list(
 def test_stream_memo_equals_the_formula(params):
     elementwise._COST_CACHE.clear()
     for key in GRID:
-        cold = ElementwisePlan(*key, params=params).cost()
-        warm = ElementwisePlan(*key, params=params).cost()
+        cold = stream_cost(*key, params)
+        warm = stream_cost(*key, params)
         assert warm is cold
-        assert cold == reference_stream_cost(*key, params), key  # floats exactly
+        assert cold == reference_stream_cost(*reference_args(*key), params), key  # floats exactly
     assert len(elementwise._COST_CACHE) == len(GRID)
 
 
 def test_stream_memo_keys_on_params_by_value():
     elementwise._COST_CACHE.clear()
-    key = (3.2e6, 1.6e6, 5e6, 0.25)
-    default = ElementwisePlan(*key).cost()
-    assert ElementwisePlan(*key, params=dataclasses.replace(SW_PARAMS)).cost() is default
-    slow = ElementwisePlan(*key, params=SLOW).cost()
+    key = (800000, 5.0, 2, 1)
+    default = stream_cost(*key, SW_PARAMS)
+    assert stream_cost(*key, dataclasses.replace(SW_PARAMS)) is default
+    slow = stream_cost(*key, SLOW)
     assert slow != default
-    assert slow == reference_stream_cost(*key, SLOW)
+    assert slow == reference_stream_cost(*reference_args(*key), SLOW)
     assert len(elementwise._COST_CACHE) == 2
 
 
 def test_stream_memo_is_cleared_at_its_bound(monkeypatch):
     monkeypatch.setattr(elementwise, "_COST_CACHE_MAX", 2)
     elementwise._COST_CACHE.clear()
-    first = ElementwisePlan(4.0, 4.0).cost()
-    ElementwisePlan(8.0, 4.0).cost()
-    ElementwisePlan(16.0, 4.0).cost()
+    first = stream_cost(1, 0.0, 1, 1, SW_PARAMS)
+    stream_cost(2, 0.0, 1, 1, SW_PARAMS)
+    stream_cost(4, 0.0, 1, 1, SW_PARAMS)
     assert len(elementwise._COST_CACHE) == 1
-    again = ElementwisePlan(4.0, 4.0).cost()
+    again = stream_cost(1, 0.0, 1, 1, SW_PARAMS)
     assert again is not first and again == first
 
 

@@ -147,25 +147,31 @@ def _body(node: ast.AST) -> list[ast.stmt]:
 
 
 class _Mentions(ast.NodeVisitor):
-    """The names a piece of code mentions: every name, attribute name and
-    identifier-shaped string constant outside docstrings, the original name
-    behind an ``import ... as`` alias, and the literal head of a name that
-    ``getattr`` assembles from an f-string (``f"cost_{direction}"``)."""
+    """The names a piece of code mentions, outside docstrings.
+
+    ``attributes`` holds every attribute name and every part of an
+    identifier-shaped string constant; ``prefixes`` the literal head of a
+    name that ``getattr`` assembles from an f-string
+    (``f"cost_{direction}"``). Code reaches a method on an object, so only
+    these reach a method. ``names`` adds every bare name and the original
+    name behind an ``import ... as`` alias; those reach functions and
+    classes too."""
 
     def __init__(self) -> None:
         self.names: set[str] = set()
+        self.attributes: set[str] = set()
         self.prefixes: set[str] = set()
 
     def visit_Name(self, node: ast.Name) -> None:
         self.names.add(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self.names.add(node.attr)
+        self.attributes.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
         if isinstance(node.value, str) and _IDENTIFIER.match(node.value):
-            self.names.update(node.value.split("."))
+            self.attributes.update(node.value.split("."))
 
     def visit_alias(self, node: ast.alias) -> None:
         if node.asname:
@@ -236,8 +242,9 @@ def test_every_definition_is_reached_from_an_entry_point():
     imports each of them, and importing runs that code. So is every
     script under ``perfbench/``, ``examples/`` and ``tools/``, whole.
     Re-exports (:func:`_reexports`) are not roots. A reached definition
-    reaches every definition whose name it mentions; a method needs its
-    class reached as well.
+    reaches every definition whose name it mentions (:class:`_Mentions`);
+    a method needs its class reached as well, and a bare variable of the
+    same name does not reach it.
     """
     mentions = _Mentions()
     #: qualified name -> (definition, qualified name of its class or None)
@@ -271,7 +278,8 @@ def test_every_definition_is_reached_from_an_entry_point():
             name = node.name
             if (
                 _is_root(node)
-                or name in mentions.names
+                or name in mentions.attributes
+                or (owner is None and name in mentions.names)
                 or any(name.startswith(p) for p in mentions.prefixes)
             ):
                 reached.add(qual)

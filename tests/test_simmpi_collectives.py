@@ -218,12 +218,6 @@ class TestPlacements:
         pl = block_placement(8, 4)
         assert pl.physical == tuple(range(8))
 
-    def test_inverse(self):
-        pl = round_robin_placement(16, 4)
-        inv = pl.inverse()
-        for L in range(16):
-            assert inv[pl.node_of(L)] == L
-
     def test_indivisible_rejected(self):
         from repro.errors import CommunicatorError
 
