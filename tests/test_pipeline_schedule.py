@@ -9,11 +9,13 @@ what-if scaling hooks, and the validation/deadlock guards.
 from __future__ import annotations
 
 import dataclasses
+from operator import attrgetter
 
 import pytest
 
-from repro.pipeline.schedule import simulate_pipeline, stage_orders
+from repro.pipeline.schedule import emit_pipeline_trace, simulate_pipeline, stage_orders
 from repro.trace.scaling import CostScaling, scaling
+from repro.trace.tracer import Tracer
 
 
 class TestStageOrders:
@@ -147,6 +149,35 @@ class TestWalk:
         for s in range(t.n_stages):
             gap = sum(d for _, d in t.stage_gaps(s))
             assert gap + t.stage_busy_s[s] == pytest.approx(t.makespan_s)
+
+
+class TestStoredOrder:
+    """``ops`` by (stage, start), ``xfers`` by (kind, src, start): the order
+    :func:`emit_pipeline_trace` walks without sorting again."""
+
+    @pytest.mark.parametrize("schedule", ["fill_drain", "1f1b"])
+    @pytest.mark.parametrize("S", [1, 2, 3, 8])
+    @pytest.mark.parametrize("M", [1, 4, 17])
+    def test_walk_stores_and_emits_in_order(self, schedule, S, M):
+        t = simulate_pipeline(
+            [0.5 + 0.25 * (s % 3) for s in range(S)],
+            [1.0 + 0.375 * ((2 * s) % 3) for s in range(S)],
+            n_microbatches=M, schedule=schedule,
+            fwd_xfer_s=[0.125 + 0.0625 * (i % 2) for i in range(S - 1)],
+            bwd_xfer_s=[0.3 - 0.05 * (i % 3) for i in range(S - 1)],
+        )
+        assert len(t.ops) == 2 * S * M and len(t.xfers) == 2 * (S - 1) * M
+        assert list(t.ops) == sorted(t.ops, key=attrgetter("stage", "start_s"))
+        assert list(t.xfers) == sorted(t.xfers, key=attrgetter("kind", "src", "start_s"))
+        tr = Tracer()
+        emit_pipeline_trace(tr, t, origin_s=0.5)
+        stages = [(s.track, s.name, s.start_s) for s in tr.spans
+                  if s.cat in ("stage_fwd", "stage_bwd")]
+        assert stages == [(f"pipeline/stage{o.stage}", f"{o.kind}{o.microbatch}",
+                           0.5 + o.start_s) for o in t.ops]
+        xfers = [(s.args["src"], s.args["microbatch"], s.start_s) for s in tr.spans
+                 if s.cat == "activation_xfer"]
+        assert xfers == [(x.src, x.microbatch, 0.5 + x.start_s) for x in t.xfers]
 
 
 class TestValidationAndMetrics:
