@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from operator import attrgetter
+from typing import NamedTuple
 
 from repro.hw.clock import SerialResource
 from repro.trace.scaling import active as _scaling
@@ -40,8 +41,7 @@ from repro.trace.tracer import Tracer
 SCHEDULES = ("fill_drain", "1f1b")
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(NamedTuple):
     """One executed stage op (forward or backward of one microbatch)."""
 
     kind: str  # "F" | "B"
@@ -55,8 +55,7 @@ class OpRecord:
         return self.start_s + self.dur_s
 
 
-@dataclass(frozen=True)
-class XferRecord:
+class XferRecord(NamedTuple):
     """One boundary transfer (activations down, gradients up)."""
 
     kind: str  # "fwd" | "bwd"
@@ -75,7 +74,14 @@ class XferRecord:
 
 @dataclass(frozen=True)
 class PipelineTimeline:
-    """The walked schedule of one pipeline iteration."""
+    """The walked schedule of one pipeline iteration.
+
+    :func:`simulate_pipeline`, which builds every timeline, stores ``ops``
+    sorted by (stage, start) and ``xfers`` by (kind, source stage, start):
+    each stage's ops and each link direction's transfers in the order they
+    ran. :meth:`stage_gaps` and :func:`emit_pipeline_trace` walk them in
+    that order without sorting again.
+    """
 
     schedule: str
     n_stages: int
@@ -108,12 +114,11 @@ class PipelineTimeline:
 
     def stage_gaps(self, stage: int) -> list[tuple[float, float]]:
         """Idle ``(start, dur)`` windows of one stage within the makespan."""
-        ops = sorted(
-            (op for op in self.ops if op.stage == stage), key=lambda o: o.start_s
-        )
         gaps: list[tuple[float, float]] = []
         cursor = 0.0
-        for op in ops:
+        for op in self.ops:
+            if op.stage != stage:
+                continue
             if op.start_s > cursor:
                 gaps.append((cursor, op.start_s - cursor))
             cursor = max(cursor, op.end_s)
@@ -267,8 +272,8 @@ def simulate_pipeline(
         schedule=schedule,
         n_stages=S,
         n_microbatches=M,
-        ops=tuple(sorted(ops, key=lambda o: (o.stage, o.start_s))),
-        xfers=tuple(sorted(xfers, key=lambda x: (x.kind, x.src, x.start_s))),
+        ops=tuple(sorted(ops, key=attrgetter("stage", "start_s"))),
+        xfers=tuple(sorted(xfers, key=attrgetter("kind", "src", "start_s"))),
     )
     return timeline
 
@@ -296,7 +301,7 @@ def emit_pipeline_trace(
         return
     op_spans = {}
     xfer_spans = {}
-    for op in sorted(timeline.ops, key=lambda o: (o.stage, o.start_s)):
+    for op in timeline.ops:
         cat = "stage_fwd" if op.kind == "F" else "stage_bwd"
         span = tracer.emit(
             f"{op.kind}{op.microbatch}",
@@ -307,7 +312,7 @@ def emit_pipeline_trace(
             args={"stage": op.stage, "microbatch": op.microbatch},
         )
         op_spans[(op.kind, op.stage, op.microbatch)] = span
-    for x in sorted(timeline.xfers, key=lambda x: (x.kind, x.src, x.start_s)):
+    for x in timeline.xfers:
         boundary = min(x.src, x.dst)
         span = tracer.emit(
             f"{'act' if x.kind == 'fwd' else 'grad'} m{x.microbatch} "

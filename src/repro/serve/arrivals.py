@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +66,7 @@ def parse_seed_string(s: str) -> tuple[str, int, int]:
         ) from exc
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One inference request: an id and a simulated arrival time."""
 
     rid: int

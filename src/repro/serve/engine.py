@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from repro.faults.injector import active as _injector, transient_delay
@@ -95,7 +96,8 @@ class ServingEngine:
         if fi.enabled:
             slow = max(fi.comm_scale(0, 0), fi.mesh_degrade())
 
-        pending = sorted(requests, key=lambda r: (r.arrival_s, r.rid))
+        by_arrival = attrgetter("arrival_s", "rid")
+        pending = sorted(requests, key=by_arrival)
         queue: deque[Request] = deque()
         records: list[RequestRecord] = []
         queued_spans: dict[int, Span] = {}
@@ -204,7 +206,7 @@ class ServingEngine:
             n_batches += 1
             t = t_free = t + compute_s
 
-        records.sort(key=lambda r: (r.arrival_s, r.rid))
+        records.sort(key=by_arrival)
         return ServeReport(
             model=model or getattr(self.cost_model, "name", "") or "model",
             arrivals=arrivals,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.metrics.registry import Histogram
 from repro.utils.tables import Table
@@ -31,8 +31,7 @@ from repro.utils.units import format_time
 SERVE_SCHEMA = "repro-serve/1"
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One request's fate: either a latency split or a shed marker."""
 
     rid: int

@@ -197,6 +197,7 @@ class SimComm:
             prev = self.prev_step_span
             first: Span | None = None
             for a, b, nbytes in pairs:
+                cross = self.crosses_supernode(a, b)
                 for rank, partner in ((a, b), (b, a)):
                     span = tr.emit(
                         f"step{step_idx}", "collective_step",
@@ -205,7 +206,7 @@ class SimComm:
                         args={
                             "partner": partner,
                             "bytes": nbytes,
-                            "cross_supernode": self.crosses_supernode(a, b),
+                            "cross_supernode": cross,
                             "reduce_bytes": reduce_bytes,
                         },
                     )

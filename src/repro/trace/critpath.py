@@ -43,7 +43,7 @@ import heapq
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from repro.errors import CritPathError
 from repro.trace.tracer import RESOURCE_CLASS, RESOURCES, Span, Tracer
@@ -323,8 +323,7 @@ def schedule(
 # --------------------------------------------------------------------------- #
 # critical path extraction
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PathEntry:
+class PathEntry(NamedTuple):
     """One span on the critical path."""
 
     name: str

@@ -177,7 +177,8 @@ class Tracer:
         #: Explicit causal edges ``(src, dst, kind)``; see :meth:`edge`.
         self.edges: list[tuple[Span, Span, str]] = []
         self._cursors: dict[str, float] = defaultdict(float)
-        self._prefix: list[str] = []
+        #: The open contexts' prefixes, each followed by ``/``.
+        self._context = ""
 
     # ------------------------------------------------------------------ #
     # track context
@@ -189,22 +190,23 @@ class Tracer:
         """
         if track.startswith("/"):
             return track[1:]
-        if not self._prefix:
-            return track
-        return "/".join(self._prefix) + "/" + track
+        return self._context + track
 
     @contextmanager
     def context(self, prefix: str) -> Iterator[None]:
         """Prefix all relative tracks emitted inside the block.
 
         Contexts nest: ``context("rank0")`` then ``context("cg1")`` yields
-        tracks like ``rank0/cg1/dma``.
+        tracks like ``rank0/cg1/dma``. The joined prefix is built once on
+        entry and the enclosing one restored on exit, so resolving a track
+        inside the block is one concatenation.
         """
-        self._prefix.append(prefix)
+        outer = self._context
+        self._context = f"{outer}{prefix}/"
         try:
             yield
         finally:
-            self._prefix.pop()
+            self._context = outer
 
     def cursor(self, track: str) -> float:
         """Current cursor (end of the latest span) of a track."""

@@ -24,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.trace.critpath import (
-    CritGraph,
-    CritPathReport,
-    build_graph,
-    critical_path,
-    schedule,
-)
+from repro.trace.critpath import CritGraph, CritPathReport, build_graph, critical_path
 from repro.trace.scaling import SCALE_CLASSES, CostScaling, scaling
 from repro.trace.tracer import Span, Tracer
 
@@ -118,15 +112,16 @@ def project(
     """Project a trace's end-to-end time under scaled resource costs.
 
     Works on any trace the critical-path graph understands (training
-    sessions, serving runs, fault replays). The baseline is the identity
-    re-walk of the same graph — bitwise equal to the recorded end time on
-    well-formed traces, so ``speedup`` compares like with like. Factors
+    sessions, serving runs, fault replays). The baseline is the end of the
+    identity schedule :func:`~repro.trace.critpath.build_graph` walked —
+    bitwise equal to the recorded end time on well-formed traces, so
+    ``speedup`` compares like with like. Factors
     are checked as :class:`~repro.trace.scaling.CostScaling` checks them
     (known classes, values > 0); a bad one raises ``ValueError``.
     """
     CostScaling(factors)
     graph = trace if isinstance(trace, CritGraph) else build_graph(trace)
-    baseline = schedule(graph).end_to_end_s
+    baseline = max(graph.identity[1], default=0.0)
     factors = dict(factors)
     report = critical_path(graph, factors)
     return WhatIfProjection(
