@@ -1,8 +1,10 @@
 """Shape-manipulation layers: Flatten, Reshape, Split, Slice.
 
 Pure bookkeeping layers (views and copies); Split is how Caffe expresses
-explicit fan-out, and Slice is Concat's inverse. All are priced as pure
-DMA streams on SW26010.
+explicit fan-out, and Slice is Concat's inverse. Flatten, Reshape and
+Slice are priced as pure DMA streams on SW26010. Split reads its bottom
+once and writes every top, and its backward sums the tops' gradients,
+priced like Eltwise's SUM.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class ReshapeLayer(_StreamCost):
         bottom[0].diff = bottom[0].diff + top[0].diff.reshape(self._bottom_shape)
 
 
-class SplitLayer(_StreamCost):
+class SplitLayer(Layer):
     """Copy one bottom into N tops (explicit fan-out; gradients sum)."""
 
     type = "Split"
@@ -113,7 +115,7 @@ class SplitLayer(_StreamCost):
             raise ShapeError(f"{self.name}: expected {self.n_tops} tops, got {len(top)}")
         for t in top:
             t.reshape(bottom[0].shape)
-        self._count = bottom[0].count * self.n_tops
+        self._count = bottom[0].count
 
     def forward_impl(self, bottom: list[Blob], top: list[Blob]) -> None:
         for t in top:
@@ -126,6 +128,16 @@ class SplitLayer(_StreamCost):
         for t in top:
             total += t.diff
         bottom[0].diff = bottom[0].diff + total
+
+    def sw_forward_cost(self) -> PlanCost:
+        """One read of the bottom and one write per top."""
+        return self.stream_cost(0.0, n_outputs=self.n_tops)
+
+    def sw_backward_cost(self) -> PlanCost:
+        """One read per top gradient, summed into one bottom gradient."""
+        if not self.propagate_down:
+            return PlanCost()
+        return self.stream_cost(1.0, n_inputs=self.n_tops)
 
 
 class SliceLayer(_StreamCost):
