@@ -115,9 +115,9 @@ def project(
     sessions, serving runs, fault replays). The baseline is the end of the
     identity schedule :func:`~repro.trace.critpath.build_graph` walked —
     bitwise equal to the recorded end time on well-formed traces, so
-    ``speedup`` compares like with like. Factors
-    are checked as :class:`~repro.trace.scaling.CostScaling` checks them
-    (known classes, values > 0); a bad one raises ``ValueError``.
+    ``speedup`` compares like with like. Factors are checked as
+    :class:`~repro.trace.scaling.CostScaling` checks them (known classes,
+    values > 0); a bad one raises ``ValueError``.
     """
     CostScaling(factors)
     graph = trace if isinstance(trace, CritGraph) else build_graph(trace)

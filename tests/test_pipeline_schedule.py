@@ -3,7 +3,8 @@
 Pins the schedule definitions (fill-drain op order, 1F1B warmup depths),
 the walk rules (stage serialism, transfer dependencies, per-direction
 link serialism), the exact GPipe bubble fraction on uniform stages, the
-what-if scaling hooks, and the validation/deadlock guards.
+what-if scaling hooks, the stored op and transfer order that trace
+emission walks, and the validation/deadlock guards.
 """
 
 from __future__ import annotations

@@ -107,18 +107,15 @@ def pipeline_trace(schedule: str) -> Tracer:
     return tr
 
 
-#: case name -> (trace kind, trace builder).
+#: case name -> (trace kind, trace builder, its arguments).
 CASES = {
     **{
-        f"serve/{profile}/{load}": ("serve", lambda p=profile, x=load: served_trace(p, x))
+        f"serve/{profile}/{load}": ("serve", served_trace, (profile, load))
         for profile in ("poisson", "bursty")
         for load in SERVE_LOADS
     },
-    **{f"dp/{r}": ("dp", lambda r=r: data_parallel_trace(r)) for r in DP_RANKS},
-    **{
-        f"pipeline/{s}": ("pipeline", lambda s=s: pipeline_trace(s))
-        for s in ("1f1b", "fill_drain")
-    },
+    **{f"dp/{r}": ("dp", data_parallel_trace, (r,)) for r in DP_RANKS},
+    **{f"pipeline/{s}": ("pipeline", pipeline_trace, (s,)) for s in ("1f1b", "fill_drain")},
 }
 
 
@@ -141,8 +138,8 @@ def trace_digest(tr: Tracer, factors: dict[str, float]) -> dict:
 
 
 def case_digest(name: str) -> dict:
-    kind, build = CASES[name]
-    return trace_digest(build(), FACTORS[kind])
+    kind, build, args = CASES[name]
+    return trace_digest(build(*args), FACTORS[kind])
 
 
 def trace_digests() -> str:
