@@ -39,7 +39,8 @@ serve NET [options]
 pipeline NET [options]
     Partition a net into balanced pipeline stages, walk a microbatch
     schedule (GPipe fill-drain or 1F1B), and compare the priced
-    iteration against data-parallel SGD at the same node count
+    iteration against data-parallel SGD at the same node count; the
+    node count, stages x replicas, must be a power of two
     (see docs/parallelism.md).
 train [ITERS]
     Run the LeNet quickstart training loop.
@@ -555,7 +556,9 @@ def cmd_pipeline(args: list[str]) -> int:
         description=(
             "Partition a net into balanced pipeline stages, walk a "
             "microbatch schedule, and compare the priced iteration "
-            "against data-parallel SGD at the same node count."
+            "against data-parallel SGD at the same node count. The "
+            "allreduces are recursive halving/doubling, so stages x "
+            "replicas must be a power of two."
         ),
     )
     parser.add_argument("net", choices=sorted(NETWORKS), help="model-zoo network")
@@ -603,6 +606,14 @@ def cmd_pipeline(args: list[str]) -> int:
     if ns.stages > len(net.layers):
         raise _BadArgument(
             f"--stages {ns.stages} exceeds {ns.net}'s {len(net.layers)} layers"
+        )
+    # S x R is a power of two only when S and R both are: one check covers
+    # the DP reference's allreduce over S x R nodes and the hybrid groups'.
+    n_nodes = ns.stages * ns.replicas
+    if n_nodes & (n_nodes - 1):
+        raise _BadArgument(
+            f"--stages x --replicas must be a power of two, got "
+            f"{ns.stages} x {ns.replicas} = {n_nodes}"
         )
     plan = plan_stages(net, ns.stages, method=ns.method)
     model = PipelineIterationModel(
@@ -811,7 +822,8 @@ REGISTRY: dict[str, Command] = {
             (
                 "partition into balanced stages, walk a",
                 "microbatch schedule, and compare against",
-                "data-parallel SGD (docs/parallelism.md)",
+                "data-parallel SGD (docs/parallelism.md);",
+                "S x R must be a power of two",
             ),
         ),
         Command(

@@ -30,8 +30,8 @@ class Net:
         self.phase = "train"
         self._backward_hooks: list = []
         #: Most recent traced layer span: each layer pass depends on the
-        #: one before it (the propagation order), and gradient bucketing
-        #: reads it to anchor a bucket launch to the layer that filled it.
+        #: one before it (the propagation order), across forward and
+        #: backward calls.
         self.last_traced_span = None
 
     # ------------------------------------------------------------------ #

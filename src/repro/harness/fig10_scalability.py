@@ -25,9 +25,7 @@ CONFIGS = (
 )
 
 
-def build_study(
-    bucket_mb: float | None = None, backward_frac: float = 2.0 / 3.0
-) -> ScalingStudy:
+def build_study(bucket_mb: float | None = None) -> ScalingStudy:
     """The full Fig. 10/11 study object.
 
     Each config's compute time and gradient payload come from its net's
@@ -41,10 +39,8 @@ def build_study(
         model = SSGDIterationModel(
             compute_s=record.iteration_s("sw26010"),
             model_bytes=record.param_bytes,
+            bucket_mb=bucket_mb,
         )
-        if bucket_mb is not None:
-            model.bucket_mb = bucket_mb
-            model.backward_frac = backward_frac
         study.add_config(label, model)
     return study
 

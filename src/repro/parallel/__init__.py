@@ -2,7 +2,7 @@
 
 * :mod:`repro.parallel.threads` — Algorithm 1's single-node side: four
   pthreads (one per core group), the ``simple_sync`` semaphore barrier, and
-  CG0's local gradient average;
+  CG0's local gradient average, timed by ``node_iteration_time``;
 * :mod:`repro.parallel.packing` — gradient packing: all layer gradients are
   fused into one buffer so the allreduce and the CPE-cluster summation run
   at full bandwidth;
@@ -14,7 +14,6 @@
   communication fractions from 2 to 1024 nodes.
 """
 
-from repro.parallel.threads import MultiCGRunner
 from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.parallel.ssgd import SSGDIterationModel
 from repro.parallel.trainer import DistributedTrainer
@@ -22,7 +21,6 @@ from repro.parallel.param_server import ParameterServerModel
 from repro.parallel.scaling import ScalingStudy, ScalingPoint
 
 __all__ = [
-    "MultiCGRunner",
     "GradientPacker",
     "BucketedPacker",
     "SSGDIterationModel",

@@ -15,9 +15,9 @@ executable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
+from repro.topology.cost_model import SW_COLLECTIVE_NETWORK
 
 
 @dataclass
@@ -30,13 +30,13 @@ class ParameterServerModel:
         Total gradient/parameter payload.
     n_servers:
         Server count (each holds ``model_bytes / n_servers``).
-    network:
-        Per-link curve; one NIC per node (the SW26010 reality).
+
+    Every message rides the calibrated collective curve, one NIC per node
+    (the SW26010 reality).
     """
 
     model_bytes: float
     n_servers: int = 8
-    network: NetworkModel = field(default_factory=lambda: SW_COLLECTIVE_NETWORK)
 
     def sync_time(self, n_workers: int) -> float:
         """One iteration's push + pull time.
@@ -52,7 +52,7 @@ class ParameterServerModel:
         if n_workers == 1:
             return 0.0
         shard = self.model_bytes / self.n_servers
-        per_msg = self.network.ptp_time(shard)
+        per_msg = SW_COLLECTIVE_NETWORK.ptp_time(shard)
         # Ingest: n_workers shard messages serialized at one server NIC.
         push = n_workers * per_msg
         pull = n_workers * per_msg

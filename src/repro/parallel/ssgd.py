@@ -16,14 +16,19 @@ Weak scaling: the global batch is ``N * sub_batch``, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.clock import Reservation, SerialResource
+from repro.hw.spec import SW_PARAMS
 from repro.io.prefetch import PrefetchPipeline
 from repro.parallel.comm_cost import allreduce_cost
-from repro.parallel.threads import MultiCGRunner
-from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
+from repro.parallel.threads import node_iteration_time
 from repro.topology.fabric import NODES_PER_SUPERNODE
+
+#: Fraction of node compute that is backward: the window at the *end* of
+#: compute during which bucket gradients become ready (backward costs
+#: roughly twice forward).
+BACKWARD_FRAC = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -117,15 +122,9 @@ class SSGDIterationModel:
         Packed gradient payload (``net.param_bytes()``).
     nodes_per_supernode:
         Supernode size q (256 on TaihuLight).
-    network:
-        Collective network curve (defaults to the calibrated effective
-        collective model).
     placement:
         ``"round-robin"`` (swCaffe) or ``"block"`` (MPICH baseline) rank
         numbering for the allreduce.
-    reduce_engine:
-        Where the post-gather summation runs ("cpe" = swCaffe, "mpe" =
-        stock MPI_Allreduce).
     prefetch:
         Optional I/O pipeline; when given, ``batch_io_bytes`` is the
         per-node mini-batch payload read each iteration.
@@ -134,23 +133,15 @@ class SSGDIterationModel:
         ``None`` (the default) is the fused path: one bucket holding the
         whole model, launched only when backward has fully finished —
         i.e. the model's historical behavior, unchanged.
-    backward_frac:
-        Fraction of node compute that is backward — the window at the
-        *end* of compute during which bucket gradients become ready.
-        Defaults to 2/3 (backward costs roughly twice forward).
     """
 
     compute_s: float
     model_bytes: float
     nodes_per_supernode: int = NODES_PER_SUPERNODE
-    network: NetworkModel = field(default_factory=lambda: SW_COLLECTIVE_NETWORK)
     placement: str = "round-robin"
-    reduce_engine: str = "cpe"
     prefetch: PrefetchPipeline | None = None
     batch_io_bytes: float = 0.0
-    runner: MultiCGRunner = field(default_factory=MultiCGRunner)
     bucket_mb: float | None = None
-    backward_frac: float = 2.0 / 3.0
 
     def bucket_sizes(self) -> tuple[float, ...]:
         """Per-bucket payloads (bytes), an even split bounded by
@@ -168,8 +159,6 @@ class SSGDIterationModel:
             nbytes,
             n_nodes,
             nodes_per_supernode=self.nodes_per_supernode,
-            network=self.network,
-            reduce_engine=self.reduce_engine,
             placement=self.placement,
         )
 
@@ -177,18 +166,16 @@ class SSGDIterationModel:
         """Schedule the bucket allreduces against a compute window.
 
         ``compute_s`` is the node-local compute time (forward + backward
-        + thread sync); backward occupies its last ``backward_frac``
+        + thread sync); backward occupies its last :data:`BACKWARD_FRAC`
         slice, and bucket ``i`` of ``K`` becomes ready when backward is
         ``(i + 1) / K`` done (gradients accumulate in reverse layer
         order, so equal-size buckets fill at an even pace). Every bucket
         already ready when the fabric frees up rides in the same launch.
         """
-        if not 0.0 <= self.backward_frac <= 1.0:
-            raise ValueError("backward_frac must be in [0, 1]")
         sizes = self.bucket_sizes()
         if n_nodes <= 1:
             sizes = ()
-        backward_start = compute_s * (1.0 - self.backward_frac)
+        backward_start = compute_s * (1.0 - BACKWARD_FRAC)
         window = compute_s - backward_start
         k = len(sizes)
         bucket_ready = [backward_start + window * (i + 1) / k for i in range(k)]
@@ -211,13 +198,13 @@ class SSGDIterationModel:
 
     def update_time(self) -> float:
         """SGD update: stream params + grads + velocity (5x traffic)."""
-        return 5.0 * self.model_bytes / self.runner.params.dma_peak_bw
+        return 5.0 * self.model_bytes / SW_PARAMS.dma_peak_bw
 
     def breakdown(self, n_nodes: int) -> IterationBreakdown:
         """Full iteration breakdown at ``n_nodes``."""
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
-        node = self.runner.iteration_time(self.compute_s, self.model_bytes)
+        node = node_iteration_time(self.compute_s, self.model_bytes)
         io_s = 0.0
         if self.prefetch is not None and self.batch_io_bytes > 0:
             io_s = self.prefetch.iteration_io_time(

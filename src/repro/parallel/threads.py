@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.spec import SW26010Params, SW_PARAMS
+from repro.hw.spec import SW_PARAMS
+
+#: One ``simple_sync`` handshake across the 4 CGs (semaphore store + spin
+#: in shared memory, microsecond scale).
+SIMPLE_SYNC_S = 2e-6
+#: ``pthread_create``/``join`` of the 4 CG threads, once per iteration.
+THREAD_SPAWN_S = 5e-5
 
 
 @dataclass(frozen=True)
@@ -27,68 +33,18 @@ class NodeIterationTime:
         return self.compute_s + self.sync_s + self.local_reduce_s
 
 
-class MultiCGRunner:
-    """Times Algorithm 1's node-local portion.
+def node_iteration_time(compute_s: float, model_bytes: float) -> NodeIterationTime:
+    """Time Algorithm 1's node-local portion.
 
-    Parameters
-    ----------
-    params:
-        SW26010 constants.
-    sync_overhead_s:
-        One ``simple_sync`` handshake (semaphore store + spin in shared
-        memory, microsecond scale).
-    thread_spawn_s:
-        ``pthread_create``/``join`` cost per iteration (4 threads).
+    The four symmetric CG threads each compute for ``compute_s``, are
+    spawned and joined once and meet at one ``simple_sync``. CG0 then sums
+    the four gradient copies: a streaming reduction that reads 4 copies and
+    writes 1 through DMA at the saturated per-CG bandwidth.
     """
-
-    def __init__(
-        self,
-        params: SW26010Params | None = None,
-        sync_overhead_s: float = 2e-6,
-        thread_spawn_s: float = 5e-5,
-    ) -> None:
-        self.params = params or SW_PARAMS
-        self.sync_overhead_s = float(sync_overhead_s)
-        self.thread_spawn_s = float(thread_spawn_s)
-
-    def simple_sync_time(self, n_syncs: int = 1) -> float:
-        """Cost of ``n_syncs`` handshake barriers across the 4 CGs."""
-        if n_syncs < 0:
-            raise ValueError("n_syncs must be non-negative")
-        return n_syncs * self.sync_overhead_s
-
-    def local_reduce_time(self, model_bytes: float) -> float:
-        """CG0 sums the four per-CG gradient copies.
-
-        Streaming reduction: read 4 copies, write 1, through DMA at the
-        saturated per-CG bandwidth.
-        """
-        if model_bytes < 0:
-            raise ValueError("model_bytes must be non-negative")
-        traffic = 5.0 * model_bytes
-        return traffic / self.params.dma_peak_bw
-
-    def iteration_time(
-        self,
-        per_cg_compute_s: list[float] | float,
-        model_bytes: float,
-        n_layer_syncs: int = 0,
-    ) -> NodeIterationTime:
-        """Fork/join over the CGs plus the local gradient average.
-
-        ``per_cg_compute_s`` is either one number (symmetric CGs, the
-        common case) or a per-CG list (imbalance makes the node wait for
-        the slowest).
-        """
-        if isinstance(per_cg_compute_s, (int, float)):
-            compute = float(per_cg_compute_s)
-        else:
-            if not per_cg_compute_s:
-                raise ValueError("need at least one CG time")
-            compute = max(float(t) for t in per_cg_compute_s)
-        sync = self.thread_spawn_s + self.simple_sync_time(max(1, n_layer_syncs))
-        return NodeIterationTime(
-            compute_s=compute,
-            sync_s=sync,
-            local_reduce_s=self.local_reduce_time(model_bytes),
-        )
+    if model_bytes < 0:
+        raise ValueError("model_bytes must be non-negative")
+    return NodeIterationTime(
+        compute_s=float(compute_s),
+        sync_s=THREAD_SPAWN_S + SIMPLE_SYNC_S,
+        local_reduce_s=5.0 * model_bytes / SW_PARAMS.dma_peak_bw,
+    )

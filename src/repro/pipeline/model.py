@@ -22,22 +22,24 @@ What each mode pays per iteration:
   Stage groups are disjoint node sets, so their allreduces run
   concurrently and the iteration pays the slowest one.
 
-Both allreduce and point-to-point pricing come from
-:mod:`repro.parallel.comm_cost` — the identical helpers the fig10/fig11
-pins gate — so the modes cannot drift onto different cost curves.
+The allreduce is priced by :func:`~repro.parallel.comm_cost.allreduce_cost`
+— the helper the fig10/fig11 pins gate — and a boundary transfer by
+``SW_COLLECTIVE_NETWORK.ptp_time``, the curve that helper prices on, at the
+intra-supernode rate (pipelines up to 256 nodes fit one supernode), so the
+modes cannot drift onto different cost curves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.clock import SerialResource
-from repro.parallel.comm_cost import allreduce_cost, ptp_cost
-from repro.parallel.threads import MultiCGRunner
+from repro.hw.spec import SW_PARAMS
+from repro.parallel.comm_cost import allreduce_cost
 from repro.pipeline.partition import StagePlan
 from repro.pipeline.schedule import PipelineTimeline, simulate_pipeline
-from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
+from repro.topology.cost_model import SW_COLLECTIVE_NETWORK
 from repro.topology.fabric import NODES_PER_SUPERNODE
 
 
@@ -91,10 +93,6 @@ class PipelineIterationModel:
     replicas:
         Data-parallel replicas per stage (``R``); ``R = 1`` is pure
         pipeline, ``R > 1`` is hybrid. Total nodes = ``S * R``.
-    cross_supernode:
-        Price boundary transfers at the oversubscribed cross-supernode
-        rate (pipelines up to 256 nodes fit one supernode, so the
-        default is the intra rate).
     bucket_mb:
         Hybrid gradient sync granularity: each stage group's allreduce
         is split into size-bounded buckets that become ready across the
@@ -102,6 +100,9 @@ class PipelineIterationModel:
         PR-5 overlap discipline applied within stage groups. ``None``
         (default) is the fused path: one launch per stage when its last
         backward op ends.
+
+    Each stage group's allreduce runs on round-robin placed ranks of
+    256-node supernodes.
     """
 
     plan: StagePlan
@@ -109,12 +110,6 @@ class PipelineIterationModel:
     schedule: str = "1f1b"
     replicas: int = 1
     bucket_mb: float | None = None
-    nodes_per_supernode: int = NODES_PER_SUPERNODE
-    network: NetworkModel = field(default_factory=lambda: SW_COLLECTIVE_NETWORK)
-    placement: str = "round-robin"
-    reduce_engine: str = "cpe"
-    cross_supernode: bool = False
-    runner: MultiCGRunner = field(default_factory=MultiCGRunner)
 
     def __post_init__(self) -> None:
         if self.n_microbatches < 1:
@@ -147,11 +142,7 @@ class PipelineIterationModel:
         same bytes) flow back up."""
         scale = self.microbatch_scale
         fwd = [
-            ptp_cost(
-                nbytes * scale,
-                network=self.network,
-                cross_supernode=self.cross_supernode,
-            )
+            SW_COLLECTIVE_NETWORK.ptp_time(nbytes * scale)
             for nbytes in self.plan.cut_bytes
         ]
         return fwd, list(fwd)
@@ -174,7 +165,7 @@ class PipelineIterationModel:
     def update_time(self) -> float:
         """SGD update of the largest stage shard (5x parameter traffic,
         as in the DP model — but each node only owns its stage)."""
-        bw = self.runner.params.dma_peak_bw
+        bw = SW_PARAMS.dma_peak_bw
         return 5.0 * max(self.plan.stage_param_bytes) / bw
 
     def _sync_schedule(self, timeline: PipelineTimeline) -> tuple[float, float]:
@@ -211,10 +202,7 @@ class PipelineIterationModel:
             per_bucket = allreduce_cost(
                 nbytes / k,
                 self.replicas,
-                nodes_per_supernode=self.nodes_per_supernode,
-                network=self.network,
-                reduce_engine=self.reduce_engine,
-                placement=self.placement,
+                nodes_per_supernode=NODES_PER_SUPERNODE,
             )
             fabric = SerialResource()
             for i in range(k):

@@ -14,7 +14,7 @@ quantity that bounds throughput:
   cost (ties broken toward earlier cuts, so results are deterministic).
 
 :func:`plan_stages` runs either on a real :class:`~repro.frame.net.Net`
-(costs from :func:`~repro.perf.layer_cost.net_layer_timings`) and derives
+(SW26010 costs from :func:`~repro.perf.layer_cost.net_layer_timings`) and derives
 the *cut sets*: for each boundary, the blobs produced before it and
 consumed at-or-after it — exactly the tensors a pipeline must transfer
 downstream (and whose gradients flow back). A blob consumed several
@@ -183,16 +183,10 @@ def _blob_bytes(net: Net, name: str) -> float:
     return float(blob.count * np.dtype(blob.dtype).itemsize)
 
 
-def plan_stages(
-    net: Net,
-    n_stages: int,
-    *,
-    method: str = "dp",
-    device: str = "sw26010",
-) -> StagePlan:
+def plan_stages(net: Net, n_stages: int, *, method: str = "dp") -> StagePlan:
     """Partition ``net`` into ``n_stages`` balanced stages.
 
-    Costs come from the per-layer device model (forward + backward);
+    Costs come from the per-layer SW26010 model (forward + backward);
     boundary cut sets and payload bytes come from the blob graph (shapes
     are known at construction time, so no forward pass is needed).
     """
@@ -200,7 +194,7 @@ def plan_stages(
         partitioner = PARTITIONERS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; use {sorted(PARTITIONERS)}")
-    timings = net_layer_timings(net, device)
+    timings = net_layer_timings(net, "sw26010")
     costs = [t.total_s for t in timings]
     bounds = partitioner(costs, n_stages)
     stage_fwd = tuple(

@@ -112,19 +112,20 @@ class PipelineTimeline:
             return 0.0
         return 1.0 - sum(self.stage_busy_s) / (self.n_stages * t)
 
-    def stage_gaps(self, stage: int) -> list[tuple[float, float]]:
-        """Idle ``(start, dur)`` windows of one stage within the makespan."""
-        gaps: list[tuple[float, float]] = []
-        cursor = 0.0
+    def stage_gaps(self) -> list[list[tuple[float, float]]]:
+        """Idle ``(start, dur)`` windows within the makespan, one list per
+        stage, from one pass over the ops."""
+        gaps: list[list[tuple[float, float]]] = [[] for _ in range(self.n_stages)]
+        cursors = [0.0] * self.n_stages
         for op in self.ops:
-            if op.stage != stage:
-                continue
+            s, cursor = op.stage, cursors[op.stage]
             if op.start_s > cursor:
-                gaps.append((cursor, op.start_s - cursor))
-            cursor = max(cursor, op.end_s)
+                gaps[s].append((cursor, op.start_s - cursor))
+            cursors[s] = max(cursor, op.end_s)
         end = self.makespan_s
-        if end > cursor:
-            gaps.append((cursor, end - cursor))
+        for row, cursor in zip(gaps, cursors):
+            if end > cursor:
+                row.append((cursor, end - cursor))
         return gaps
 
 
@@ -343,8 +344,8 @@ def emit_pipeline_trace(
                 tracer.edge(op_spans[("F", op.stage, op.microbatch)], op_spans[key])
             else:
                 tracer.edge(xfer_spans[("bwd", op.stage, op.microbatch)], op_spans[key])
-    for s in range(S):
-        for start, dur in timeline.stage_gaps(s):
+    for s, gaps in enumerate(timeline.stage_gaps()):
+        for start, dur in gaps:
             tracer.emit(
                 "bubble",
                 "pipeline_bubble",

@@ -79,7 +79,8 @@ class PipelineTrainer:
         deterministic per rank, like the data-parallel trainer's).
     n_stages:
         Pipeline depth ``S``; the net is partitioned by
-        :func:`~repro.pipeline.partition.plan_stages`.
+        :func:`~repro.pipeline.partition.plan_stages`'s exact DP split
+        of the SW26010 layer costs.
     n_microbatches:
         Microbatches per iteration ``M``; each is one full forward/
         backward pass of the net's batch, so the effective batch is
@@ -90,8 +91,6 @@ class PipelineTrainer:
         trained weights) are schedule-independent by construction.
     replicas:
         Data-parallel replicas per stage (hybrid mode when > 1).
-    method:
-        Partitioner (``"dp"`` or ``"greedy"``).
     """
 
     def __init__(
@@ -102,8 +101,6 @@ class PipelineTrainer:
         n_microbatches: int = 1,
         schedule: str = "1f1b",
         replicas: int = 1,
-        method: str = "dp",
-        device: str = "sw26010",
         nodes_per_supernode: int = 4,
         base_lr: float = 0.01,
         momentum: float = 0.9,
@@ -127,9 +124,7 @@ class PipelineTrainer:
             )
             for net in self.nets
         ]
-        self.plan: StagePlan = plan_stages(
-            self.nets[0], n_stages, method=method, device=device
-        )
+        self.plan: StagePlan = plan_stages(self.nets[0], n_stages)
         self.comm = supernode_comm(
             self.plan.n_stages * replicas, nodes_per_supernode, block_placement
         )

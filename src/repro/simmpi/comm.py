@@ -69,11 +69,10 @@ class SimComm:
     placement:
         Logical-rank -> physical-node mapping.
     cost:
-        Linear alpha-beta-gamma model used for message pricing. When
-        ``None``, the fabric's size-dependent network curve prices messages
-        instead (with cross-supernode oversubscription).
-    gamma:
-        Local reduction seconds/byte; defaults to the CPE-cluster engine.
+        Linear alpha-beta-gamma model used for message pricing and the
+        local reduction. When ``None``, the fabric's size-dependent network
+        curve prices messages instead (with cross-supernode
+        oversubscription) and the reduction runs on the CPE clusters.
     """
 
     def __init__(
@@ -81,7 +80,6 @@ class SimComm:
         fabric: TaihuLightFabric,
         placement: Placement,
         cost: LinearCostModel | None = None,
-        gamma: float | None = None,
     ) -> None:
         if placement.p > fabric.n_nodes:
             raise ValueError(
@@ -91,12 +89,8 @@ class SimComm:
         self.fabric = fabric
         self.placement = placement
         self.cost = cost
-        if gamma is not None:
-            self.gamma = gamma
-        elif cost is not None:
-            self.gamma = cost.gamma
-        else:
-            self.gamma = reduce_gamma("cpe")
+        #: Local reduction seconds/byte.
+        self.gamma = cost.gamma if cost is not None else reduce_gamma("cpe")
         self.clock = SimClock()
         #: Logical ranks declared dead: any lockstep step touching one
         #: times out and raises :class:`CollectiveTimeout`. Plain state

@@ -48,9 +48,6 @@ class P2PResult:
     src: int = 0
     dst: int = 0
     cross_supernode: bool = False
-    #: The transfer's trace span (None when tracing is off) — callers wire
-    #: producer/consumer dep edges off it.
-    span: Span | None = None
 
 
 @dataclass
@@ -76,15 +73,14 @@ class P2PTransport:
     ----------
     comm:
         The communicator transfers are priced over (fabric, placement,
-        cost model, clock, failed-rank set).
-    origin_s:
-        Timeline origin for the nonblocking schedule; defaults to the
-        communicator clock's current time.
+        cost model, clock, failed-rank set). Its clock's current time is
+        the origin of the nonblocking schedule.
     """
 
-    def __init__(self, comm: SimComm, origin_s: float | None = None) -> None:
+    def __init__(self, comm: SimComm) -> None:
         self.comm = comm
-        self.origin_s = comm.clock.now if origin_s is None else float(origin_s)
+        #: Timeline origin of the nonblocking schedule.
+        self.origin_s = comm.clock.now
         #: The network nonblocking transfers are served on, one at a time.
         self.fabric = SerialResource(self.origin_s)
         #: Launched-but-unwaited nonblocking transfers, in launch order.
@@ -174,7 +170,6 @@ class P2PTransport:
             if self._prev_span is not None:
                 tr.edge(self._prev_span, span)
             self._prev_span = span
-            result.span = span
         self._charge(t, slow_s)
         return result
 

@@ -13,7 +13,7 @@ or recovered — synchronizes gradients at the modeled rate.
 
 from __future__ import annotations
 
-from repro.topology.cost_model import NetworkModel, SW_COLLECTIVE_NETWORK
+from repro.topology.cost_model import SW_COLLECTIVE_NETWORK
 
 #: Nodes per supernode on TaihuLight (Sec. II-B).
 NODES_PER_SUPERNODE = 256
@@ -28,16 +28,10 @@ class TaihuLightFabric:
         Number of nodes in the allocation (the full machine has 40,960).
     nodes_per_supernode:
         Supernode size (256 on TaihuLight).
-    network:
-        Curve used to price messages; defaults to the calibrated
-        collective curve of the iteration models.
     """
 
     def __init__(
-        self,
-        n_nodes: int,
-        nodes_per_supernode: int = NODES_PER_SUPERNODE,
-        network: NetworkModel | None = None,
+        self, n_nodes: int, nodes_per_supernode: int = NODES_PER_SUPERNODE
     ) -> None:
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
@@ -45,7 +39,6 @@ class TaihuLightFabric:
             raise ValueError("nodes_per_supernode must be positive")
         self.n_nodes = int(n_nodes)
         self.nodes_per_supernode = int(nodes_per_supernode)
-        self.network = network or SW_COLLECTIVE_NETWORK
 
     def supernode_of(self, node_id: int) -> int:
         """Supernode index of a physical node."""
@@ -70,7 +63,7 @@ class TaihuLightFabric:
             return 0.0
         cross = not self.same_supernode(src, dst)
         over = cross if oversubscribed is None else oversubscribed
-        return self.network.ptp_time(nbytes, oversubscribed=over)
+        return SW_COLLECTIVE_NETWORK.ptp_time(nbytes, oversubscribed=over)
 
     def _check(self, node_id: int) -> None:
         if not 0 <= node_id < self.n_nodes:

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 from repro.kernels.plan import PlanCost
 from repro.parallel.ssgd import SSGDIterationModel
+from repro.parallel.threads import node_iteration_time
 from repro.simmpi.collectives.reduce_ops import replay
 from repro.simmpi.collectives.rhd import rhd_schedule
-from repro.simmpi.comm import CollectiveResult, SimComm, reduce_gamma
+from repro.simmpi.comm import CollectiveResult, SimComm
 from repro.simmpi.reorder import block_placement, round_robin_placement
 from repro.topology.fabric import TaihuLightFabric
 from repro.trace.scaling import active as _scaling
@@ -169,7 +170,7 @@ def trace_training_step(
         nodes_per_supernode=q,
         placement=placement.name,
     )
-    node = model.runner.iteration_time(0.0, payload)
+    node = node_iteration_time(0.0, payload)
     # The local reduce (four gradient copies in, one out) and the update
     # (params, grads and velocity) each stream five payloads through DMA.
     sync = PlanCost(overhead_s=node.sync_s)
@@ -200,7 +201,6 @@ def trace_training_step(
             sc.scale_plan_cost(c) for c in (sync, local_reduce, update)
         )
     fabric = TaihuLightFabric(n_nodes=ranks, nodes_per_supernode=q)
-    gamma = reduce_gamma(model.reduce_engine)
 
     compute_s = local_reduce_s = allreduce_s = update_s = 0.0
     steps = 0
@@ -226,7 +226,7 @@ def trace_training_step(
                 # A fresh communicator whose clock starts at the barrier, so
                 # every round's start accumulates exactly as the critical
                 # path chains it.
-                comm = SimComm(fabric, placement, gamma=gamma)
+                comm = SimComm(fabric, placement)
                 comm.clock.advance(ready)
                 comm.prev_step_span = barrier
                 res = replay_rhd(comm, payload)

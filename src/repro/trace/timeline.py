@@ -16,26 +16,29 @@ from typing import Iterable
 from repro.trace.tracer import Span, Tracer
 from repro.utils.units import format_time
 
+#: Spans listed per track before the elision marker.
+MAX_SPANS_PER_TRACK = 40
+#: Characters of a span's ``args`` shown before they are cut with ``...``.
+MAX_ARGS_LEN = 48
 
-def _format_args(span: Span, max_len: int = 48) -> str:
+
+def _format_args(span: Span) -> str:
     if not span.args:
         return ""
     body = ", ".join(f"{k}={v}" for k, v in span.args.items())
-    if len(body) > max_len:
-        body = body[: max_len - 3] + "..."
+    if len(body) > MAX_ARGS_LEN:
+        body = body[: MAX_ARGS_LEN - 3] + "..."
     return f"  {{{body}}}"
 
 
 def render_timeline(
     tracer: Tracer | list[Span],
     *,
-    max_spans_per_track: int = 40,
-    show_args: bool = True,
     highlight: Iterable[Span] | None = None,
 ) -> str:
     """Render the trace as grouped, chronological text.
 
-    Long tracks are truncated to ``max_spans_per_track`` entries with an
+    Long tracks are truncated to :data:`MAX_SPANS_PER_TRACK` entries with an
     elision marker (traces of full nets run to thousands of spans; the
     text view is for orientation, not completeness).
 
@@ -54,7 +57,7 @@ def render_timeline(
     for track in sorted(by_track):
         track_spans = sorted(by_track[track], key=lambda s: (s.start_s, -s.dur_s))
         lines.append(f"== {track} ({len(track_spans)} spans) ==")
-        shown = track_spans[:max_spans_per_track]
+        shown = track_spans[:MAX_SPANS_PER_TRACK]
         # Containment-based indentation within the track: a stack of open
         # (start, end) intervals the current span falls inside.
         open_spans: list[tuple[float, float]] = []
@@ -79,9 +82,8 @@ def render_timeline(
             stamp = f"[{format_time(s.start_s):>9} +{format_time(s.dur_s):>9}]"
             if s.instant:
                 stamp = f"[{format_time(s.start_s):>9}  (instant)]"
-            args = _format_args(s) if show_args else ""
             mark = "* " if id(s) in marked else "  "
-            lines.append(f"{mark}{stamp} {indent}{s.name} <{s.cat}>{args}")
+            lines.append(f"{mark}{stamp} {indent}{s.name} <{s.cat}>{_format_args(s)}")
         hidden = len(track_spans) - len(shown)
         if hidden > 0:
             lines.append(f"  ... {hidden} more spans")

@@ -286,39 +286,6 @@ class Tracer:
         """Record a zero-duration point event."""
         return self.emit(name, cat, track=track, start=start, args=args, instant=True)
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        cat: str,
-        *,
-        track: str = "main",
-        dur: float | None = None,
-        args: Mapping[str, Any] | None = None,
-    ) -> Iterator[None]:
-        """Cursor-driven nesting: the span covers everything emitted inside.
-
-        The span starts at the track's cursor; children emitted inside the
-        block (on the same track or below it) extend the parent, whose
-        duration at exit is the cursor advance — unless ``dur`` is given,
-        which also ratchets the cursor so siblings follow sequentially.
-        """
-        resolved = self.resolve(track)
-        start = self._cursors[resolved]
-        yield
-        if dur is None:
-            # Children may have advanced deeper tracks; cover them too.
-            descendant_end = max(
-                (
-                    end
-                    for t, end in self._cursors.items()
-                    if t == resolved or t.startswith(resolved + "/")
-                ),
-                default=start,
-            )
-            dur = max(descendant_end - start, 0.0)
-        self.emit(name, cat, track="/" + resolved, start=start, dur=dur, args=args)
-
     def __len__(self) -> int:
         return len(self.spans)
 
@@ -343,10 +310,6 @@ class NullTracer(Tracer):
     def context(self, prefix: str) -> Iterator[None]:
         yield
 
-    @contextmanager
-    def span(self, name: str, cat: str, **kwargs: Any) -> Iterator[None]:
-        yield
-
 
 #: What :func:`emit_cost_spans` reads from :data:`RESOURCES`, built once: a
 #: cost's busy seconds in table order, and per resource its track, category,
@@ -361,7 +324,6 @@ def emit_cost_spans(
     cost: Any,
     *,
     cat: str = "plan_cost",
-    track: str = "layers",
     args: Mapping[str, Any] | None = None,
     start: float | None = None,
 ) -> Span | None:
@@ -369,9 +331,9 @@ def emit_cost_spans(
 
     ``cost`` is any :class:`~repro.kernels.plan.PlanCost`-shaped object
     (the :data:`RESOURCES` fields, ``overhead_s``, ``total_s``, ``flops``
-    and ``dma_bytes``). The parent lands on ``track`` at ``start``
-    (default: the track's cursor); each resource with busy time gets a
-    component span of its category on its class's sibling track
+    and ``dma_bytes``). The parent lands on the ``layers`` track at
+    ``start`` (default: the track's cursor); each resource with busy time
+    gets a component span of its category on its class's sibling track
     (``cpe``, ``dma``, ``rlc``), pinned at the parent's start. They
     overlap each other, which is exactly the dual-pipeline rule
     (``total = max(compute, dma, rlc) + overhead``) made visible.
@@ -379,7 +341,7 @@ def emit_cost_spans(
     if not tracer.enabled:
         return None
     if start is None:
-        start = tracer.cursor(track)
+        start = tracer.cursor("layers")
     merged: dict[str, Any] = {
         "flops": cost.flops,
         "dma_bytes": cost.dma_bytes,
@@ -388,7 +350,7 @@ def emit_cost_spans(
     if args:
         merged.update(args)
     parent = tracer.emit(
-        name, cat, track=track, start=start, dur=cost.total_s, args=merged
+        name, cat, track="layers", start=start, dur=cost.total_s, args=merged
     )
     for (comp_track, comp_cat, key, work), dur in zip(_COMPONENTS, _busy_seconds(cost)):
         if dur > 0:

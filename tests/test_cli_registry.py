@@ -90,6 +90,13 @@ class TestPipelineCommand:
         assert "bubble" in out
         assert "stage" in out
 
+    def test_power_of_two_hybrid_runs(self, capsys):
+        """Stages x replicas must be a power of two for the recursive
+        halving/doubling allreduces; 2 x 2 is."""
+        assert main(["pipeline", "lenet", "--stages", "2", "--replicas", "2",
+                     "--microbatches", "2", "--batch", "4"]) == 0
+        assert "DP reference at 4 node(s)" in capsys.readouterr().out
+
     def test_trace_export_is_valid_chrome(self, tmp_path, capsys):
         import json
 
@@ -144,6 +151,9 @@ class TestBadValuesExit2:
             "pipeline lenet --batch 0",
             "pipeline lenet --bucket-mb 0",
             "pipeline lenet --bucket-mb -1",
+            "pipeline lenet --stages 3",
+            "pipeline lenet --stages 2 --replicas 3",
+            "pipeline lenet --stages 4 --replicas 3",
             "train 0",
             "train abc",
             "whatif lenet --scale dma=inf",

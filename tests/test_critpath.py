@@ -22,6 +22,7 @@ from repro.errors import CritPathError
 from repro.frame.model_zoo import lenet
 from repro.harness.fig10_scalability import CONFIGS, build_study
 from repro.parallel.scaling import PAPER_NODE_COUNTS
+from repro.parallel.threads import node_iteration_time
 from repro.trace.critpath import (
     build_graph,
     critical_path,
@@ -224,7 +225,7 @@ class TestFig10LaunchSplit:
         # A fully hidden launch whose end_s - start_s rounds one ulp above
         # its duration used to report a negative exposed time.
         model = build_study(bucket_mb=bucket_mb).configs[label]
-        node = model.runner.iteration_time(model.compute_s, model.model_bytes)
+        node = node_iteration_time(model.compute_s, model.model_bytes)
         sched = model.overlap_schedule(n_nodes, node.compute_s + node.sync_s)
         assert sched.launches
         exposed = []

@@ -8,7 +8,7 @@ from repro.frame.blob import Blob
 from repro.parallel.packing import BucketedPacker, GradientPacker
 from repro.parallel.scaling import ScalingStudy
 from repro.parallel.ssgd import IterationBreakdown, SSGDIterationModel
-from repro.parallel.threads import MultiCGRunner
+from repro.parallel.threads import node_iteration_time
 from repro.topology.cost_model import SW_COLLECTIVE_NETWORK
 
 
@@ -24,33 +24,19 @@ def make_params(shapes, seed=0):
 
 
 class TestMultiCGRunner:
-    def test_iteration_takes_slowest_cg(self):
-        r = MultiCGRunner()
-        t = r.iteration_time([1.0, 1.2, 0.9, 1.1], model_bytes=0)
-        assert t.compute_s == pytest.approx(1.2)
+    """Algorithm 1's node-local half, :func:`node_iteration_time`; the
+    class is named for the runner it replaced so the test ids stay put."""
 
     def test_scalar_compute_accepted(self):
-        r = MultiCGRunner()
-        assert r.iteration_time(2.0, 0).compute_s == pytest.approx(2.0)
+        assert node_iteration_time(2.0, 0).compute_s == pytest.approx(2.0)
 
     def test_local_reduce_scales_with_model(self):
-        r = MultiCGRunner()
-        small = r.local_reduce_time(1e6)
-        big = r.local_reduce_time(1e8)
+        small = node_iteration_time(0.0, 1e6).local_reduce_s
+        big = node_iteration_time(0.0, 1e8).local_reduce_s
         assert big == pytest.approx(100 * small)
 
-    def test_sync_counts(self):
-        r = MultiCGRunner(sync_overhead_s=1e-6)
-        assert r.simple_sync_time(10) == pytest.approx(1e-5)
-        with pytest.raises(ValueError):
-            r.simple_sync_time(-1)
-
-    def test_empty_cg_list_rejected(self):
-        with pytest.raises(ValueError):
-            MultiCGRunner().iteration_time([], 0)
-
     def test_total_includes_all_parts(self):
-        t = MultiCGRunner().iteration_time(1.0, 1e8)
+        t = node_iteration_time(1.0, 1e8)
         assert t.total_s == pytest.approx(t.compute_s + t.sync_s + t.local_reduce_s)
 
 
@@ -127,11 +113,6 @@ class TestSSGDIterationModel:
         rr = self.model(placement="round-robin")
         blk = self.model(placement="block")
         assert rr.breakdown(1024).allreduce_s < blk.breakdown(1024).allreduce_s
-
-    def test_cpe_reduce_beats_mpe(self):
-        cpe = self.model(reduce_engine="cpe")
-        mpe = self.model(reduce_engine="mpe")
-        assert cpe.breakdown(1024).allreduce_s < mpe.breakdown(1024).allreduce_s
 
     def test_breakdown_total(self):
         b = self.model().breakdown(64)
@@ -365,8 +346,6 @@ class TestOverlapModel:
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             self.model(bucket_mb=-1.0).bucket_sizes()
-        with pytest.raises(ValueError):
-            self.model(bucket_mb=32.0, backward_frac=1.5).overlap_schedule(4, 1.0)
 
     def test_scaling_points_report_hidden_time(self):
         study = ScalingStudy(node_counts=(16, 64))

@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.parallel.comm_cost import allreduce_cost, ptp_cost
+from repro.hw.spec import SW_PARAMS
+from repro.parallel.comm_cost import allreduce_cost
 from repro.parallel.ssgd import SSGDIterationModel
 from repro.pipeline.model import PipelineIterationModel
 from repro.pipeline.partition import StagePlan
+from repro.topology.cost_model import SW_COLLECTIVE_NETWORK
+from repro.topology.fabric import NODES_PER_SUPERNODE
 
 MB = 1e6
 
@@ -45,8 +48,6 @@ class TestSharedCommCost:
             nbytes,
             n,
             nodes_per_supernode=model.nodes_per_supernode,
-            network=model.network,
-            reduce_engine=model.reduce_engine,
             placement=model.placement,
         )
 
@@ -56,12 +57,7 @@ class TestSharedCommCost:
         plan = synthetic_plan()
         model = PipelineIterationModel(plan, n_microbatches=8, replicas=4)
         expect = allreduce_cost(
-            plan.stage_param_bytes[0],
-            4,
-            nodes_per_supernode=model.nodes_per_supernode,
-            network=model.network,
-            reduce_engine=model.reduce_engine,
-            placement=model.placement,
+            plan.stage_param_bytes[0], 4, nodes_per_supernode=NODES_PER_SUPERNODE
         )
         assert set(plan.stage_param_bytes) == {plan.stage_param_bytes[0]}
         assert model.breakdown().allreduce_s == pytest.approx(expect, rel=1e-12)
@@ -71,7 +67,7 @@ class TestSharedCommCost:
         model = PipelineIterationModel(plan, n_microbatches=8)
         fwd, bwd = model.xfer_times()
         scale = model.microbatch_scale
-        expect = ptp_cost(plan.cut_bytes[0] * scale, network=model.network)
+        expect = SW_COLLECTIVE_NETWORK.ptp_time(plan.cut_bytes[0] * scale)
         assert fwd == [expect] * 3
         assert bwd == fwd
 
@@ -112,10 +108,7 @@ class TestMechanics:
         fused = allreduce_cost(
             max(model.plan.stage_param_bytes),
             4,
-            nodes_per_supernode=model.nodes_per_supernode,
-            network=model.network,
-            reduce_engine=model.reduce_engine,
-            placement=model.placement,
+            nodes_per_supernode=NODES_PER_SUPERNODE,
         )
         assert bd.allreduce_s <= fused + 1e-12
 
@@ -131,7 +124,7 @@ class TestMechanics:
 
     def test_update_time_prices_largest_shard(self):
         model = PipelineIterationModel(synthetic_plan(), n_microbatches=8)
-        bw = model.runner.params.dma_peak_bw
+        bw = SW_PARAMS.dma_peak_bw
         assert model.update_time() == 5.0 * 40.0 * MB / bw
 
     def test_more_microbatches_shrink_the_fill_drain_bubble(self):

@@ -139,7 +139,7 @@ class TestWalk:
                     idle[-1][1] = b
                 else:
                     idle.append([a, b])
-            assert t.stage_gaps(s) == [(a, b - a) for a, b in idle]
+            assert t.stage_gaps()[s] == [(a, b - a) for a, b in idle]
         # The cached makespan is no field: equality and hashing ignore it.
         fresh = dataclasses.replace(t)
         assert fresh == t and hash(fresh) == hash(t)
@@ -148,7 +148,7 @@ class TestWalk:
         t = simulate_pipeline([1.0, 2.0, 0.5], [1.5, 1.0, 2.0],
                               n_microbatches=4, schedule="1f1b")
         for s in range(t.n_stages):
-            gap = sum(d for _, d in t.stage_gaps(s))
+            gap = sum(d for _, d in t.stage_gaps()[s])
             assert gap + t.stage_busy_s[s] == pytest.approx(t.makespan_s)
 
 

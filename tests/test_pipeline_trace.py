@@ -101,8 +101,7 @@ class TestSpans:
     def test_bubble_spans_cover_stage_gaps(self, tracer):
         timeline = fixed_timeline()
         total_gap = sum(
-            dur for s in range(timeline.n_stages)
-            for _start, dur in timeline.stage_gaps(s)
+            dur for gaps in timeline.stage_gaps() for _start, dur in gaps
         )
         bubbles = [s for s in tracer.spans if s.cat == "pipeline_bubble"]
         assert sum(s.dur_s for s in bubbles) == pytest.approx(total_gap)

@@ -149,7 +149,8 @@ def _body(node: ast.AST) -> list[ast.stmt]:
 class _Mentions(ast.NodeVisitor):
     """The names a piece of code mentions, outside docstrings.
 
-    ``attributes`` holds every attribute name and every part of an
+    ``attributes`` holds every attribute name that is read or deleted (an
+    assignment ``obj.name = ...`` calls no method) and every part of an
     identifier-shaped string constant; ``prefixes`` the literal head of a
     name that ``getattr`` assembles from an f-string
     (``f"cost_{direction}"``). Code reaches a method on an object, so only
@@ -166,7 +167,8 @@ class _Mentions(ast.NodeVisitor):
         self.names.add(node.id)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self.attributes.add(node.attr)
+        if not isinstance(node.ctx, ast.Store):
+            self.attributes.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:

@@ -1,9 +1,9 @@
 """Unit tests for the tracer core (:mod:`repro.trace.tracer`).
 
-Pins the three invariants the instrumentation relies on: span nesting
-(a ``span()`` block covers everything emitted inside it), per-track clock
-monotonicity (cursors only ratchet forward), and the disabled tracer being
-a true no-op (the ambient default, restored after every ``tracing`` block).
+Pins the invariants the instrumentation relies on: per-track clock
+monotonicity (cursors only ratchet forward), track contexts, and the
+disabled tracer being a true no-op (the ambient default, restored after
+every ``tracing`` block).
 """
 
 from __future__ import annotations
@@ -86,38 +86,6 @@ class TestMonotonicity:
         assert seen == sorted(seen)
 
 
-class TestNesting:
-    def test_span_covers_children_on_same_track(self, tr):
-        with tr.span("outer", "solver_iter", track="work"):
-            tr.emit("c1", "cpe_compute", track="work", dur=1.0)
-            tr.emit("c2", "cpe_compute", track="work", dur=2.0)
-        outer = tr.spans[-1]
-        assert outer.name == "outer"
-        assert outer.start_s == 0.0 and outer.dur_s == 3.0
-        for child in tr.spans[:-1]:
-            assert outer.start_s <= child.start_s
-            assert child.end_s <= outer.end_s
-
-    def test_span_covers_descendant_tracks(self, tr):
-        with tr.span("iter", "solver_iter", track="rank0"):
-            tr.emit("k", "cpe_compute", track="rank0/cpe", dur=4.0)
-        outer = tr.spans[-1]
-        assert outer.track == "rank0" and outer.dur_s == 4.0
-
-    def test_nested_spans_nest(self, tr):
-        with tr.span("outer", "solver_iter", track="t"):
-            with tr.span("inner", "layer_fwd", track="t"):
-                tr.emit("leaf", "cpe_compute", track="t", dur=1.0)
-        inner = next(s for s in tr.spans if s.name == "inner")
-        outer = next(s for s in tr.spans if s.name == "outer")
-        assert outer.start_s <= inner.start_s <= inner.end_s <= outer.end_s
-
-    def test_explicit_duration_ratchets_cursor(self, tr):
-        with tr.span("fixed", "solver_iter", track="t", dur=7.0):
-            pass
-        assert tr.cursor("t") == 7.0
-
-
 class TestContext:
     def test_context_prefixes_tracks(self, tr):
         with tr.context("rank3"):
@@ -147,8 +115,7 @@ class TestDisabledTracer:
 
     def test_null_tracer_contexts_are_noops(self):
         with NULL_TRACER.context("rank0"):
-            with NULL_TRACER.span("s", "solver_iter"):
-                pass
+            pass
         assert len(NULL_TRACER.spans) == 0
 
     def test_emit_cost_spans_noop_when_disabled(self):
